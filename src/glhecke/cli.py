@@ -26,7 +26,10 @@ def _parse_lambda(text: str) -> tuple[int, ...]:
         entries = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok != "")
     except ValueError as exc:
         raise SystemExit(f"error: --lambda must be comma-separated integers: {exc}")
-    return entries
+    try:
+        return multisegments._validate_integral_lambda(entries)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 def _emit(text: str, out: "str | None") -> None:
@@ -208,6 +211,9 @@ def cmd_oracle(args) -> int:
         return 0
     if args.s is None or args.m is None:
         raise SystemExit("error: oracle needs either a parameter or --s and --m")
+    for flag, value in (("--s", args.s), ("--m", args.m), ("--k", args.k)):
+        if value < 0:
+            raise SystemExit(f"error: {flag} must be nonnegative, got {value}")
     decomp = branching.tensor_power_standard(args.s, args.m, args.k)
     rows = sorted(
         ["|".join(str(lab) for lab in labels), str(mult)] for labels, mult in decomp.items()

@@ -203,103 +203,63 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
 
 # -- exact matrix verification ------------------------------------------------
 #
-# Matrices with rational real entries are verified through scaled integer
-# numpy arrays (int64 when a conservative product bound fits, Python-int
-# object arrays otherwise); anything else falls back to Scalar arithmetic.
+# Every identity is checked on integer numpy arrays.  Scalar matrices are
+# rescaled by the common denominator of all real and imaginary parts; if any
+# entry is non-real, each Gaussian integer a+bi becomes the 2x2 block
+# [[a, -b], [b, a]].  That map is an injective ring homomorphism, so an
+# identity holds after it exactly when it held before.  Arrays are int64 when
+# a conservative bound fits and Python-int object arrays otherwise.
 
 
-def _common_scale(mats) -> "int | None":
-    scale = 1
-    seen: set[int] = set()
-    for m in mats:
-        for row in m:
-            for x in row:
-                if x.im.numerator:
-                    return None
-                d = x.re.denominator
-                if d not in seen:
-                    seen.add(d)
-                    scale = scale * d // math.gcd(scale, d)
-    return scale
+_I_BLOCK = np.array([[0, -1], [1, 0]])  # the 2x2 block of the imaginary unit
 
 
-def _int_data(mats, scale: int) -> tuple[list[list[list[int]]], int]:
-    """Rescaled integer entries plus the largest absolute value."""
-    out = []
-    maxabs = 0
-    for m in mats:
-        data = []
-        for row in m:
-            ints = [x.re.numerator * (scale // x.re.denominator) for x in row]
-            for v in ints:
-                a = -v if v < 0 else v
-                if a > maxabs:
-                    maxabs = a
-            data.append(ints)
-        out.append(data)
-    return out, maxabs
+def _embed(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The integer matrix re + i*im with each entry a+bi as [[a, -b], [b, a]]."""
+    return np.kron(re, np.eye(2, dtype=int)) + np.kron(im, _I_BLOCK)
 
 
-class _Engine:
-    """Uniform matrix ops for the verification sweeps.
+def _integer_arrays(mats, max_chain: int) -> tuple[list[np.ndarray], int, bool]:
+    """Integer images of square Scalar matrices of one size, the common
+    scale, and whether entries were embedded as 2x2 blocks.
 
-    Rational real matrices are rescaled by the common denominator and pushed
-    through integer numpy arrays (int64 when a conservative bound on a
-    product of ``max_chain`` factors fits, Python-int object arrays
-    otherwise); everything else runs on exact Scalar arithmetic.  Both paths
-    are exact.
+    The dtype is int64 when sums of up to 2**max_chain products of
+    ``max_chain`` factors provably stay inside int64.
     """
+    gaussian = any(x.im.numerator for m in mats for row in m for x in row)
+    scale = math.lcm(
+        *{x.re.denominator for m in mats for row in m for x in row},
+        *({x.im.denominator for m in mats for row in m for x in row} if gaussian else ()),
+    )
 
-    def __init__(self, gen_s, gen_eps, max_chain: int):
-        self.k = len(gen_eps)
-        self.dim = len(gen_eps[0]) if gen_eps else 0
-        scale = _common_scale(gen_s + gen_eps)
-        self.exact = scale is None
-        if self.exact:
-            self.scale = 1
-            self.s = gen_s
-            self.eps = gen_eps
-            return
-        self.scale = scale
-        data, bound = _int_data(gen_s + gen_eps, scale)
-        bound = max(1, bound)
-        chain_bound = bound
-        for _ in range(max_chain - 1):
-            chain_bound *= max(1, self.dim) * bound
-        # sums of up to 2**max_chain such products may appear (symmetric
-        # polynomial accumulation), so keep that margin inside int64
-        chain_bound <<= max_chain
-        self.dtype = np.int64 if chain_bound < _INT64_LIMIT else object
-        arrs = [np.array(d, dtype=self.dtype) for d in data]
-        self.s = arrs[: len(gen_s)]
-        self.eps = arrs[len(gen_s) :]
+    def ints(m) -> list[int]:
+        """Scaled real parts, then imaginary parts when some entry is non-real."""
+        parts = [x.re for row in m for x in row]
+        if gaussian:
+            parts += [x.im for row in m for x in row]
+        return [f.numerator * (scale // f.denominator) for f in parts]
 
-    def mul(self, a, b):
-        if self.exact:
-            return linalg.mat_mul(a, b)
-        return a @ b
+    data = [ints(m) for m in mats]
 
-    def eq(self, a, b) -> bool:
-        if self.exact:
-            return linalg.mat_eq(a, b)
-        return bool(np.array_equal(a, b))
+    n = len(mats[0])
+    bound = max(1, *(max(map(abs, d)) for d in data))
+    chain_bound = bound * ((2 if gaussian else 1) * n * bound) ** (max_chain - 1)
+    # sums of up to 2**max_chain such products may appear (symmetric
+    # polynomial accumulation), so keep that margin inside int64
+    dtype = np.int64 if chain_bound << max_chain < _INT64_LIMIT else object
+    arrays = [np.array(d, dtype=dtype).reshape(-1, n, n) for d in data]
+    return [_embed(*a) if gaussian else a[0] for a in arrays], scale, gaussian
 
-    def scaled_identity(self, c: int, power: int):
-        """(c * scale**power) * I in whichever representation is active."""
-        if self.exact:
-            return linalg.mat_scale(Scalar(c), linalg.identity(self.dim))
-        return self._int_identity(c * self.scale**power)
 
-    def _int_identity(self, val: int):
-        arr = np.zeros((self.dim, self.dim), dtype=self.dtype)
-        for i in range(self.dim):
-            arr[i, i] = val
-        return arr
-
-    def sub(self, a, b):
-        if self.exact:
-            return linalg.mat_sub(a, b)
-        return a - b
+def _scalar_identity(c: Scalar, like: np.ndarray, gaussian: bool):
+    """c * I in the form :func:`_integer_arrays` gives ``like``, or None when
+    no matrix of that form equals c * I (c not a Gaussian integer, or
+    non-real while ``gaussian`` is false); ``np.array_equal`` is then False.
+    """
+    if c.re.denominator != 1 or c.im.denominator != 1 or (c.im and not gaussian):
+        return None
+    eye = np.eye(len(like) // 2 if gaussian else len(like), dtype=like.dtype)
+    return _embed(int(c.re) * eye, int(c.im) * eye) if gaussian else int(c.re) * eye
 
 
 def verify_relations(module_or_mats, gen_eps=None, k: "int | None" = None) -> bool:
@@ -314,33 +274,29 @@ def verify_relations(module_or_mats, gen_eps=None, k: "int | None" = None) -> bo
     else:
         gen_s = module_or_mats
     k = len(gen_eps) if k is None else k
-    eng = _Engine(gen_s, gen_eps, max_chain=3)
-    s, eps = eng.s, eng.eps
-
-    ident = eng.scaled_identity(1, 2)  # s*s is a product of two scaled factors
+    arrs, scale, gaussian = _integer_arrays(gen_s + gen_eps, max_chain=3)
+    s, eps = arrs[: len(gen_s)], arrs[len(gen_s) :]
+    # s_i * s_i and the commutator relation are products of two scaled factors
+    ident = _scalar_identity(Scalar(scale**2), arrs[0], gaussian)
     for i in range(k - 1):
-        if not eng.eq(eng.mul(s[i], s[i]), ident):
+        if not np.array_equal(s[i] @ s[i], ident):
             return False
     for i in range(k - 2):
-        lhs = eng.mul(s[i], eng.mul(s[i + 1], s[i]))
-        rhs = eng.mul(s[i + 1], eng.mul(s[i], s[i + 1]))
-        if not eng.eq(lhs, rhs):
+        if not np.array_equal(s[i] @ s[i + 1] @ s[i], s[i + 1] @ s[i] @ s[i + 1]):
             return False
     for i in range(k - 1):
         for j in range(i + 2, k - 1):
-            if not eng.eq(eng.mul(s[i], s[j]), eng.mul(s[j], s[i])):
+            if not np.array_equal(s[i] @ s[j], s[j] @ s[i]):
                 return False
     for a in range(k):
         for b in range(a + 1, k):
-            if not eng.eq(eng.mul(eps[a], eps[b]), eng.mul(eps[b], eps[a])):
+            if not np.array_equal(eps[a] @ eps[b], eps[b] @ eps[a]):
                 return False
     for i in range(k - 1):
         for j in range(k):
             jj = i + 1 if j == i else (i if j == i + 1 else j)
             c = (1 if j == i else 0) - (1 if j == i + 1 else 0)
-            lhs = eng.sub(eng.mul(s[i], eps[j]), eng.mul(eps[jj], s[i]))
-            rhs = eng.scaled_identity(c, 2)
-            if not eng.eq(lhs, rhs):
+            if not np.array_equal(s[i] @ eps[j] - eps[jj] @ s[i], c * ident):
                 return False
     return True
 
@@ -352,9 +308,9 @@ def central_character_of_module(M: StandardModule) -> tuple[Scalar, ...]:
     Raises ValueError if some symmetric polynomial fails to act by the
     correct scalar (which would indicate a construction bug).
     """
-    k, dim = M.k, M.dim
+    k = M.k
     chi = M.weight()
-    eng = _Engine(M.gen_s, M.gen_eps, max_chain=k)
+    eps, scale, gaussian = _integer_arrays(M.gen_eps, max_chain=k)
     # elementary symmetric values of the weight, exact
     e_chi = [Scalar(1)] + [Scalar(0)] * k
     for t in range(k):
@@ -362,25 +318,13 @@ def central_character_of_module(M: StandardModule) -> tuple[Scalar, ...]:
             e_chi[d] = e_chi[d] + e_chi[d - 1] * chi[t]
 
     # prefix DP over matrices: E[d] after t factors
-    if eng.exact:
-        E = [linalg.identity(dim)] + [linalg.zeros(dim, dim) for _ in range(k)]
-        for t in range(k):
-            for d in range(min(t + 1, k), 0, -1):
-                E[d] = linalg.mat_add(E[d], linalg.mat_mul(E[d - 1], M.gen_eps[t]))
-        for d in range(1, k + 1):
-            c = linalg.is_scalar_matrix(E[d])
-            if c is None or c != e_chi[d]:
-                raise ValueError(f"elementary symmetric polynomial {d} is not the expected scalar")
-    else:
-        E = [eng._int_identity(1)] + [np.zeros((dim, dim), dtype=eng.dtype) for _ in range(k)]
-        for t in range(k):
-            for d in range(min(t + 1, k), 0, -1):
-                E[d] = E[d] + E[d - 1] @ eng.eps[t]
-        for d in range(1, k + 1):
-            val = e_chi[d] * eng.scale**d
-            assert val.im == 0 and val.re.denominator == 1
-            if not np.array_equal(E[d], eng._int_identity(int(val.re))):
-                raise ValueError(f"elementary symmetric polynomial {d} is not the expected scalar")
+    E = [_scalar_identity(Scalar(1), eps[0], gaussian)] + [np.zeros_like(eps[0])] * k
+    for t in range(k):
+        for d in range(min(t + 1, k), 0, -1):
+            E[d] = E[d] + E[d - 1] @ eps[t]
+    for d in range(1, k + 1):
+        if not np.array_equal(E[d], _scalar_identity(e_chi[d] * scale**d, eps[0], gaussian)):
+            raise ValueError(f"elementary symmetric polynomial {d} is not the expected scalar")
 
     out = sorted(chi, key=lambda x: (x.re, x.im), reverse=True)
     return tuple(out)

@@ -1,24 +1,20 @@
 """Small exact linear algebra kernel over Gaussian rationals.
 
 Matrices are lists of row lists of :class:`~glhecke.scalars.Scalar`.  Only
-what the module constructions need: multiplication, row reduction, rank,
-nullspace, and column-space solving.  Everything is exact; no pivoting
-heuristics are required over an exact field.
+what the intertwiner and quotient constructions need: multiplication, row
+reduction, rank, nullspace, and column-space solving.  Everything is exact;
+no pivoting heuristics are required over an exact field.
 """
 
 from __future__ import annotations
 
-from .scalars import Scalar, scalar
+from .scalars import Scalar
 
 __all__ = [
     "identity",
     "zeros",
     "mat_mul",
-    "mat_add",
-    "mat_sub",
-    "mat_scale",
     "mat_eq",
-    "transpose",
     "is_scalar_matrix",
     "rref",
     "rank",
@@ -56,25 +52,8 @@ def mat_mul(a, b):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    c = scalar(c)
-    return [[c * x for x in row] for row in a]
-
-
 def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def is_scalar_matrix(a) -> "Scalar | None":

@@ -30,7 +30,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .multisegments import Multisegment, enumerate_multisegments, segments_str
+from .multisegments import (
+    Multisegment,
+    _validate_integral_lambda,
+    enumerate_multisegments,
+    segments_str,
+)
 
 __all__ = [
     "SignedInvolution",
@@ -144,7 +149,7 @@ class BlockStructure:
 
 def column_blocks(lam: Sequence[int]) -> BlockStructure:
     """Column multiplicities of the distinct values of ``lam``."""
-    lam = _validate_lambda(lam)
+    lam = _validate_integral_lambda(lam)
     sizes = []
     for v in sorted(set(lam), reverse=True):
         sizes.append(sum(1 for x in lam if x == v))
@@ -234,16 +239,6 @@ def orbit_class(sigma: SignedInvolution, bs: BlockStructure) -> OrbitClass:
 # -- the column/arc/flip/flatten construction ---------------------------------
 
 
-def _validate_lambda(lam: Sequence[int]) -> tuple[int, ...]:
-    lam = tuple(lam)
-    for x in lam:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"lambda must consist of integers, got {x!r}")
-    if any(a < b for a, b in zip(lam, lam[1:])):
-        raise ValueError("lambda must be weakly decreasing")
-    return lam
-
-
 def _parity_sign(value: int) -> int:
     return 1 if value % 2 == 0 else -1
 
@@ -269,7 +264,7 @@ class ColumnDiagram:
 
 def initial_diagram(lam: Sequence[int]) -> ColumnDiagram:
     """Columns of parity signs before any segment is processed."""
-    lam = _validate_lambda(lam)
+    lam = _validate_integral_lambda(lam)
     values = tuple(sorted(set(lam), reverse=True))
     cols = tuple(
         tuple((_parity_sign(v), True, None) for _ in range(lam.count(v))) for v in values
@@ -345,7 +340,7 @@ def _default_picks(columns, values, x: int, y: int) -> dict[int, int]:
 def build_diagram(ms: Multisegment, lam: Sequence[int]) -> ColumnDiagram:
     """Run the construction with the fixed default choices (longest segment
     first, dominant order inside a length tie, topmost fresh cell)."""
-    lam = _validate_lambda(lam)
+    lam = _validate_integral_lambda(lam)
     _check_support(ms, lam)
     diagram = initial_diagram(lam)
     columns = diagram.columns
@@ -451,7 +446,7 @@ def verify_psi_wellposed(lam: Sequence[int]) -> WellPosedReport:
     """For every multisegment class with support ``lam``, recompute the map
     under every choice path and every flattening and check all outputs land
     in a single orbit class."""
-    lam = _validate_lambda(lam)
+    lam = _validate_integral_lambda(lam)
     report = WellPosedReport(lam=lam)
     for ms in enumerate_multisegments(lam):
         target = psi_g(ms, lam)
@@ -492,7 +487,7 @@ class InjectivityReport:
 
 def verify_injectivity(lam: Sequence[int]) -> InjectivityReport:
     """Check the orbit map separates multisegment classes at support ``lam``."""
-    lam = _validate_lambda(lam)
+    lam = _validate_integral_lambda(lam)
     report = InjectivityReport(lam=lam)
     by_class: dict[OrbitClass, list[Multisegment]] = {}
     for ms in enumerate_multisegments(lam):

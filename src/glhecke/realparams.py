@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .multisegments import _validate_integral_lambda
 from .scalars import (
     Scalar,
     parse_scalar,
@@ -159,16 +160,6 @@ def canonical_class(param: RealParam) -> RealParam:
     if not is_dominant(param):
         raise ValueError("canonical_class requires a dominant parameter")
     return RealParam(tuple(sorted(param.factors, key=_factor_key)))
-
-
-def _validate_integral_lambda(lam: Sequence[int]) -> tuple[int, ...]:
-    lam = tuple(lam)
-    for x in lam:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"lambda must consist of integers, got {x!r}")
-    if any(a < b for a, b in zip(lam, lam[1:])):
-        raise ValueError("lambda must be weakly decreasing")
-    return lam
 
 
 def _cover_options(a: int, counts: dict[int, int]):

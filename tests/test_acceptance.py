@@ -32,7 +32,6 @@ from glhecke.orbits import (
     render_diagram,
     render_involution,
 )
-from glhecke.realparams import enumerate_real_params
 from glhecke.sweeps import (
     consecutive_lambda,
     lambda_window,
@@ -84,19 +83,24 @@ def test_criterion_4_eigenvalue_identity():
     assert report["ok"], report["failures"][:5]
 
 
-def test_criterion_5_bijection_as_stated():
-    bad = []
-    checked = 0
-    for n in range(1, 7):
-        for lam in lambda_window(n, n):
-            checked += 1
-            if not verify_bijection_level_n(lam).bijection:
-                bad.append(lam)
+@pytest.fixture(scope="module")
+def bijection_reports():
+    return {lam: verify_bijection_level_n(lam) for n in range(1, 7) for lam in lambda_window(n, n)}
+
+
+@pytest.fixture(scope="module")
+def rho_reports():
+    return {n: verify_bijection_level_n(consecutive_lambda(n)) for n in range(1, 11)}
+
+
+def test_criterion_5_bijection_as_stated(bijection_reports, rho_reports):
+    bad = [lam for lam, report in bijection_reports.items() if not report.bijection]
+    checked = len(bijection_reports)
     counts_ok = True
     for n in range(1, 11):
         lam = consecutive_lambda(n)
         hecke = len(enumerate_multisegments(lam))
-        real = sum(1 for p in enumerate_real_params(lam, n) if p.level == n)
+        real = len(rho_reports[n].pairs)  # the level-n classes at lam
         if not (hecke == 2 ** (n - 1) == real):
             counts_ok = False
     ok = not bad and counts_ok
@@ -112,19 +116,17 @@ def test_criterion_5_bijection_as_stated():
     )
 
 
-def test_criterion_5_companion_support_matching_bijection():
+def test_criterion_5_companion_support_matching_bijection(bijection_reports, rho_reports):
     ok = True
-    for n in range(1, 7):
-        for lam in lambda_window(n, n):
-            report = verify_bijection_level_n(lam)
-            if not report.bijection_on_support_matching:
-                ok = False
-            for _, image in report.off_support:
-                if tuple(int(c.re) for c in image.support()) == lam:
-                    ok = False  # off-support list must be exactly the strays
+    for lam, report in bijection_reports.items():
+        if not report.bijection_on_support_matching:
+            ok = False
+        for _, image in report.off_support:
+            if tuple(int(c.re) for c in image.support()) == lam:
+                ok = False  # off-support list must be exactly the strays
     for n in range(1, 11):
         lam = consecutive_lambda(n)
-        report = verify_bijection_level_n(lam)
+        report = rho_reports[n]
         if len(report.pairs) - len(report.off_support) != 2 ** (n - 1):
             ok = False
         if len(enumerate_multisegments(lam)) != 2 ** (n - 1):

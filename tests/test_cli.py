@@ -44,6 +44,13 @@ def test_enumerate_deterministic_bytes():
 def test_enumerate_rejects_bad_lambda():
     proc = run_cli("enumerate", "--lambda", "1,x", "--side", "real", check=False)
     assert proc.returncode != 0
+    for args in (
+        ("enumerate", "--lambda", "0,1", "--side", "real"),
+        ("verify", "--suite", "bijection", "--lambda", "0,1"),
+    ):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode != 0
+        assert proc.stderr == "error: lambda must be weakly decreasing\n"
 
 
 def test_gamma_and_zero():
@@ -74,6 +81,16 @@ def test_oracle_dump_csv():
     lines = out.splitlines()
     assert lines[0] == "tuple,multiplicity"
     assert set(lines[1:]) == {"V(1),3", "V(3),1"}
+    for flag, args in (
+        ("--s", ("--s", "-1", "--m", "0", "--k", "3")),
+        ("--m", ("--s", "1", "--m", "-2", "--k", "3")),
+        ("--k", ("--s", "1", "--m", "0", "--k", "-1")),
+    ):
+        proc = run_cli("oracle", *args, check=False)
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {flag} must be nonnegative")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 def test_module_dump_and_quotient():

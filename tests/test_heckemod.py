@@ -5,6 +5,7 @@ import pytest
 
 from glhecke.heckemod import (
     RootDatum,
+    _integer_arrays,
     build_standard_module,
     central_character_of_module,
     intertwiner_space,
@@ -92,11 +93,15 @@ def test_relations_detect_perturbation():
 
 
 def test_relations_object_dtype_path():
-    # entries near 2**40 push the conservative int64 bound over the edge
+    # entries near 2**40 push the conservative int64 bound over the edge,
+    # for real entries and for Gaussian ones embedded as 2x2 blocks
     big = 1 << 40
-    M = build_standard_module(Multisegment((Segment(Scalar(big), 2), Segment(Scalar(0), 1))))
-    assert verify_relations(M)
-    assert central_character_of_module(M) == (Scalar(big + 1), Scalar(big), Scalar(0))
+    for start, dim in ((Scalar(big), 3), (Scalar(big, 1), 6)):
+        M = build_standard_module(Multisegment((Segment(start, 2), Segment(Scalar(0), 1))))
+        arrs, _, _ = _integer_arrays(M.gen_s + M.gen_eps, max_chain=3)
+        assert arrs[0].dtype == object and arrs[0].shape == (dim, dim)
+        assert verify_relations(M)
+        assert central_character_of_module(M) == (start + 1, start, Scalar(0))
 
 
 def test_complex_module_exact_path():
@@ -107,6 +112,16 @@ def test_complex_module_exact_path():
     assert central_character_of_module(M) == (i, Scalar(0))
     M.gen_eps[0][1][1] = M.gen_eps[0][1][1] + 1
     assert not verify_relations(M)
+    # a perturbation of an imaginary part alone is caught too
+    M = build_standard_module(parse_segments("{1+1i};{0}"))
+    assert verify_relations(M)
+    M.gen_eps[0][0][0] = M.gen_eps[0][0][0] + i
+    assert not verify_relations(M)
+    # denominators in both parts share one scale
+    nu = Scalar(Fraction(1, 2), Fraction(1, 3))
+    M = build_standard_module(parse_segments("{1/2+1/3i};{0}"))
+    assert verify_relations(M)
+    assert central_character_of_module(M) == (nu, Scalar(0))
 
 
 def test_central_character_of_module():
@@ -159,6 +174,9 @@ def test_quotients():
     assert irreducible_quotient(steinberg_param(4)).dim == 1
     assert irreducible_quotient(parse_segments("{1/2};{-1/2}")).dim == 1
     assert irreducible_quotient(parse_segments("{3};{1}")).dim == 2
+    q = irreducible_quotient(parse_segments("{1+1i};{0+1i}"))
+    assert q.dim == 1
+    assert verify_relations(q.gen_s, q.gen_eps)
     with pytest.raises(ValueError):
         irreducible_quotient(parse_segments("{0};{2}"))
 
