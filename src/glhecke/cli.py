@@ -225,7 +225,10 @@ def cmd_oracle(args) -> int:
 def cmd_module(args) -> int:
     ms = _load_multisegment(args)
     module = heckemod.build_standard_module(ms)
-    payload = heckemod.module_to_json(module)
+    try:
+        payload = heckemod.module_to_json(module)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     payload["central_character"] = [scalar_str(c) for c in module.weight()]
     if args.quotient:
         try:

@@ -342,32 +342,42 @@ def intertwiner_space(
 
     Each basis element is a (dim_to x dim_from) matrix T with
     T rho_from(g) = rho_to(g) T for every generator g.
+
+    The source is induced from a one-dimensional module of the parabolic
+    subalgebra, so by Frobenius reciprocity a module map is fixed by the
+    image u of the generator (basis vector 0), and u may be any vector of
+    the target on which the source's Young subgroup acts by sign and each
+    eps_j by the source weight chi_j.  The space is the nullspace of that
+    system in dim_to unknowns; each T then follows column by column, since
+    every other source basis vector is s_i times an earlier one.
     """
     if sorted(map(str, ms_from.segments)) != sorted(map(str, ms_to.segments)):
         raise ValueError("intertwiner endpoints must share the same segment multiset")
     m1 = build_standard_module(ms_from)
     m2 = build_standard_module(ms_to)
-    d1, d2 = m1.dim, m2.dim
-    zero = Scalar(0)
+    d2 = m2.dim
+    eye = linalg.identity(d2)
     rows: list[list[Scalar]] = []
-    for A, B in zip(m1.gen_s + m1.gen_eps, m2.gen_s + m2.gen_eps):
-        for i in range(d2):
-            for j in range(d1):
-                row = [zero] * (d1 * d2)
-                for c in range(d1):
-                    if A[c][j]:
-                        row[i * d1 + c] = row[i * d1 + c] + A[c][j]
-                for r in range(d2):
-                    if B[i][r]:
-                        row[r * d1 + j] = row[r * d1 + j] - B[i][r]
-                if any(row):
-                    rows.append(row)
-    basis_vecs = linalg.nullspace(rows) if rows else [
-        [Scalar(1) if t == u else zero for t in range(d1 * d2)] for u in range(d1 * d2)
-    ]
+    for i, g in enumerate(m2.gen_s):
+        if m1.s_table[i][0] == (0, -1):  # s_i lies inside a block of ms_from
+            rows.extend([x + e for x, e in zip(gr, er)] for gr, er in zip(g, eye))
+    for c, g in zip(m1.weight(), m2.gen_eps):
+        rows.extend([x - c * e for x, e in zip(gr, er)] for gr, er in zip(g, eye))
+
+    # e_b = s_i e_b2 with b2 < b for some i, so column b is s_i of column b2
+    steps = []
+    for b in range(1, m1.dim):
+        i = next(i for i, t in enumerate(m1.s_table) if t[b][1] == 1 and t[b][0] < b)
+        steps.append((m2.s_table[i], m1.s_table[i][b][0]))
     mats = []
-    for v in basis_vecs:
-        mats.append([[v[i * d1 + j] for j in range(d1)] for i in range(d2)])
+    for u in linalg.nullspace(rows):
+        cols = [u]
+        for table, b2 in steps:
+            col = [Scalar(0)] * d2
+            for x, (tgt, sg) in zip(cols[b2], table):
+                col[tgt] = x if sg == 1 else -x
+            cols.append(col)
+        mats.append([list(row) for row in zip(*cols)])
     return len(mats), mats
 
 
@@ -401,12 +411,16 @@ def irreducible_quotient(ms: Multisegment) -> QuotientModule:
     _, pivots = linalg.rref(T)
     image = [[T[r][c] for c in pivots] for r in range(m2.dim)]
     quotient_dim = len(pivots)
-    gen_s_q, gen_eps_q = [], []
-    for g in m2.gen_s:
-        gen_s_q.append(linalg.solve_columns(image, linalg.mat_mul(g, image)))
-    for g in m2.gen_eps:
-        gen_eps_q.append(linalg.solve_columns(image, linalg.mat_mul(g, image)))
-    q = QuotientModule(ms=ms, dim=quotient_dim, gen_s=gen_s_q, gen_eps=gen_eps_q)
+    # one reduction for all 2k-1 right-hand sides g*image, side by side
+    gens = m2.gen_s + m2.gen_eps
+    products = [linalg.mat_mul(g, image) for g in gens]
+    x = linalg.solve_columns(image, [sum(rows, []) for rows in zip(*products)])
+    gen_q = [
+        [row[t * quotient_dim : (t + 1) * quotient_dim] for row in x] for t in range(len(gens))
+    ]
+    q = QuotientModule(
+        ms=ms, dim=quotient_dim, gen_s=gen_q[: len(m2.gen_s)], gen_eps=gen_q[len(m2.gen_s) :]
+    )
     if not verify_relations(q.gen_s, q.gen_eps, k=len(q.gen_eps)):
         raise RuntimeError("quotient matrices fail the defining relations")
     return q

@@ -182,9 +182,15 @@ def parse_scalar(text: str) -> Scalar:
         for pos in range(len(body) - 1, 0, -1):
             if body[pos] in "+-" and body[pos - 1] not in "+-/":
                 re_part, im_sign, im_part = body[:pos], body[pos], body[pos + 1 :]
-                im = parse_rat(im_part)
-                return Scalar(parse_rat(re_part), -im if im_sign == "-" else im)
-        raise ValueError(f"malformed scalar string: {text!r}")
+                try:
+                    re, im = parse_rat(re_part), parse_rat(im_part)
+                except ValueError:
+                    break
+                return Scalar(re, -im if im_sign == "-" else im)
+        raise ValueError(
+            f"malformed scalar string: {text!r}; expected the form a+bi with both "
+            "parts rational and the coefficient explicit, e.g. 1+1i or 1/2-3/4i"
+        )
     return Scalar(parse_rat(text))
 
 

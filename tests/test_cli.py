@@ -114,6 +114,11 @@ def test_module_rejects_malformed_spec():
     proc = run_cli("module", "--segments", "{0,2}", check=False)
     assert proc.returncode != 0
     assert "segment" in proc.stderr
+    # the JSON encoding has no form for non-real starts
+    proc = run_cli("module", "--segments", "{1+1i};{0+1i}", check=False)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: JSON segment encoding covers real starts only\n"
 
 
 def test_psi_json():

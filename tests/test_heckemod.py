@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,10 +17,11 @@ from glhecke.heckemod import (
     verify_relations,
 )
 from glhecke.levelmap import dimension_std, gamma
-from glhecke.linalg import is_scalar_matrix, rank
+from glhecke.linalg import is_scalar_matrix, mat_mul, nullspace, rank
 from glhecke.multisegments import (
     Multisegment,
     Segment,
+    dominant_representative,
     parse_segments,
     steinberg_param,
 )
@@ -165,6 +167,56 @@ def test_intertwiner_linked():
     assert rank(mats[0]) == 1
 
 
+def _nullspace_intertwiners(ms_from, ms_to):
+    """Reference Hom space: the nullspace of T A = B T over all d1*d2 entries
+    of T, for every pair (A, B) of matching generator matrices."""
+    m1, m2 = build_standard_module(ms_from), build_standard_module(ms_to)
+    d1, d2 = m1.dim, m2.dim
+    rows = []
+    for A, B in zip(m1.gen_s + m1.gen_eps, m2.gen_s + m2.gen_eps):
+        for i in range(d2):
+            for j in range(d1):
+                row = [Scalar(0)] * (d1 * d2)
+                for c in range(d1):
+                    row[i * d1 + c] += A[c][j]
+                for r in range(d2):
+                    row[r * d1 + j] -= B[i][r]
+                if any(row):
+                    rows.append(row)
+    return [[v[i * d1 : (i + 1) * d1] for i in range(d2)] for v in nullspace(rows)]
+
+
+def test_intertwiner_matches_nullspace_oracle():
+    # {1};{0};{1} has a two-dimensional Hom space from itself to itself
+    for text in [
+        "{1};{0};{1}",
+        "{0,1};{-1,0}",
+        "{1+1i};{0+1i}",
+        "{1/2};{-1/2}",
+        "{3};{1}",
+        "{0};{0}",
+        "{0,1};{0}",
+        "{1,2};{0}",
+    ]:
+        orderings = {Multisegment(p) for p in itertools.permutations(parse_segments(text).segments)}
+        for ms_from, ms_to in itertools.product(orderings, repeat=2):
+            expected = _nullspace_intertwiners(ms_from, ms_to)
+            d, mats = intertwiner_space(ms_from, ms_to)
+            assert d == len(expected) >= 1, (ms_from, ms_to)
+            flat = [[x for row in T for x in row] for T in mats + expected]
+            assert rank(flat) == d, (ms_from, ms_to)
+    # here eps-weight vectors alone give a two-dimensional space: the Young
+    # subgroup of a length-2 block must also act by sign (the dimension 1
+    # is the reference's, which takes about 30 s for each of these pairs)
+    for text in ["{0,1};{0};{1}", "{-1,0};{1};{0}"]:
+        ms = parse_segments(text)
+        M = build_standard_module(ms)
+        d, mats = intertwiner_space(ms, ms)
+        assert d == 1
+        for g in M.gen_s + M.gen_eps:
+            assert mat_mul(mats[0], g) == mat_mul(g, mats[0])
+
+
 def test_intertwiner_rejects_mismatched_multisets():
     with pytest.raises(ValueError):
         intertwiner_space(parse_segments("{1}"), parse_segments("{0}"))
@@ -177,8 +229,35 @@ def test_quotients():
     q = irreducible_quotient(parse_segments("{1+1i};{0+1i}"))
     assert q.dim == 1
     assert verify_relations(q.gen_s, q.gen_eps)
+    q = irreducible_quotient(parse_segments("{3};{2};{1};{0}"))
+    assert q.dim == 1
+    assert verify_relations(q.gen_s, q.gen_eps)
     with pytest.raises(ValueError):
         irreducible_quotient(parse_segments("{0};{2}"))
+
+
+def _linked(a, b):
+    """Zelevinsky's relation: the union of the segments is a segment that
+    contains neither of them."""
+    shift = b.start - a.start
+    if not shift.is_integer:
+        return False
+    s1, e1, s2, e2 = 0, a.length - 1, int(shift.re), int(shift.re) + b.length - 1
+    union_is_segment = s2 <= e1 + 1 and s1 <= e2 + 1
+    nested = (s1 <= s2 and e2 <= e1) or (s2 <= s1 and e1 <= e2)
+    return union_is_segment and not nested
+
+
+def test_unlinked_segments_give_irreducible_standard_modules():
+    # Zelevinsky (Ann. ENS 1980): pairwise unlinked segments induce an
+    # irreducible module, so the quotient is the whole standard module
+    for text in ["{3};{1}", "{4};{2};{0}", "{0};{0}", "{2,3};{0}", "{0,1,2};{1}", "{1+1i};{0}"]:
+        ms = dominant_representative(parse_segments(text))
+        assert not any(_linked(a, b) for a, b in itertools.combinations(ms.segments, 2))
+        assert irreducible_quotient(ms).dim == build_standard_module(ms).dim, text
+    ms = parse_segments("{1/2};{-1/2}")
+    assert _linked(*ms.segments)
+    assert irreducible_quotient(ms).dim < build_standard_module(ms).dim
 
 
 def test_speh_quotient_and_complement():

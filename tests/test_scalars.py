@@ -67,6 +67,10 @@ def test_scalar_strings():
     assert parse_scalar("-5/7") == Scalar(Fraction(-5, 7))
     with pytest.raises(ValueError):
         parse_scalar("i")
+    # an implicit coefficient is rejected with the expected form named
+    for text in ("1+i", "1-i"):
+        with pytest.raises(ValueError, match=r"a\+bi .* e\.g\. 1\+1i"):
+            parse_scalar(text)
 
 
 @given(scalars)
