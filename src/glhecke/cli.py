@@ -2,7 +2,8 @@
 
 Subcommands: enumerate, gamma, dim, oracle, module, quotient, psi, verify.
 All output is deterministic (fixed orderings, sorted JSON keys) and files
-are written atomically.  ``verify`` exits nonzero iff a check failed.
+are written atomically.  ``verify`` exits nonzero iff a check failed or
+the sweep checked nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ def _parse_lambda(text: str) -> tuple[int, ...]:
         entries = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok != "")
     except ValueError as exc:
         raise SystemExit(f"error: --lambda must be comma-separated integers: {exc}")
+    if not entries:
+        raise SystemExit("error: --lambda needs at least one entry")
     try:
         return multisegments._validate_integral_lambda(entries)
     except ValueError as exc:
@@ -285,9 +288,23 @@ def cmd_psi(args) -> int:
     return 0
 
 
+# the size flags each suite reads; a sweep that checked nothing names them
+_SUITE_BOUNDS = {
+    "dims": "--max-n and --max-k",
+    "relations": "--max-k",
+    "bijection": "--max-n or --lambda",
+    "psi": "--max-n",
+    "eigenvalues": "--max-n and --max-k",
+}
+
+
 def cmd_verify(args) -> int:
-    lam = _parse_lambda(args.lam) if args.lam else None
+    lam = _parse_lambda(args.lam) if args.lam is not None else None
     report = sweeps.run_suite(args.suite, args.max_n, args.max_k, lam)
+    if report["checked"] == 0:
+        raise SystemExit(
+            f"error: --suite {args.suite} checked 0 objects; it reads {_SUITE_BOUNDS[args.suite]}"
+        )
     _emit(_json_text(report), args.out)
     return 0 if report["ok"] else 1
 

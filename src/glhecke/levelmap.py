@@ -199,7 +199,8 @@ def verify_bijection_level_n(lam: Sequence[int]) -> BijectionReport:
     lam = tuple(lam)
     n = len(lam)
     params = [p for p in enumerate_real_params(lam, n) if p.level == n]
-    targets = set(enumerate_multisegments(lam))
+    classes = enumerate_multisegments(lam)
+    targets = set(classes)
     hit: dict[Multisegment, list[RealParam]] = {}
     pairs = []
     off_support = []
@@ -211,7 +212,7 @@ def verify_bijection_level_n(lam: Sequence[int]) -> BijectionReport:
             hit.setdefault(ms, []).append(p)
         else:
             off_support.append((p, ms))
-    missing = [ms for ms in enumerate_multisegments(lam) if ms not in hit]
+    missing = [ms for ms in classes if ms not in hit]
     collisions = [(ms, ps) for ms, ps in hit.items() if len(ps) > 1]
     return BijectionReport(
         lam=lam, pairs=pairs, missing=missing, collisions=collisions, off_support=off_support

@@ -167,6 +167,10 @@ def enumerate_multisegments(lam: Sequence[int]) -> list[Multisegment]:
     """Dominant representatives of all multisegment classes with support
     ``lam``, deterministically ordered and free of duplicates.
 
+    Classes are ordered on integer keys, ``_segment_key`` with the center
+    doubled: ``(-(2x+l-1), -l, -x)`` for the segment of length ``l`` starting
+    at ``x``.  Each distinct segment is built once per call.
+
     >>> len(enumerate_multisegments((2, 1, 0)))
     4
     """
@@ -174,12 +178,13 @@ def enumerate_multisegments(lam: Sequence[int]) -> list[Multisegment]:
     counts: dict[int, int] = {}
     for x in lam:
         counts[x] = counts.get(x, 0) + 1
-    out = []
-    for pairs in _enumerate_segment_multisets(counts):
-        segs = tuple(Segment(Scalar(x), ln) for x, ln in pairs)
-        out.append(dominant_representative(Multisegment(segs)))
-    out.sort(key=lambda ms: tuple(_segment_key(s) for s in ms.segments))
-    return out
+    classes = sorted(
+        tuple(sorted((-(2 * x + ln - 1), -ln, -x) for x, ln in pairs))
+        for pairs in _enumerate_segment_multisets(counts)
+    )
+    distinct = {key for keys in classes for key in keys}
+    built = {key: Segment(Scalar(-key[2]), -key[1]) for key in distinct}
+    return [Multisegment(tuple(built[key] for key in keys)) for keys in classes]
 
 
 # -- serialization ------------------------------------------------------------

@@ -162,65 +162,81 @@ def canonical_class(param: RealParam) -> RealParam:
     return RealParam(tuple(sorted(param.factors, key=_factor_key)))
 
 
-def _cover_options(a: int, counts: dict[int, int]):
-    """Ways a copy of the maximal value ``a`` can sit inside one factor."""
-    yield ("triv",)
-    yield ("sgn",)
-    for b in sorted(counts, reverse=True):
-        if b < a and counts[b] > 0:
-            yield ("pair", b)
+def _level_bound(counts: dict[int, int]) -> int:
+    """Upper bound on the level of any factor multiset exhausting ``counts``.
+
+    A GL(1) factor has level at most 1 and a pair from [B, A] level at most
+    A - B + 1, so m coordinates reach at most max(m, (m//2)(A-B+1) + m%2).
+    """
+    m = sum(counts.values())
+    span = max(counts) - min(counts) + 1
+    return max(m, (m // 2) * span + m % 2)
 
 
-def _enumerate_factor_multisets(counts: dict[int, int]) -> Iterable[tuple[Factor, ...]]:
-    """All multisets of factors whose weight coordinates exhaust ``counts``.
+def _enumerate_factor_multisets(counts: dict[int, int], need: int = 0) -> Iterable[tuple]:
+    """Integer factor keys of every factor multiset exhausting ``counts``
+    whose level is at least ``need``.
 
-    Copies of the current maximum are covered simultaneously (one choice per
-    copy, weakly increasing in a fixed option order) so each factor multiset
-    is produced exactly once.
+    A factor is given by its key, ``_factor_key`` with the slope scaled by 4
+    and the size appended: ``(-4a, -level, eps_rank, 1)`` for a GL(1) factor
+    at ``a`` and ``(-(a+b), -(a-b+1), 0, 2)`` for the GL(2) factor whose
+    coordinates are ``a > b``.  Copies of the current maximum are covered
+    simultaneously (one choice per copy, weakly increasing in a fixed option
+    order) so each factor multiset is produced exactly once.  A branch is
+    pruned as soon as :func:`_level_bound` of what is left cannot make up
+    the missing level.
     """
     counts = {v: c for v, c in counts.items() if c > 0}
     if not counts:
-        yield ()
+        if need <= 0:
+            yield ()
+        return
+    if need > 0 and _level_bound(counts) < need:
         return
     a = max(counts)
     mult = counts.pop(a)
-    options = list(_cover_options(a, counts))
+    lower = sorted(counts, reverse=True)
+    # triv, sgn, then a pair with each smaller value b
+    options = [(-4 * a, -1, 0, 1), (-4 * a, 0, 1, 1)]
+    options += [(-(a + b), -(a - b + 1), 0, 2) for b in lower]
     for combo in itertools.combinations_with_replacement(range(len(options)), mult):
-        chosen = [options[i] for i in combo]
-        used: dict[int, int] = {}
-        for opt in chosen:
-            if opt[0] == "pair":
-                used[opt[1]] = used.get(opt[1], 0) + 1
-        if any(used.get(b, 0) > counts.get(b, 0) for b in used):
-            continue
         rest = dict(counts)
-        for b, c in used.items():
-            rest[b] -= c
-        head: list[Factor] = []
-        for opt in chosen:
-            if opt[0] == "pair":
-                b = opt[1]
-                head.append(GL2Factor(a - b + 1, Scalar(Fraction(a + b, 2))))
-            else:
-                head.append(GL1Factor(opt[0], Scalar(a)))
-        for tail in _enumerate_factor_multisets(rest):
-            yield tuple(head) + tail
+        for i in combo:
+            if i >= 2:
+                rest[lower[i - 2]] -= 1
+        if any(c < 0 for c in rest.values()):
+            continue
+        head = tuple(options[i] for i in combo)
+        level = -sum(key[1] for key in head)
+        for tail in _enumerate_factor_multisets(rest, need - level):
+            yield head + tail
+
+
+def _factor_from_key(key: tuple) -> Factor:
+    if key[3] == 1:
+        return GL1Factor(SGN if key[2] else TRIV, Scalar(-key[0] // 4))
+    return GL2Factor(-key[1], Scalar(Fraction(-key[0], 2)))
 
 
 def enumerate_real_params(lam: Sequence[int], min_level: int = 0) -> list[RealParam]:
     """All canonical classes with integral infinitesimal character ``lam``
-    and level at least ``min_level``, in a fixed deterministic order."""
+    and level at least ``min_level``, in a fixed deterministic order.
+
+    Classes are built and ordered on integer factor keys (see
+    :func:`_enumerate_factor_multisets`); sorting a class's keys gives the
+    ``_factor_key`` order of :func:`canonical_class`, and the classes are
+    sorted on their key tuples.  ``min_level`` prunes the search rather than
+    filtering its output.  Each distinct factor is built once per call.
+    """
     lam = _validate_integral_lambda(lam)
     counts: dict[int, int] = {}
     for x in lam:
         counts[x] = counts.get(x, 0) + 1
-    out = []
-    for factors in _enumerate_factor_multisets(counts):
-        p = canonical_class(RealParam(tuple(sorted(factors, key=_factor_key))))
-        if p.level >= min_level:
-            out.append(p)
-    out.sort(key=lambda p: tuple(_factor_key(f) + (f.size,) for f in p.factors))
-    return out
+    multisets = _enumerate_factor_multisets(counts, min_level)
+    classes = sorted(tuple(sorted(keys)) for keys in multisets)
+    distinct = {key for keys in classes for key in keys}
+    built = {key: _factor_from_key(key) for key in distinct}
+    return [RealParam(tuple(built[key] for key in keys)) for keys in classes]
 
 
 # -- serialization ------------------------------------------------------------

@@ -51,6 +51,16 @@ def test_enumerate_rejects_bad_lambda():
         proc = run_cli(*args, check=False)
         assert proc.returncode != 0
         assert proc.stderr == "error: lambda must be weakly decreasing\n"
+    for args in (
+        ("enumerate", "--lambda", "", "--side", "real"),
+        ("enumerate", "--lambda", "", "--side", "hecke", "--format", "json"),
+        ("enumerate", "--lambda", ",", "--side", "real"),
+        ("verify", "--suite", "bijection", "--lambda", ""),
+    ):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --lambda needs at least one entry\n"
 
 
 def test_gamma_and_zero():
@@ -149,6 +159,19 @@ def test_verify_exit_codes():
     assert report["failures"][0]["off_support"]
     proc = run_cli("verify", "--suite", "bijection", "--lambda", "2,1,0")
     assert json.loads(proc.stdout)["ok"] is True
+    # a sweep that checked nothing fails and names the flags it reads
+    for args, bounds in (
+        (("--suite", "dims", "--max-n", "-1"), "--max-n and --max-k"),
+        (("--suite", "psi", "--max-n", "0"), "--max-n"),
+        (("--suite", "relations", "--max-k", "0"), "--max-k"),
+        (("--suite", "relations", "--max-n", "3", "--max-k", "0"), "--max-k"),
+        (("--suite", "eigenvalues", "--max-k", "0"), "--max-n and --max-k"),
+        (("--suite", "bijection", "--max-n", "0"), "--max-n or --lambda"),
+    ):
+        proc = run_cli("verify", *args, check=False)
+        assert proc.returncode == 1, args
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {args[0]} {args[1]} checked 0 objects; it reads {bounds}\n"
 
 
 def test_out_file_written_atomically(tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from glhecke.multisegments import (
     Multisegment,
     Segment,
+    _enumerate_segment_multisets,
+    _segment_key,
     central_character,
     dominant_representative,
     enumerate_multisegments,
@@ -19,6 +21,7 @@ from glhecke.multisegments import (
     steinberg_param,
 )
 from glhecke.scalars import Scalar
+from glhecke.sweeps import lambda_window
 
 starts = st.builds(Scalar, st.fractions(max_denominator=4), st.fractions(max_denominator=4))
 segments = st.builds(Segment, starts, st.integers(min_value=1, max_value=5))
@@ -124,3 +127,26 @@ def test_parse_segments_forms():
         parse_segments("{0,2}")  # entries must step by one
     with pytest.raises(ValueError):
         parse_segments("{}")
+
+
+def _ref_enumerate_multisegments(lam):
+    # the Fraction-keyed ordering the integer keys replaced
+    counts = {}
+    for x in lam:
+        counts[x] = counts.get(x, 0) + 1
+    out = []
+    for pairs in _enumerate_segment_multisets(counts):
+        segs = tuple(Segment(Scalar(x), ln) for x, ln in pairs)
+        out.append(dominant_representative(Multisegment(segs)))
+    out.sort(key=lambda ms: tuple(_segment_key(s) for s in ms.segments))
+    return out
+
+
+def test_enumerate_matches_fraction_keyed_reference():
+    lams = [lam for n in range(1, 6) for lam in lambda_window(n, n)]
+    lams += [(6, 0), (5, 5, 0), (7, 3, 3, 0), (4, 4, 4, 1, 1)]
+    for lam in lams:
+        ref = _ref_enumerate_multisegments(lam)
+        got = enumerate_multisegments(lam)
+        assert [segments_str(m) for m in got] == [segments_str(m) for m in ref], lam
+        assert got == ref

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from glhecke.realparams import (
     GL1Factor,
     GL2Factor,
     RealParam,
+    _factor_key,
     canonical_class,
     enumerate_real_params,
     factors_str,
@@ -18,6 +20,7 @@ from glhecke.realparams import (
     real_param_to_json,
 )
 from glhecke.scalars import Scalar
+from glhecke.sweeps import lambda_window
 
 nu_values = st.builds(Scalar, st.fractions(max_denominator=6), st.fractions(max_denominator=6))
 factors = st.one_of(
@@ -157,3 +160,75 @@ def test_json_round_trip_matches_schema():
 @given(params)
 def test_compact_string_round_trip(p):
     assert parse_factors(factors_str(p)) == p
+
+
+# -- reference: the Fraction-keyed enumerator the integer one replaced ---------
+
+
+def _ref_cover_options(a, counts):
+    yield ("triv",)
+    yield ("sgn",)
+    for b in sorted(counts, reverse=True):
+        if b < a and counts[b] > 0:
+            yield ("pair", b)
+
+
+def _ref_factor_multisets(counts):
+    counts = {v: c for v, c in counts.items() if c > 0}
+    if not counts:
+        yield ()
+        return
+    a = max(counts)
+    mult = counts.pop(a)
+    options = list(_ref_cover_options(a, counts))
+    for combo in itertools.combinations_with_replacement(range(len(options)), mult):
+        chosen = [options[i] for i in combo]
+        used = {}
+        for opt in chosen:
+            if opt[0] == "pair":
+                used[opt[1]] = used.get(opt[1], 0) + 1
+        if any(used.get(b, 0) > counts.get(b, 0) for b in used):
+            continue
+        rest = dict(counts)
+        for b, c in used.items():
+            rest[b] -= c
+        head = []
+        for opt in chosen:
+            if opt[0] == "pair":
+                b = opt[1]
+                head.append(GL2Factor(a - b + 1, Scalar(Fraction(a + b, 2))))
+            else:
+                head.append(GL1Factor(opt[0], Scalar(a)))
+        for tail in _ref_factor_multisets(rest):
+            yield tuple(head) + tail
+
+
+def _ref_enumerate_real_params(lam, min_level=0):
+    counts = {}
+    for x in lam:
+        counts[x] = counts.get(x, 0) + 1
+    out = []
+    for factors in _ref_factor_multisets(counts):
+        p = canonical_class(RealParam(tuple(sorted(factors, key=_factor_key))))
+        if p.level >= min_level:
+            out.append(p)
+    out.sort(key=lambda p: tuple(_factor_key(f) + (f.size,) for f in p.factors))
+    return out
+
+
+SPREAD_WEIGHTS = [(6, 0), (5, 5, 0), (7, 3, 3, 0), (4, 4, 4, 1, 1)]
+
+
+def test_enumerate_matches_fraction_keyed_reference():
+    # pins the integer keys (same classes, same order) and the level pruning
+    # (every min_level up to one past the largest level)
+    lams = [lam for n in range(1, 6) for lam in lambda_window(n, n)] + SPREAD_WEIGHTS
+    for lam in lams:
+        ref = _ref_enumerate_real_params(lam, 0)
+        top = max(p.level for p in ref)
+        for min_level in range(top + 2):
+            # the reference builds every class and then filters on level
+            expected = [factors_str(p) for p in ref if p.level >= min_level]
+            got = [factors_str(p) for p in enumerate_real_params(lam, min_level)]
+            assert got == expected, (lam, min_level)
+        assert enumerate_real_params(lam, 0) == ref
