@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Alternating parent/change benchmark pairs, written as one JSON record.
+
+    python3 scripts/bench_pairs.py --parent ../parent-checkout \\
+        --pairs modules=10 quotients=5 weights=5 --tier1-pairs 3 --out BENCH.json
+
+``--parent`` and ``--change`` (default: this checkout) are two source trees.
+For every workload, pair p runs ``bench/run.py --workload W --seed S+p
+--seconds T`` once in each tree, the parent first in even pairs and the
+change first in odd ones, and keeps the end-to-end metrics of both runs.
+``--tier1-pairs`` times the criterion 2/3 fixture (``sweep_relations(5)``,
+the set-up of ``test_criterion_2_relations``) in each tree the same way.
+The record names the machine and summarises each metric by the median and
+quartiles of each side and the number of pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HIGHER_IS_BETTER = {"items_per_s", "ok_frac"}
+FIXTURE = "tests/test_acceptance.py::test_criterion_2_relations"
+
+
+def _bench(tree: str, workload: str, seed: int, seconds: int) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def _fixture_s(tree: str) -> float:
+    """Set-up time of the criterion 2/3 fixture, run alone."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", FIXTURE]
+    cmd += ["--durations=0", "--durations-min=0"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    match = re.search(rf"([\d.]+)s setup\s+{re.escape(FIXTURE)}", proc.stdout)
+    if proc.returncode != 0 or match is None:
+        raise RuntimeError(f"fixture run failed in {tree}:\n{proc.stdout}\n{proc.stderr}")
+    return float(match.group(1))
+
+
+def _quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _summary(pairs: list[dict]) -> dict:
+    out = {}
+    for name in pairs[0]["parent"]:
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        sign = 1 if name in HIGHER_IS_BETTER else -1
+        out[name] = {
+            "parent": _quartiles(parent),
+            "change": _quartiles(change),
+            "change_better_pairs": sum(sign * (c - a) > 0 for a, c in zip(parent, change)),
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def _machine() -> dict:
+    model = ""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            model = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), "")
+    except OSError:
+        pass
+    return {
+        "cpu": model or platform.processor(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+
+
+def _alternate(p: int, run) -> dict:
+    sides = ("parent", "change") if p % 2 == 0 else ("change", "parent")
+    return {"first": sides[0], **{side: run(side) for side in sides}}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", default=ROOT)
+    parser.add_argument("--pairs", nargs="+", default=["modules=10", "quotients=5", "weights=5"])
+    parser.add_argument("--seed", type=int, default=101)
+    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--tier1-pairs", type=int, default=3)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args()
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+
+    command = (
+        f"python3 scripts/bench_pairs.py --parent <parent checkout> --pairs {' '.join(args.pairs)}"
+        f" --seed {args.seed} --seconds {args.seconds} --tier1-pairs {args.tier1_pairs}"
+    )
+    record = {"command": command, "machine": _machine(), "seconds": args.seconds}
+    record["workloads"] = {}
+    for spec in args.pairs:
+        workload, count = spec.split("=")
+        pairs = []
+        for p in range(int(count)):
+            seed = args.seed + p
+            pair = _alternate(p, lambda side: _bench(trees[side], workload, seed, args.seconds))
+            pairs.append({"seed": seed, **pair})
+            print(f"{workload} pair {p}: {pair}", file=sys.stderr)
+        record["workloads"][workload] = {"pairs": pairs, "summary": _summary(pairs)}
+
+    fixture = []
+    for p in range(args.tier1_pairs):
+        pair = _alternate(p, lambda side: {"fixture_s": _fixture_s(trees[side])})
+        fixture.append(pair)
+        print(f"fixture pair {p}: {pair}", file=sys.stderr)
+    if fixture:
+        record["tier1_criterion_2_3_fixture"] = {"pairs": fixture, "summary": _summary(fixture)}
+
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -20,7 +20,6 @@ The package computes, over exact Gaussian-rational arithmetic:
 from .branching import SGN, TRIV, V, hom_multiplicity, tensor_o2, tensor_power_standard
 from .heckemod import (
     QuotientModule,
-    RootDatum,
     StandardModule,
     build_standard_module,
     central_character_of_module,

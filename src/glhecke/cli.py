@@ -299,8 +299,11 @@ _SUITE_BOUNDS = {
 
 
 def cmd_verify(args) -> int:
+    if args.suite == "relations" and args.max_n is not None:
+        raise SystemExit("error: --suite relations reads --max-k, not --max-n")
     lam = _parse_lambda(args.lam) if args.lam is not None else None
-    report = sweeps.run_suite(args.suite, args.max_n, args.max_k, lam)
+    max_n = 4 if args.max_n is None else args.max_n
+    report = sweeps.run_suite(args.suite, max_n, args.max_k, lam)
     if report["checked"] == 0:
         raise SystemExit(
             f"error: --suite {args.suite} checked 0 objects; it reads {_SUITE_BOUNDS[args.suite]}"
@@ -367,7 +370,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sweeps.SUITES, required=True)
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=int, help="default 4; the relations suite reads --max-k only")
     p.add_argument("--max-k", type=int, default=4)
     p.add_argument("--lambda", dest="lam", help="restrict the bijection suite to one weight")
     p.add_argument("--out")

@@ -8,18 +8,25 @@ The algebra is generated by the group algebra of S_k (simple transpositions
 A multisegment with block lengths (L_1, ..., L_r) determines a
 one-dimensional module for the block-parabolic subalgebra: the Young
 subgroup acts by sign and ``eps_t`` acts by the t-th central-character
-coordinate.  Inducing up gives a module of dimension k!/prod(L_i!) with
-basis indexed by block-increasing permutations; the symmetric group acts by
-signed place permutations and the polynomial generators act through the
-defining relation pushed along reduced words.  All matrices are exact.
+coordinate ``chi_t``.  Inducing up gives a module of dimension k!/prod(L_i!)
+with basis the block-increasing permutations ``w_b`` in length order; the
+symmetric group acts by signed place permutations and the polynomial
+generators act through the defining relation pushed along reduced words.
+
+In this basis every ``eps_j = D_j + N_j`` (Lusztig, JAMS 1989): ``D_j`` is
+diagonal with ``D_j[b, b] = chi[w_b.index(j)]`` and ``N_j`` is a strictly
+upper triangular integer matrix that depends only on the block composition.
+Modules are stored in that compact form; the integer data of a composition
+is built once, memoised for the 64 most recently used compositions (every
+composition of k <= 6 fits) and read-only.  All checks are exact.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,7 +40,6 @@ from .multisegments import (
 from .scalars import Scalar, scalar_str
 
 __all__ = [
-    "RootDatum",
     "StandardModule",
     "QuotientModule",
     "build_standard_module",
@@ -42,32 +48,10 @@ __all__ = [
     "intertwiner_space",
     "irreducible_quotient",
     "reversed_ordering",
-    "sign_isotypic_multiplicity",
     "module_to_json",
 ]
 
 _INT64_LIMIT = 1 << 62
-
-
-@dataclass(frozen=True)
-class RootDatum:
-    """Coordinates for gl(k): simple roots e_i - e_{i+1} and the usual rho."""
-
-    k: int
-
-    def alpha(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.k - 1:
-            raise IndexError(f"alpha index {i} out of range for k={self.k}")
-        v = [0] * self.k
-        v[i], v[i + 1] = 1, -1
-        return tuple(v)
-
-    def rho(self) -> tuple[Scalar, ...]:
-        return tuple(Scalar(Fraction(self.k - 1 - 2 * j, 2)) for j in range(self.k))
-
-    def pairing(self, i: int, j: int) -> int:
-        """<alpha_i, e_j> under the dot product."""
-        return (1 if j == i else 0) - (1 if j == i + 1 else 0)
 
 
 def _inversions(w: tuple[int, ...]) -> int:
@@ -93,27 +77,107 @@ def _coset_reps(blocks: tuple[int, ...]) -> list[tuple[int, ...]]:
     return reps
 
 
-@dataclass
-class StandardModule:
-    """Induced module with exact generator matrices.
+def _frozen(values, shape) -> np.ndarray:
+    a = np.array(values, dtype=np.int64).reshape(shape)
+    a.setflags(write=False)
+    return a
 
-    ``gen_s[i]`` and ``gen_eps[j]`` are dim x dim row-major matrices over
-    Scalar; ``basis`` lists the block-increasing permutations indexing the
-    coordinates, identity first.
+
+@functools.lru_cache(maxsize=64)
+def _composition(blocks: tuple[int, ...]):
+    """Basis, signed place-permutation tables, diagonal index and the layers
+    of every N_j for one block composition (see :class:`StandardModule`)."""
+    k = sum(blocks)
+    basis = tuple(_coset_reps(blocks))
+    dim = len(basis)
+    index = {w: b for b, w in enumerate(basis)}
+    block_of = [bi for bi, L in enumerate(blocks) for _ in range(L)]
+    pos = [[w.index(j) for w in basis] for j in range(k)]
+    target = [list(range(dim)) for _ in range(k - 1)]
+    sign = [[-1] * dim for _ in range(k - 1)]
+    for i, (b, w) in itertools.product(range(k - 1), enumerate(basis)):
+        pa, pb = pos[i][b], pos[i + 1][b]
+        if block_of[pa] != block_of[pb]:
+            u = list(w)
+            u[pa], u[pb] = i + 1, i
+            target[i][b], sign[i][b] = index[tuple(u)], 1
+
+    # N_j column by column, by induction on length: strip a left descent s_i
+    # off w_b = s_i w_b2 and use  eps_j s_i = s_i eps_{s_i(j)} + <alpha_i, eps_j>
+    # at chi = 0, where only the integer part is left.  Columns are
+    # {row: value} dicts.
+    cols: list[list[dict]] = [[{}] + [None] * (dim - 1) for _ in range(k)]  # type: ignore
+    for b in range(1, dim):
+        i = next(v for v in range(k - 1) if pos[v][b] > pos[v + 1][b])
+        b2 = target[i][b]
+        assert b2 < b
+        for j in range(k):
+            jj = i + 1 if j == i else (i if j == i + 1 else j)
+            vec = {target[i][t]: sign[i][t] * x for t, x in cols[jj][b2].items()}
+            c = (j == i) - (j == i + 1)
+            if c:
+                vec[b2] = vec.get(b2, 0) + c
+            cols[j][b] = {r: x for r, x in vec.items() if x}
+
+    nilpotent = []
+    for j in range(k):
+        # the t-th entry of a row, in column order, goes to layer t
+        layers: dict[int, list[tuple[int, int, int]]] = {}
+        seen = [0] * dim
+        for b, col in enumerate(cols[j]):
+            for r, x in col.items():
+                layers.setdefault(seen[r], []).append((r, b, x))
+                seen[r] += 1
+        nilpotent.append(tuple(tuple(_frozen(a, -1) for a in zip(*t)) for t in layers.values()))
+    tables = (_frozen(target, (k - 1, dim)), _frozen(sign, (k - 1, dim)), _frozen(pos, (k, dim)))
+    return basis, *tables, tuple(nilpotent)
+
+
+@dataclass(frozen=True, eq=False)
+class StandardModule:
+    """Induced module in the compact form ``eps_j = D_j + N_j``.
+
+    ``basis`` lists the block-increasing permutations ``w_b``, identity
+    first, and ``chi`` is the inducing weight.  ``s_i e_b = s_sign[i, b] *
+    e_{s_target[i, b]}``; ``D_j[b, b] = chi[pos[j, b]]``, ``pos[j, b] =
+    w_b.index(j)``; ``nilpotent[j]`` holds N_j as sparse (COO) layers
+    ``(rows, cols, vals)``, each with distinct rows.  These int64 arrays
+    depend only on ``blocks`` and are shared, read-only.  ``gen_s[i]`` and
+    ``gen_eps[j]`` are the dense row-major Scalar matrices, built on access.
     """
 
     ms: Multisegment
     k: int
     blocks: tuple[int, ...]
     dim: int
-    basis: list[tuple[int, ...]]
-    gen_s: list[list[list[Scalar]]]
-    gen_eps: list[list[list[Scalar]]]
-    # signed place-permutation tables: s_table[i][b] = (target index, sign)
-    s_table: list[list[tuple[int, int]]]
+    basis: tuple[tuple[int, ...], ...]
+    chi: tuple[Scalar, ...]
+    s_target: np.ndarray
+    s_sign: np.ndarray
+    pos: np.ndarray
+    nilpotent: tuple
 
     def weight(self) -> tuple[Scalar, ...]:
-        return central_character(self.ms)
+        return self.chi
+
+    @property
+    def gen_s(self) -> list[list[list[Scalar]]]:
+        mats = [linalg.zeros(self.dim, self.dim) for _ in range(self.k - 1)]
+        for m, target, sign in zip(mats, self.s_target.tolist(), self.s_sign.tolist()):
+            for b, (t, sg) in enumerate(zip(target, sign)):
+                m[t][b] = Scalar(sg)
+        return mats
+
+    @property
+    def gen_eps(self) -> list[list[list[Scalar]]]:
+        mats = [linalg.zeros(self.dim, self.dim) for _ in range(self.k)]
+        for m, pos, layers in zip(mats, self.pos.tolist(), self.nilpotent):
+            for b, t in enumerate(pos):
+                m[b][b] = self.chi[t]
+            for rows, cols, vals in layers:
+                for r, c, x in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+                    m[r][c] = m[r][c] + x
+        return mats
 
 
 def build_standard_module(ms: Multisegment) -> StandardModule:
@@ -126,134 +190,66 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
     k = sum(blocks)
     if k == 0:
         raise ValueError("cannot build a module from an empty multisegment")
-    chi = central_character(ms)
-    basis = _coset_reps(blocks)
-    dim = len(basis)
-    assert dim == math.factorial(k) // math.prod(math.factorial(L) for L in blocks)
-    index = {w: b for b, w in enumerate(basis)}
-
-    block_of = []
-    for bi, L in enumerate(blocks):
-        block_of.extend([bi] * L)
-
-    s_table: list[list[tuple[int, int]]] = []
-    for i in range(k - 1):
-        table = []
-        for w in basis:
-            pa, pb = w.index(i), w.index(i + 1)
-            if block_of[pa] == block_of[pb]:
-                table.append((index[w], -1))
-            else:
-                u = list(w)
-                u[pa], u[pb] = i + 1, i
-                table.append((index[tuple(u)], 1))
-        s_table.append(table)
-
-    zero, one = Scalar(0), Scalar(1)
-
-    # eps columns by induction on length: strip a left descent s_i off w and
-    # use  eps_j s_i = s_i eps_{s_i(j)} + <alpha_i, eps_j>.
-    cols: list[list[list[Scalar]]] = [[None] * dim for _ in range(k)]  # type: ignore
-    for j in range(k):
-        col0 = [zero] * dim
-        col0[0] = chi[j]
-        cols[j][0] = col0
-    for b in range(1, dim):
-        w = basis[b]
-        i = next(v for v in range(k - 1) if w.index(v) > w.index(v + 1))
-        u = list(w)
-        pa, pb = w.index(i), w.index(i + 1)
-        u[pa], u[pb] = i + 1, i
-        b2 = index[tuple(u)]
-        assert b2 < b
-        table = s_table[i]
-        for j in range(k):
-            jj = i + 1 if j == i else (i if j == i + 1 else j)
-            parent = cols[jj][b2]
-            vec = [zero] * dim
-            for t in range(dim):
-                x = parent[t]
-                if x:
-                    tgt, sg = table[t]
-                    vec[tgt] = x if sg == 1 else -x
-            c = (1 if j == i else 0) - (1 if j == i + 1 else 0)
-            if c:
-                vec[b2] = vec[b2] + c
-            cols[j][b] = vec
-
-    gen_eps = [[[cols[j][b][r] for b in range(dim)] for r in range(dim)] for j in range(k)]
-    gen_s = []
-    for i in range(k - 1):
-        m = linalg.zeros(dim, dim)
-        for b, (tgt, sg) in enumerate(s_table[i]):
-            m[tgt][b] = one if sg == 1 else -one
-        gen_s.append(m)
-
-    return StandardModule(
-        ms=ms,
-        k=k,
-        blocks=blocks,
-        dim=dim,
-        basis=basis,
-        gen_s=gen_s,
-        gen_eps=gen_eps,
-        s_table=s_table,
-    )
+    basis, *tables = _composition(blocks)
+    return StandardModule(ms, k, blocks, len(basis), basis, central_character(ms), *tables)
 
 
 # -- exact matrix verification ------------------------------------------------
 #
-# Every identity is checked on integer numpy arrays.  Scalar matrices are
-# rescaled by the common denominator of all real and imaginary parts; if any
-# entry is non-real, each Gaussian integer a+bi becomes the 2x2 block
-# [[a, -b], [b, a]].  That map is an injective ring homomorphism, so an
-# identity holds after it exactly when it held before.  Arrays are int64 when
-# a conservative bound fits and Python-int object arrays otherwise.
-
-
-_I_BLOCK = np.array([[0, -1], [1, 0]])  # the 2x2 block of the imaginary unit
+# Every identity is checked on integer numpy arrays.  Entries are rescaled by
+# the common denominator of all real and imaginary parts; if any entry is
+# non-real, each Gaussian integer a+bi becomes the 2x2 block [[a, -b], [b, a]],
+# an injective ring homomorphism.  Arrays are int64 when a conservative bound
+# fits and Python-int object arrays otherwise.
+#
+# A StandardModule is checked on operators built from its compact form, and
+# no Scalar is scanned: s_i @ X is a signed row permutation, X @ s_i a signed
+# column gather, and eps_j @ X a diagonal scaling plus the sparse N_j product,
+# O(nnz * dim).  Explicit matrix lists (quotients) take _integer_arrays and
+# dense products through the same relation loops.
+#
+# The central character is checked on eps_j - c for an integer c near chi:
+#     e_d(eps - c) = sum_{m <= d} C(k - m, d - m) (-c)^(d - m) e_m(eps)
+# for ordered subset products, and the same for chi, is a unitriangular
+# integer transform, so the shifted identities hold exactly when the
+# unshifted ones do; the small shifted entries keep large weights in int64.
 
 
 def _embed(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The integer matrix re + i*im with each entry a+bi as [[a, -b], [b, a]]."""
-    return np.kron(re, np.eye(2, dtype=int)) + np.kron(im, _I_BLOCK)
+    return np.kron(re, np.eye(2, dtype=int)) + np.kron(im, np.array([[0, -1], [1, 0]]))
+
+
+def _int_dtype(bound: int, n: int, gaussian: bool, max_chain: int):
+    """int64 when sums of up to 2**max_chain products of ``max_chain``
+    n x n factors with entries at most ``bound`` (2n x 2n when embedded)
+    provably stay inside int64, else object."""
+    chain_bound = bound * ((2 if gaussian else 1) * n * bound) ** (max_chain - 1)
+    return np.int64 if chain_bound << max_chain < _INT64_LIMIT else object
+
+
+def _scaled(xs) -> tuple[list[int], list[int], int, bool]:
+    """Real and imaginary parts of Scalars times their common denominator,
+    that scale, and whether some value is non-real."""
+    scale = math.lcm(*{x.re.denominator for x in xs}, *{x.im.denominator for x in xs})
+    re = [x.re.numerator * (scale // x.re.denominator) for x in xs]
+    im = [x.im.numerator * (scale // x.im.denominator) for x in xs]
+    return re, im, scale, any(im)
 
 
 def _integer_arrays(mats, max_chain: int) -> tuple[list[np.ndarray], int, bool]:
     """Integer images of square Scalar matrices of one size, the common
-    scale, and whether entries were embedded as 2x2 blocks.
-
-    The dtype is int64 when sums of up to 2**max_chain products of
-    ``max_chain`` factors provably stay inside int64.
-    """
-    gaussian = any(x.im.numerator for m in mats for row in m for x in row)
-    scale = math.lcm(
-        *{x.re.denominator for m in mats for row in m for x in row},
-        *({x.im.denominator for m in mats for row in m for x in row} if gaussian else ()),
-    )
-
-    def ints(m) -> list[int]:
-        """Scaled real parts, then imaginary parts when some entry is non-real."""
-        parts = [x.re for row in m for x in row]
-        if gaussian:
-            parts += [x.im for row in m for x in row]
-        return [f.numerator * (scale // f.denominator) for f in parts]
-
-    data = [ints(m) for m in mats]
-
+    scale, and whether entries were embedded as 2x2 blocks."""
     n = len(mats[0])
-    bound = max(1, *(max(map(abs, d)) for d in data))
-    chain_bound = bound * ((2 if gaussian else 1) * n * bound) ** (max_chain - 1)
-    # sums of up to 2**max_chain such products may appear (symmetric
-    # polynomial accumulation), so keep that margin inside int64
-    dtype = np.int64 if chain_bound << max_chain < _INT64_LIMIT else object
-    arrays = [np.array(d, dtype=dtype).reshape(-1, n, n) for d in data]
-    return [_embed(*a) if gaussian else a[0] for a in arrays], scale, gaussian
+    re, im, scale, gaussian = _scaled([x for m in mats for row in m for x in row])
+    dtype = _int_dtype(max(1, *map(abs, re), *map(abs, im)), n, gaussian, max_chain)
+    re, im = (np.array(v, dtype=dtype).reshape(-1, n, n) for v in (re, im))
+    return [_embed(a, b) if gaussian else a for a, b in zip(re, im)], scale, gaussian
 
 
 def _scalar_identity(c: Scalar, like: np.ndarray, gaussian: bool):
-    """c * I in the form :func:`_integer_arrays` gives ``like``, or None when
-    no matrix of that form equals c * I (c not a Gaussian integer, or
+    """c * I in the integer form of ``like`` (same length and dtype), or None
+    when no matrix of that form equals c * I (c not a Gaussian integer, or
     non-real while ``gaussian`` is false); ``np.array_equal`` is then False.
     """
     if c.re.denominator != 1 or c.im.denominator != 1 or (c.im and not gaussian):
@@ -262,15 +258,89 @@ def _scalar_identity(c: Scalar, like: np.ndarray, gaussian: bool):
     return _embed(int(c.re) * eye, int(c.im) * eye) if gaussian else int(c.re) * eye
 
 
+def _double(x: np.ndarray) -> np.ndarray:
+    """2x[0], 2x[0] + 1, 2x[1], ...: the coordinates of the 2x2 blocks."""
+    return (2 * x[:, None] + np.arange(2)).ravel()
+
+
+def _compact_operators(M: StandardModule, shift: int, max_chain: int):
+    """Integer operators of the s_i, as ``(targets, signs)``, and of
+    scale * (eps_j - shift), as ``(diagonal, layers)``, in the dtype
+    :func:`_int_dtype` picks; the scale; whether 2x2 blocks embed them."""
+    re, im, scale, gaussian = _scaled([x - shift for x in M.chi])
+    nil = max((int(abs(v).max()) for layers in M.nilpotent for _, _, v in layers), default=0)
+    bound = max(1, scale * nil, *map(abs, re), *map(abs, im))
+    dtype = _int_dtype(bound, M.dim, gaussian, max_chain)
+    re, im = np.array(re, dtype=dtype), np.array(im, dtype=dtype)
+
+    s_ops = list(zip(M.s_target, M.s_sign))
+    eps_ops = [
+        (re[p], [(r, c, v.astype(dtype) * scale) for r, c, v in layers])
+        for p, layers in zip(M.pos, M.nilpotent)
+    ]
+    if gaussian:
+        # coordinate b becomes 2b, 2b + 1: N_j becomes N_j (x) I_2, and the
+        # imaginary parts of the diagonal one more layer
+        n = np.arange(2 * M.dim)
+        i_sign = np.tile([-1, 1], M.dim)
+        s_ops = [(_double(t), np.repeat(sg, 2)) for t, sg in s_ops]
+        eps_ops = [
+            (
+                np.repeat(d, 2),
+                [(n, n ^ 1, i_sign * np.repeat(im[p], 2))]
+                + [(_double(r), _double(c), np.repeat(v, 2)) for r, c, v in layers],
+            )
+            for p, (d, layers) in zip(M.pos, eps_ops)
+        ]
+    return s_ops, eps_ops, scale, gaussian
+
+
+def _apply_eps(diagonal: np.ndarray, layers, X: np.ndarray) -> np.ndarray:
+    """(diag(diagonal) + sum of the layers) @ X."""
+    out = diagonal[:, None] * X
+    for rows, cols, vals in layers:
+        out[rows] += vals[:, None] * X[cols]
+    return out
+
+
+def _relations_hold(k, s, eps, s_left, eps_left, s_right, one, unit) -> bool:
+    """Every defining relation on the integer images ``s``/``eps`` of the
+    generators: ``s_left(i, X)`` is s[i] @ X, ``eps_left(j, X)`` is
+    eps[j] @ X and ``s_right(X, i)`` is X @ s[i]; ``one`` is the image of
+    s_i * s_i and ``unit`` that of the commutator's right-hand side 1."""
+    for i in range(k - 1):
+        if not np.array_equal(s_left(i, s[i]), one):
+            return False
+    for i in range(k - 2):
+        if not np.array_equal(s_left(i, s_left(i + 1, s[i])), s_left(i + 1, s_left(i, s[i + 1]))):
+            return False
+    for i in range(k - 1):
+        for j in range(i + 2, k - 1):
+            if not np.array_equal(s_left(i, s[j]), s_left(j, s[i])):
+                return False
+    for a in range(k):
+        for b in range(a + 1, k):
+            if not np.array_equal(eps_left(a, eps[b]), eps_left(b, eps[a])):
+                return False
+    for i in range(k - 1):
+        for j in range(k):
+            jj = i + 1 if j == i else (i if j == i + 1 else j)
+            c = (j == i) - (j == i + 1)
+            if not np.array_equal(s_left(i, eps[j]) - s_right(eps[jj], i), c * unit):
+                return False
+    return True
+
+
 def verify_relations(module_or_mats, gen_eps=None, k: "int | None" = None) -> bool:
     """Exact check of all defining relations as matrix identities.
 
-    Accepts a :class:`StandardModule` (or anything with ``gen_s``/``gen_eps``)
-    or an explicit pair of matrix lists.
+    Accepts a :class:`StandardModule`, checked on its compact form, anything
+    else with ``gen_s``/``gen_eps``, or an explicit pair of matrix lists.
     """
+    if gen_eps is None and isinstance(module_or_mats, StandardModule):
+        return _verify_compact(module_or_mats)
     if gen_eps is None:
-        gen_s = module_or_mats.gen_s
-        gen_eps = module_or_mats.gen_eps
+        gen_s, gen_eps = module_or_mats.gen_s, module_or_mats.gen_eps
     else:
         gen_s = module_or_mats
     k = len(gen_eps) if k is None else k
@@ -278,27 +348,27 @@ def verify_relations(module_or_mats, gen_eps=None, k: "int | None" = None) -> bo
     s, eps = arrs[: len(gen_s)], arrs[len(gen_s) :]
     # s_i * s_i and the commutator relation are products of two scaled factors
     ident = _scalar_identity(Scalar(scale**2), arrs[0], gaussian)
-    for i in range(k - 1):
-        if not np.array_equal(s[i] @ s[i], ident):
-            return False
-    for i in range(k - 2):
-        if not np.array_equal(s[i] @ s[i + 1] @ s[i], s[i + 1] @ s[i] @ s[i + 1]):
-            return False
-    for i in range(k - 1):
-        for j in range(i + 2, k - 1):
-            if not np.array_equal(s[i] @ s[j], s[j] @ s[i]):
-                return False
-    for a in range(k):
-        for b in range(a + 1, k):
-            if not np.array_equal(eps[a] @ eps[b], eps[b] @ eps[a]):
-                return False
-    for i in range(k - 1):
-        for j in range(k):
-            jj = i + 1 if j == i else (i if j == i + 1 else j)
-            c = (1 if j == i else 0) - (1 if j == i + 1 else 0)
-            if not np.array_equal(s[i] @ eps[j] - eps[jj] @ s[i], c * ident):
-                return False
-    return True
+    ops = (lambda i, X: s[i] @ X, lambda j, X: eps[j] @ X, lambda X, i: X @ s[i])
+    return _relations_hold(k, s, eps, *ops, ident, ident)
+
+
+def _verify_compact(M: StandardModule) -> bool:
+    s_ops, eps_ops, scale, _ = _compact_operators(M, 0, max_chain=3)
+    one = np.eye(len(eps_ops[0][0]), dtype=eps_ops[0][0].dtype)
+    # s_i @ X gathers rows by the inverse table; a table that is no
+    # permutation gives a singular s_i, so s_i * s_i != 1
+    inverse = [np.argsort(t) for t, _ in s_ops]
+    if any(not np.array_equal(t[inv], np.arange(len(one))) for (t, _), inv in zip(s_ops, inverse)):
+        return False
+    ops = (
+        lambda i, X: s_ops[i][1][inverse[i], None] * X[inverse[i]],
+        lambda j, X: _apply_eps(*eps_ops[j], X),
+        lambda X, i: X[:, s_ops[i][0]] * s_ops[i][1],
+    )
+    s = [ops[0](i, one) for i in range(M.k - 1)]
+    eps = [ops[1](j, one) for j in range(M.k)]
+    # s_i is unscaled and eps_j scaled once
+    return _relations_hold(M.k, s, eps, *ops, one, scale * one)
 
 
 def central_character_of_module(M: StandardModule) -> tuple[Scalar, ...]:
@@ -309,25 +379,27 @@ def central_character_of_module(M: StandardModule) -> tuple[Scalar, ...]:
     correct scalar (which would indicate a construction bug).
     """
     k = M.k
-    chi = M.weight()
-    eps, scale, gaussian = _integer_arrays(M.gen_eps, max_chain=k)
-    # elementary symmetric values of the weight, exact
+    re = [x.re for x in M.chi]
+    shift = math.floor((min(re) + max(re)) / 2)
+    _, eps_ops, scale, gaussian = _compact_operators(M, shift, max_chain=k)
+    # elementary symmetric values of the shifted weight, exact
     e_chi = [Scalar(1)] + [Scalar(0)] * k
-    for t in range(k):
-        for d in range(min(t + 1, k), 0, -1):
-            e_chi[d] = e_chi[d] + e_chi[d - 1] * chi[t]
+    for t, x in enumerate(M.chi):
+        for d in range(t + 1, 0, -1):
+            e_chi[d] = e_chi[d] + e_chi[d - 1] * (x - shift)
 
-    # prefix DP over matrices: E[d] after t factors
-    E = [_scalar_identity(Scalar(1), eps[0], gaussian)] + [np.zeros_like(eps[0])] * k
-    for t in range(k):
-        for d in range(min(t + 1, k), 0, -1):
-            E[d] = E[d] + E[d - 1] @ eps[t]
+    # E[d] sums the ordered products eps_{t_1} ... eps_{t_d}, t_1 < ... < t_d,
+    # over the factors seen so far; prepending eps_t keeps the order
+    like = eps_ops[0][0]
+    E = [_scalar_identity(Scalar(1), like, gaussian)] + [0] * k
+    for t in reversed(range(k)):
+        for d in range(k - t, 0, -1):
+            E[d] = E[d] + _apply_eps(*eps_ops[t], E[d - 1])
     for d in range(1, k + 1):
-        if not np.array_equal(E[d], _scalar_identity(e_chi[d] * scale**d, eps[0], gaussian)):
+        if not np.array_equal(E[d], _scalar_identity(e_chi[d] * scale**d, like, gaussian)):
             raise ValueError(f"elementary symmetric polynomial {d} is not the expected scalar")
 
-    out = sorted(chi, key=lambda x: (x.re, x.im), reverse=True)
-    return tuple(out)
+    return tuple(sorted(M.chi, key=lambda x: (x.re, x.im), reverse=True))
 
 
 def reversed_ordering(ms: Multisegment) -> Multisegment:
@@ -353,13 +425,16 @@ def intertwiner_space(
     """
     if sorted(map(str, ms_from.segments)) != sorted(map(str, ms_to.segments)):
         raise ValueError("intertwiner endpoints must share the same segment multiset")
-    m1 = build_standard_module(ms_from)
-    m2 = build_standard_module(ms_to)
+    return _intertwiners(build_standard_module(ms_from), build_standard_module(ms_to))
+
+
+def _intertwiners(m1: StandardModule, m2: StandardModule):
+    """:func:`intertwiner_space` on built modules."""
     d2 = m2.dim
     eye = linalg.identity(d2)
     rows: list[list[Scalar]] = []
     for i, g in enumerate(m2.gen_s):
-        if m1.s_table[i][0] == (0, -1):  # s_i lies inside a block of ms_from
+        if m1.s_sign[i, 0] == -1:  # s_i lies inside a block of the source
             rows.extend([x + e for x, e in zip(gr, er)] for gr, er in zip(g, eye))
     for c, g in zip(m1.weight(), m2.gen_eps):
         rows.extend([x - c * e for x, e in zip(gr, er)] for gr, er in zip(g, eye))
@@ -367,15 +442,15 @@ def intertwiner_space(
     # e_b = s_i e_b2 with b2 < b for some i, so column b is s_i of column b2
     steps = []
     for b in range(1, m1.dim):
-        i = next(i for i, t in enumerate(m1.s_table) if t[b][1] == 1 and t[b][0] < b)
-        steps.append((m2.s_table[i], m1.s_table[i][b][0]))
+        i = next(i for i in range(m1.k - 1) if m1.s_sign[i, b] == 1 and m1.s_target[i, b] < b)
+        steps.append((m2.s_target[i].tolist(), m2.s_sign[i].tolist(), int(m1.s_target[i, b])))
     mats = []
     for u in linalg.nullspace(rows):
         cols = [u]
-        for table, b2 in steps:
+        for target, sign, b2 in steps:
             col = [Scalar(0)] * d2
-            for x, (tgt, sg) in zip(cols[b2], table):
-                col[tgt] = x if sg == 1 else -x
+            for x, t, sg in zip(cols[b2], target, sign):
+                col[t] = x if sg == 1 else -x
             cols.append(col)
         mats.append([list(row) for row in zip(*cols)])
     return len(mats), mats
@@ -399,15 +474,14 @@ def irreducible_quotient(ms: Multisegment) -> QuotientModule:
     """
     if not is_dominant_ms(ms):
         raise ValueError("irreducible_quotient requires a dominant ordering")
-    rev = reversed_ordering(ms)
-    dim_space, mats = intertwiner_space(ms, rev)
+    m2 = build_standard_module(reversed_ordering(ms))
+    dim_space, mats = _intertwiners(build_standard_module(ms), m2)
     if dim_space != 1:
         raise RuntimeError(
             f"intertwiner space has dimension {dim_space}, expected 1; "
             "cannot isolate the quotient"
         )
     T = mats[0]
-    m2 = build_standard_module(rev)
     _, pivots = linalg.rref(T)
     image = [[T[r][c] for c in pivots] for r in range(m2.dim)]
     quotient_dim = len(pivots)
@@ -418,64 +492,10 @@ def irreducible_quotient(ms: Multisegment) -> QuotientModule:
     gen_q = [
         [row[t * quotient_dim : (t + 1) * quotient_dim] for row in x] for t in range(len(gens))
     ]
-    q = QuotientModule(
-        ms=ms, dim=quotient_dim, gen_s=gen_q[: len(m2.gen_s)], gen_eps=gen_q[len(m2.gen_s) :]
-    )
+    q = QuotientModule(ms=ms, dim=quotient_dim, gen_s=gen_q[: m2.k - 1], gen_eps=gen_q[m2.k - 1 :])
     if not verify_relations(q.gen_s, q.gen_eps, k=len(q.gen_eps)):
         raise RuntimeError("quotient matrices fail the defining relations")
     return q
-
-
-def _young_elements(blocks: tuple[int, ...]):
-    """All permutations in the Young subgroup, as (parity, word) pairs with
-    the word a list of simple-transposition indices."""
-    offsets = []
-    start = 0
-    for L in blocks:
-        offsets.append((start, L))
-        start += L
-
-    def block_perms(start: int, L: int):
-        for p in itertools.permutations(range(L)):
-            # bubble-sort word for the block permutation, shifted by start
-            arr = list(p)
-            word = []
-            for a in range(L):
-                for b in range(L - 1 - a):
-                    if arr[b] > arr[b + 1]:
-                        arr[b], arr[b + 1] = arr[b + 1], arr[b]
-                        word.append(start + b)
-            yield (-1) ** len(word), word
-
-    for combo in itertools.product(*(block_perms(st, L) for st, L in offsets)):
-        parity = 1
-        word: list[int] = []
-        for pr, wd in combo:
-            parity *= pr
-            word.extend(wd)
-        yield parity, word
-
-
-def sign_isotypic_multiplicity(M: StandardModule) -> int:
-    """Multiplicity of the sign character of the block Young subgroup in the
-    restriction of the module to that subgroup (character inner product)."""
-    total = 0
-    count = 0
-    for parity, word in _young_elements(M.blocks):
-        count += 1
-        # image of each basis vector under the composed signed permutation
-        perm = list(range(M.dim))
-        sign = [1] * M.dim
-        for i in reversed(word):
-            table = M.s_table[i]
-            for b in range(M.dim):
-                tgt, sg = table[perm[b]]
-                perm[b] = tgt
-                sign[b] *= sg
-        trace = sum(sg for b, (p, sg) in enumerate(zip(perm, sign)) if p == b)
-        total += parity * trace
-    assert total % count == 0
-    return total // count
 
 
 def module_to_json(module) -> dict:

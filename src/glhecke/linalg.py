@@ -2,7 +2,7 @@
 
 Matrices are lists of row lists of :class:`~glhecke.scalars.Scalar`.  Only
 what the intertwiner and quotient constructions need: multiplication, row
-reduction, rank, nullspace, and column-space solving.  Everything is exact;
+reduction, nullspace, and column-space solving.  Everything is exact;
 no pivoting heuristics are required over an exact field.
 """
 
@@ -14,10 +14,7 @@ __all__ = [
     "identity",
     "zeros",
     "mat_mul",
-    "mat_eq",
-    "is_scalar_matrix",
     "rref",
-    "rank",
     "nullspace",
     "solve_columns",
 ]
@@ -52,21 +49,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def is_scalar_matrix(a) -> "Scalar | None":
-    """The scalar c with a == c*I, or None if a is not a scalar matrix."""
-    n = len(a)
-    c = a[0][0] if n else _ZERO
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != (c if i == j else _ZERO):
-                return None
-    return c
-
-
 def rref(a) -> tuple[list, list[int]]:
     """Reduced row echelon form (a copy) plus the pivot column indices."""
     m = [list(row) for row in a]
@@ -90,10 +72,6 @@ def rref(a) -> tuple[list, list[int]]:
         if r == rows:
             break
     return m, pivots
-
-
-def rank(a) -> int:
-    return len(rref(a)[1])
 
 
 def nullspace(a) -> list[list[Scalar]]:

@@ -164,7 +164,6 @@ def test_verify_exit_codes():
         (("--suite", "dims", "--max-n", "-1"), "--max-n and --max-k"),
         (("--suite", "psi", "--max-n", "0"), "--max-n"),
         (("--suite", "relations", "--max-k", "0"), "--max-k"),
-        (("--suite", "relations", "--max-n", "3", "--max-k", "0"), "--max-k"),
         (("--suite", "eigenvalues", "--max-k", "0"), "--max-n and --max-k"),
         (("--suite", "bijection", "--max-n", "0"), "--max-n or --lambda"),
     ):
@@ -172,6 +171,12 @@ def test_verify_exit_codes():
         assert proc.returncode == 1, args
         assert proc.stdout == ""
         assert proc.stderr == f"error: {args[0]} {args[1]} checked 0 objects; it reads {bounds}\n"
+    # the relations suite reads --max-k only, so a --max-n is refused
+    for args in (("--max-n", "3", "--max-k", "0"), ("--max-n", "4")):
+        proc = run_cli("verify", "--suite", "relations", *args, check=False)
+        assert proc.returncode == 1, args
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --suite relations reads --max-k, not --max-n\n"
 
 
 def test_out_file_written_atomically(tmp_path):

@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from glhecke.heckemod import (
-    RootDatum,
+    StandardModule,
+    _compact_operators,
+    _coset_reps,
     _integer_arrays,
     build_standard_module,
     central_character_of_module,
@@ -13,20 +17,181 @@ from glhecke.heckemod import (
     irreducible_quotient,
     module_to_json,
     reversed_ordering,
-    sign_isotypic_multiplicity,
     verify_relations,
 )
 from glhecke.levelmap import dimension_std, gamma
-from glhecke.linalg import is_scalar_matrix, mat_mul, nullspace, rank
+from glhecke.linalg import mat_mul, nullspace, rref
 from glhecke.multisegments import (
     Multisegment,
     Segment,
+    central_character,
     dominant_representative,
+    enumerate_multisegments,
     parse_segments,
     steinberg_param,
 )
 from glhecke.realparams import enumerate_real_params
 from glhecke.scalars import Scalar
+from glhecke.sweeps import lambda_window
+
+
+@dataclasses.dataclass(frozen=True)
+class RootDatum:
+    """Coordinates for gl(k): simple roots e_i - e_{i+1} and the usual rho."""
+
+    k: int
+
+    def alpha(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self.k - 1:
+            raise IndexError(f"alpha index {i} out of range for k={self.k}")
+        v = [0] * self.k
+        v[i], v[i + 1] = 1, -1
+        return tuple(v)
+
+    def rho(self) -> tuple[Scalar, ...]:
+        return tuple(Scalar(Fraction(self.k - 1 - 2 * j, 2)) for j in range(self.k))
+
+    def pairing(self, i: int, j: int) -> int:
+        """<alpha_i, e_j> under the dot product."""
+        return (1 if j == i else 0) - (1 if j == i + 1 else 0)
+
+
+def _ref_build_standard_module(ms):
+    """Reference generator matrices: the Scalar column recursion the compact
+    form replaced, as (gen_s, gen_eps) row-major lists."""
+    blocks = tuple(s.length for s in ms.segments)
+    k = sum(blocks)
+    chi = central_character(ms)
+    basis = _coset_reps(blocks)
+    dim = len(basis)
+    index = {w: b for b, w in enumerate(basis)}
+    block_of = []
+    for bi, L in enumerate(blocks):
+        block_of.extend([bi] * L)
+
+    s_table = []
+    for i in range(k - 1):
+        table = []
+        for w in basis:
+            pa, pb = w.index(i), w.index(i + 1)
+            if block_of[pa] == block_of[pb]:
+                table.append((index[w], -1))
+            else:
+                u = list(w)
+                u[pa], u[pb] = i + 1, i
+                table.append((index[tuple(u)], 1))
+        s_table.append(table)
+
+    zero, one = Scalar(0), Scalar(1)
+    # eps columns by induction on length: strip a left descent s_i off w and
+    # use  eps_j s_i = s_i eps_{s_i(j)} + <alpha_i, eps_j>.
+    cols = [[None] * dim for _ in range(k)]
+    for j in range(k):
+        col0 = [zero] * dim
+        col0[0] = chi[j]
+        cols[j][0] = col0
+    for b in range(1, dim):
+        w = basis[b]
+        i = next(v for v in range(k - 1) if w.index(v) > w.index(v + 1))
+        u = list(w)
+        pa, pb = w.index(i), w.index(i + 1)
+        u[pa], u[pb] = i + 1, i
+        b2 = index[tuple(u)]
+        assert b2 < b
+        table = s_table[i]
+        for j in range(k):
+            jj = i + 1 if j == i else (i if j == i + 1 else j)
+            parent = cols[jj][b2]
+            vec = [zero] * dim
+            for t in range(dim):
+                x = parent[t]
+                if x:
+                    tgt, sg = table[t]
+                    vec[tgt] = x if sg == 1 else -x
+            c = (1 if j == i else 0) - (1 if j == i + 1 else 0)
+            if c:
+                vec[b2] = vec[b2] + c
+            cols[j][b] = vec
+
+    gen_eps = [[[cols[j][b][r] for b in range(dim)] for r in range(dim)] for j in range(k)]
+    gen_s = []
+    for i in range(k - 1):
+        m = [[zero] * dim for _ in range(dim)]
+        for b, (tgt, sg) in enumerate(s_table[i]):
+            m[tgt][b] = one if sg == 1 else -one
+        gen_s.append(m)
+    return gen_s, gen_eps
+
+
+def _young_elements(blocks: tuple[int, ...]):
+    """All permutations in the Young subgroup, as (parity, word) pairs with
+    the word a list of simple-transposition indices."""
+    offsets = []
+    start = 0
+    for L in blocks:
+        offsets.append((start, L))
+        start += L
+
+    def block_perms(start: int, L: int):
+        for p in itertools.permutations(range(L)):
+            # bubble-sort word for the block permutation, shifted by start
+            arr = list(p)
+            word = []
+            for a in range(L):
+                for b in range(L - 1 - a):
+                    if arr[b] > arr[b + 1]:
+                        arr[b], arr[b + 1] = arr[b + 1], arr[b]
+                        word.append(start + b)
+            yield (-1) ** len(word), word
+
+    for combo in itertools.product(*(block_perms(st, L) for st, L in offsets)):
+        parity = 1
+        word: list[int] = []
+        for pr, wd in combo:
+            parity *= pr
+            word.extend(wd)
+        yield parity, word
+
+
+def sign_isotypic_multiplicity(M: StandardModule) -> int:
+    """Multiplicity of the sign character of the block Young subgroup in the
+    restriction of the module to that subgroup (character inner product)."""
+    total = 0
+    count = 0
+    for parity, word in _young_elements(M.blocks):
+        count += 1
+        # image of each basis vector under the composed signed permutation
+        perm = list(range(M.dim))
+        sign = [1] * M.dim
+        for i in reversed(word):
+            target, signs = M.s_target[i], M.s_sign[i]
+            for b in range(M.dim):
+                perm[b], sign[b] = int(target[perm[b]]), sign[b] * int(signs[perm[b]])
+        trace = sum(sg for b, (p, sg) in enumerate(zip(perm, sign)) if p == b)
+        total += parity * trace
+    assert total % count == 0
+    return total // count
+
+
+def rank(m) -> int:
+    return len(rref(m)[1])
+
+
+def _with_diagonal(M, j, b, delta):
+    """A copy of M whose D_j[b, b] alone is moved by delta: one more weight
+    coordinate, and pos[j, b] pointing at it."""
+    pos = M.pos.copy()
+    pos[j, b] = len(M.chi)
+    return dataclasses.replace(M, chi=M.chi + (M.chi[M.pos[j, b]] + delta,), pos=pos)
+
+
+def _with_entry(M, j, r, c, delta):
+    """A copy of M whose eps_j[r, c] alone is moved by the integer delta: one
+    more N_j layer holding that single entry."""
+    layer = tuple(np.array([x]) for x in (r, c, delta))
+    nilpotent = list(M.nilpotent)
+    nilpotent[j] = nilpotent[j] + (layer,)
+    return dataclasses.replace(M, nilpotent=tuple(nilpotent))
 
 
 def test_root_datum():
@@ -87,11 +252,52 @@ def test_relations_sweep_small():
         assert verify_relations(M)
 
 
+def test_compact_module_matches_scalar_reference():
+    cases = [
+        ms
+        for k in range(1, 5)
+        for lam in lambda_window(k, 4)
+        for ms in enumerate_multisegments(lam)
+    ]
+    cases += [parse_segments("{1/2+1/3i};{0}"), parse_segments("{1+1i};{0+1i}")]
+    big = 1 << 40
+    cases += [
+        Multisegment((Segment(start, 2), Segment(Scalar(0), 1)))
+        for start in (Scalar(big), Scalar(big, 1))
+    ]
+    for ms in cases:
+        M = build_standard_module(ms)
+        assert (M.gen_s, M.gen_eps) == _ref_build_standard_module(ms), ms
+
+
+def test_composition_data_is_shared_read_only():
+    M = build_standard_module(parse_segments("{2};{0,1}"))
+    N = build_standard_module(parse_segments("{5};{-1,0}"))
+    assert M.pos is N.pos and M.nilpotent is N.nilpotent
+    rows, cols, vals = M.nilpotent[0][0]
+    for a in (M.s_target, M.s_sign, M.pos, rows, cols, vals):
+        with pytest.raises(ValueError):
+            a[0] += 1
+    # the compact form: D_j from chi at pos, N_j strictly upper triangular
+    for j, eps in enumerate(M.gen_eps):
+        assert [eps[b][b] for b in range(M.dim)] == [M.chi[t] for t in M.pos[j]]
+        assert all((rows < cols).all() for rows, cols, _ in M.nilpotent[j])
+
+
 def test_relations_detect_perturbation():
     M = build_standard_module(parse_segments("{1};{0}"))
     assert verify_relations(M)
-    M.gen_eps[0][0][0] = M.gen_eps[0][0][0] + 1
-    assert not verify_relations(M)
+    gen_eps = M.gen_eps
+    gen_eps[0][0][0] = gen_eps[0][0][0] + 1
+    assert not verify_relations(M.gen_s, gen_eps)
+    # the same perturbation of the compact form, and one of the N_j entry
+    assert not verify_relations(_with_diagonal(M, 0, 0, 1))
+    assert not verify_relations(_with_entry(M, 0, 0, 1, 1))
+    # a signed table that is no permutation, even one that sorts like s_0's
+    for bad in ((1, 1), (2, 0)):
+        target = M.s_target.copy()
+        target[0] = bad
+        assert not verify_relations(dataclasses.replace(M, s_target=target))
 
 
 def test_relations_object_dtype_path():
@@ -103,6 +309,7 @@ def test_relations_object_dtype_path():
         arrs, _, _ = _integer_arrays(M.gen_s + M.gen_eps, max_chain=3)
         assert arrs[0].dtype == object and arrs[0].shape == (dim, dim)
         assert verify_relations(M)
+        assert verify_relations(M.gen_s, M.gen_eps)
         assert central_character_of_module(M) == (start + 1, start, Scalar(0))
 
 
@@ -112,18 +319,43 @@ def test_complex_module_exact_path():
     assert M.dim == 2
     assert verify_relations(M)
     assert central_character_of_module(M) == (i, Scalar(0))
-    M.gen_eps[0][1][1] = M.gen_eps[0][1][1] + 1
-    assert not verify_relations(M)
+    gen_eps = M.gen_eps
+    gen_eps[0][1][1] = gen_eps[0][1][1] + 1
+    assert not verify_relations(M.gen_s, gen_eps)
+    assert not verify_relations(_with_diagonal(M, 0, 1, 1))
+    assert not verify_relations(_with_entry(M, 0, 0, 1, 1))
     # a perturbation of an imaginary part alone is caught too
     M = build_standard_module(parse_segments("{1+1i};{0}"))
     assert verify_relations(M)
-    M.gen_eps[0][0][0] = M.gen_eps[0][0][0] + i
-    assert not verify_relations(M)
+    gen_eps = M.gen_eps
+    gen_eps[0][0][0] = gen_eps[0][0][0] + i
+    assert not verify_relations(M.gen_s, gen_eps)
+    assert not verify_relations(_with_diagonal(M, 0, 0, i))
+    assert not verify_relations(_with_entry(M, 1, 0, 1, 1))
     # denominators in both parts share one scale
     nu = Scalar(Fraction(1, 2), Fraction(1, 3))
     M = build_standard_module(parse_segments("{1/2+1/3i};{0}"))
     assert verify_relations(M)
+    assert verify_relations(M.gen_s, M.gen_eps)
     assert central_character_of_module(M) == (nu, Scalar(0))
+
+
+def test_shifted_central_character_catches_corrupted_e_d():
+    # the check runs on eps_j - c with c near chi, which keeps entries near
+    # 2**40 in int64
+    big = 1 << 40
+    M = build_standard_module(Multisegment((Segment(Scalar(big), 2), Segment(Scalar(big), 1))))
+    assert _compact_operators(M, big, 3)[1][0][0].dtype == np.int64
+    assert _compact_operators(M, 0, 3)[1][0][0].dtype == object
+    assert central_character_of_module(M) == (Scalar(big + 1), Scalar(big), Scalar(big))
+    for text in ("{1001};{1000}", "{1};{0}", "{1000,1001,1002}", "{1+1i};{0}", str(M.ms)):
+        M = build_standard_module(parse_segments(text))
+        central_character_of_module(M)
+        # move eps_0[0, 0] up and eps_{k-1}[0, 0] down by one: e_1 is
+        # unchanged and e_2 is not
+        bad = _with_entry(_with_entry(M, 0, 0, 0, 1), M.k - 1, 0, 0, -1)
+        with pytest.raises(ValueError, match="polynomial 2 is not"):
+            central_character_of_module(bad)
 
 
 def test_central_character_of_module():
@@ -132,7 +364,7 @@ def test_central_character_of_module():
     # e_1 acts by the sum of the weight coordinates
     M2 = build_standard_module(parse_segments("{3};{1}"))
     e1 = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(M2.gen_eps[0], M2.gen_eps[1])]
-    assert is_scalar_matrix(e1) == Scalar(4)
+    assert e1 == [[Scalar(4 if r == c else 0) for c in range(M2.dim)] for r in range(M2.dim)]
     # multiset equals the support for every constructed module
     for spec_text in ["{0,1};{-1,0}", "{2};{1,2};{0}"]:
         ms = parse_segments(spec_text)

@@ -6,17 +6,13 @@ from glhecke import linalg
 from glhecke.scalars import Scalar
 
 
-def S(x):
-    return Scalar(Fraction(x))
-
-
 def M(rows):
     return [[Scalar(Fraction(x)) if not isinstance(x, Scalar) else x for x in row] for row in rows]
 
 
 def test_mat_mul_and_identity():
     a = M([[1, 2], [3, 4]])
-    assert linalg.mat_eq(linalg.mat_mul(a, linalg.identity(2)), a)
+    assert linalg.mat_mul(a, linalg.identity(2)) == a
     b = M([[0, 1], [1, 0]])
     assert linalg.mat_mul(a, b) == M([[2, 1], [4, 3]])
 
@@ -25,7 +21,6 @@ def test_rref_and_rank():
     a = M([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     r, pivots = linalg.rref(a)
     assert pivots == [0, 1]
-    assert linalg.rank(a) == 2
 
 
 def test_nullspace_is_exact():
@@ -52,9 +47,3 @@ def test_solve_columns():
     assert linalg.solve_columns(a, b) == x
     with pytest.raises(ValueError):
         linalg.solve_columns(a, M([[1], [0], [0]]))
-
-
-def test_is_scalar_matrix():
-    assert linalg.is_scalar_matrix(M([[3, 0], [0, 3]])) == S(3)
-    assert linalg.is_scalar_matrix(M([[3, 0], [0, 4]])) is None
-    assert linalg.is_scalar_matrix(M([[3, 1], [0, 3]])) is None
