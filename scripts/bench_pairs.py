@@ -8,8 +8,11 @@
 For every workload, pair p runs ``bench/run.py --workload W --seed S+p
 --seconds T`` once in each tree, the parent first in even pairs and the
 change first in odd ones, and keeps the end-to-end metrics of both runs.
-``--tier1-pairs`` times the criterion 2/3 fixture (``sweep_relations(5)``,
-the set-up of ``test_criterion_2_relations``) in each tree the same way.
+``--tier1-pairs`` runs ``tests/test_acceptance.py`` in each tree the same way
+and times every acceptance criterion as the set-up plus call time pytest
+reports for its test (a module-scoped fixture counts towards the first test
+that uses it), plus their total.  A failing test is timed like a passing
+one; the known criterion-5 failure does not stop the run.
 The record names the machine and summarises each metric by the median and
 quartiles of each side and the number of pairs the change won.
 """
@@ -27,7 +30,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HIGHER_IS_BETTER = {"items_per_s", "ok_frac"}
-FIXTURE = "tests/test_acceptance.py::test_criterion_2_relations"
+ACCEPTANCE = "tests/test_acceptance.py"
 
 
 def _bench(tree: str, workload: str, seed: int, seconds: int) -> dict:
@@ -38,16 +41,20 @@ def _bench(tree: str, workload: str, seed: int, seconds: int) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def _fixture_s(tree: str) -> float:
-    """Set-up time of the criterion 2/3 fixture, run alone."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", FIXTURE]
+def _acceptance_s(tree: str) -> dict:
+    """Set-up plus call seconds of each acceptance test, run in one session."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", ACCEPTANCE]
     cmd += ["--durations=0", "--durations-min=0"]
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    match = re.search(rf"([\d.]+)s setup\s+{re.escape(FIXTURE)}", proc.stdout)
-    if proc.returncode != 0 or match is None:
-        raise RuntimeError(f"fixture run failed in {tree}:\n{proc.stdout}\n{proc.stderr}")
-    return float(match.group(1))
+    times: dict = {}
+    pattern = rf"([\d.]+)s (setup|call)\s+{re.escape(ACCEPTANCE)}::(\w+)"
+    for seconds, _, test in re.findall(pattern, proc.stdout):
+        times[test] = times.get(test, 0.0) + float(seconds)
+    if proc.returncode not in (0, 1) or not times:
+        raise RuntimeError(f"acceptance run failed in {tree}:\n{proc.stdout}\n{proc.stderr}")
+    times["total_s"] = sum(times.values())
+    return times
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -120,13 +127,13 @@ def main() -> None:
             print(f"{workload} pair {p}: {pair}", file=sys.stderr)
         record["workloads"][workload] = {"pairs": pairs, "summary": _summary(pairs)}
 
-    fixture = []
+    acceptance = []
     for p in range(args.tier1_pairs):
-        pair = _alternate(p, lambda side: {"fixture_s": _fixture_s(trees[side])})
-        fixture.append(pair)
-        print(f"fixture pair {p}: {pair}", file=sys.stderr)
-    if fixture:
-        record["tier1_criterion_2_3_fixture"] = {"pairs": fixture, "summary": _summary(fixture)}
+        pair = _alternate(p, lambda side: _acceptance_s(trees[side]))
+        acceptance.append(pair)
+        print(f"acceptance pair {p}: {pair}", file=sys.stderr)
+    if acceptance:
+        record["tier1_acceptance"] = {"pairs": acceptance, "summary": _summary(acceptance)}
 
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

@@ -13,11 +13,23 @@ n-dimensional standard representation as a module over O(2)^s x O(1)^m
 character-theoretic shortcuts.  :func:`hom_multiplicity` reads off one
 multiplicity from that table; it never consults the closed dimension
 formula it is used to cross-check.
+
+The expansion runs on small-int label codes, 0 = triv, 1 = sgn and
+j + 1 = V(j), in the canonical slot order: the s o2 slots first, then the
+m o1 slots.  It is done once per key (s, m, k) and kept in ``_table``, a
+``functools.lru_cache`` of at most ``MEMO_SIZE`` = 128 keys; a sweep over
+every weight with n <= 7 needs 62.  The table lists every ordered tuple of
+codes, so any other slot order is a relabelling of its positions:
+:func:`tensor_power` translates it back to :class:`O2Label` tuples in the
+caller's slot order, and :func:`hom_multiplicity` moves the o2 slots of its
+target first (keeping their order) before the lookup.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from .realparams import GL2Factor, RealParam
@@ -93,7 +105,34 @@ def tensor_o2(a: O2Label, b: O2Label) -> tuple[O2Label, ...]:
 
 Decomposition = Mapping[tuple[O2Label, ...], int]
 
-_power_cache: dict[tuple[tuple[str, ...], int], dict] = {}
+MEMO_SIZE = 128
+
+
+def _o2_step(code: int) -> tuple[int, ...]:
+    """Codes of the summands of (label ``code``) (x) V(1)."""
+    if code < 2:
+        return (2,)  # triv (x) V(1) = sgn (x) V(1) = V(1)
+    if code == 2:
+        return (0, 1, 3)  # V(1) (x) V(1) = triv + sgn + V(2)
+    return (code - 1, code + 1)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _table(s: int, m: int, k: int) -> Mapping[tuple[int, ...], int]:
+    """k-th tensor power of the standard representation over s o2 slots
+    followed by m o1 slots, keyed by tuples of label codes (read-only)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    state: dict[tuple[int, ...], int] = {(0,) * (s + m): 1}
+    for _ in range(k):
+        nxt: dict[tuple[int, ...], int] = {}
+        for codes, mult in state.items():
+            for i, code in enumerate(codes):
+                for new in _o2_step(code) if i < s else (1 - code,):
+                    key = codes[:i] + (new,) + codes[i + 1 :]
+                    nxt[key] = nxt.get(key, 0) + mult
+        state = nxt
+    return MappingProxyType(state)
 
 
 def tensor_power(slot_kinds: tuple[str, ...], k: int) -> Decomposition:
@@ -102,31 +141,22 @@ def tensor_power(slot_kinds: tuple[str, ...], k: int) -> Decomposition:
 
     Each slot is ``'o2'`` or ``'o1'``.  The standard representation itself is
     the sum of one V(1) per o2 slot and one sgn per o1 slot, all other slots
-    acting trivially; its k-th power is expanded by repeated tensoring.
+    acting trivially; its k-th power is expanded by repeated tensoring in
+    the canonical slot order and returned as a new dict in this one.
     """
     for kind in slot_kinds:
         if kind not in ("o2", "o1"):
             raise ValueError(f"slot kind must be 'o2' or 'o1', got {kind!r}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    key = (tuple(slot_kinds), k)
-    if key in _power_cache:
-        return _power_cache[key]
-    state: dict[tuple[O2Label, ...], int] = {tuple(TRIV for _ in slot_kinds): 1}
-    for _ in range(k):
-        nxt: dict[tuple[O2Label, ...], int] = {}
-        for labels, mult in state.items():
-            for i, kind in enumerate(slot_kinds):
-                if kind == "o2":
-                    summands = tensor_o2(labels[i], V(1))
-                else:
-                    summands = tensor_o2(labels[i], SGN)
-                for lab in summands:
-                    key2 = labels[:i] + (lab,) + labels[i + 1 :]
-                    nxt[key2] = nxt.get(key2, 0) + mult
-        state = nxt
-    _power_cache[key] = state
-    return state
+    o2 = [i for i, kind in enumerate(slot_kinds) if kind == "o2"]
+    order = o2 + [i for i, kind in enumerate(slot_kinds) if kind == "o1"]
+    labels = [TRIV, SGN] + [V(j) for j in range(1, k + 1)]
+    out: dict[tuple[O2Label, ...], int] = {}
+    for codes, mult in _table(len(o2), len(order) - len(o2), k).items():
+        slots = [TRIV] * len(order)
+        for pos, code in zip(order, codes):
+            slots[pos] = labels[code]
+        out[tuple(slots)] = mult
+    return out
 
 
 def tensor_power_standard(s: int, m: int, k: int) -> Decomposition:
@@ -158,14 +188,11 @@ def hom_multiplicity(param: RealParam, k: int) -> int:
         raise ValueError(
             f"oracle is only valid for level >= k; got level {lev} and k={k}"
         )
-    slot_kinds = []
-    target = []
+    o2: list[int] = []
+    o1: list[int] = []
     for f in param.factors:
         if isinstance(f, GL2Factor):
-            slot_kinds.append("o2")
-            target.append(V(f.l))
+            o2.append(f.l + 1)  # V(l)
         else:
-            slot_kinds.append("o1")
-            target.append(SGN if f.eps == "triv" else TRIV)
-    decomp = tensor_power(tuple(slot_kinds), k)
-    return decomp.get(tuple(target), 0)
+            o1.append(1 if f.eps == "triv" else 0)  # sgn for triv, triv for sgn
+    return _table(len(o2), len(o1), k).get(tuple(o2 + o1), 0)

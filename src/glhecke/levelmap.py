@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 from .multisegments import (
     Multisegment,
     Segment,
-    central_character,
     dominant_representative,
     enumerate_multisegments,
     multisegment_to_json,
@@ -48,6 +47,8 @@ __all__ = [
 
 
 def _require_level_at_least(param: RealParam, k: int) -> int:
+    if k < 0:
+        raise ValueError("k must be >= 0")
     lev = param.level
     if lev < k:
         raise ValueError(
@@ -109,6 +110,32 @@ def w_structure(param: RealParam, k: int) -> tuple[int, ...]:
     return comp
 
 
+def _scaled(x: Fraction, scale: int) -> Optional[int]:
+    """``scale * x`` as an int, or None when it is not one."""
+    q, r = divmod(scale, x.denominator)
+    return None if r else x.numerator * q
+
+
+def _scaled_eigenvalues(param: RealParam, k: int) -> tuple[int, list[tuple[int, int]]]:
+    """D and the closed form of :func:`position_eigenvalues` as integer
+    pairs (D*re, D*im), with D = lcm(2, every denominator of every factor's
+    nu).  This is the one implementation of the formula."""
+    lev = param.level
+    if lev != k:
+        raise ValueError(f"eigenvalues need level == k, got level {lev} and k={k}")
+    scale = math.lcm(2, *(x.denominator for f in param.factors for x in (f.nu.re, f.nu.im)))
+    out: list[tuple[int, int]] = []
+    for f in param.factors:
+        level = f.level
+        if level == 0:
+            continue
+        re = _scaled(f.nu.re, scale) - (level - 1) * (scale // 2)
+        im = _scaled(f.nu.im, scale)
+        # ell = prec + j + 1, so ell - prec - 1 = j
+        out.extend((re + j * scale, im) for j in range(level))
+    return scale, out
+
+
 def position_eigenvalues(param: RealParam, k: int) -> tuple[Scalar, ...]:
     """Closed-form weight of the generating vector, one entry per position.
 
@@ -116,29 +143,30 @@ def position_eigenvalues(param: RealParam, k: int) -> tuple[Scalar, ...]:
     factor carries nu'_p - (level_p - 1)/2 + (ell - prec(ell) - 1), where
     prec(ell) is the number of positions in earlier blocks.
     """
-    lev = param.level
-    if lev != k:
-        raise ValueError(f"eigenvalues need level == k, got level {lev} and k={k}")
-    out: list[Scalar] = []
-    prec = 0
-    for f in param.factors:
-        if f.level == 0:
-            continue
-        half = Scalar(Fraction(f.level - 1, 2))
-        for j in range(f.level):
-            # ell = prec + j + 1, so ell - prec - 1 = j
-            out.append(f.nu - half + j)
-        prec += f.level
-    assert len(out) == k
-    return tuple(out)
+    scale, coords = _scaled_eigenvalues(param, k)
+    return tuple(Scalar(Fraction(re, scale), Fraction(im, scale)) for re, im in coords)
 
 
 def eigenvalue_identity(param: RealParam, k: int) -> bool:
     """Check the closed-form weight against the central character of the
-    factor-order image, coordinate by coordinate."""
-    eig = position_eigenvalues(param, k)
-    cc = central_character(factor_order_image(param))
-    return eig == cc
+    factor-order image, coordinate by coordinate.
+
+    Both sides are compared as integer pairs (D*re, D*im), where D is
+    lcm(2, every denominator of every factor's nu); no Scalar arithmetic is
+    done on the coordinates.  The two routes stay independent: the closed form reads each factor's
+    ``nu`` and ``level``; the other side reads the segment starts and
+    lengths that :func:`factor_order_image` builds and adds j*D for the
+    j-th entry of each segment.  A start off the 1/D grid, where every
+    closed-form coordinate lies, fails the identity.
+    """
+    scale, eig = _scaled_eigenvalues(param, k)
+    image: list[tuple[int, int]] = []
+    for seg in factor_order_image(param).segments:
+        re, im = _scaled(seg.start.re, scale), _scaled(seg.start.im, scale)
+        if re is None or im is None:
+            return False
+        image.extend((re + j * scale, im) for j in range(seg.length))
+    return image == eig
 
 
 @dataclass

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from glhecke import branching
 from glhecke.branching import (
     SGN,
     TRIV,
@@ -12,7 +15,25 @@ from glhecke.branching import (
     tensor_power_standard,
     total_dimension,
 )
-from glhecke.realparams import parse_factors
+from glhecke.realparams import GL2Factor, enumerate_real_params, parse_factors
+from glhecke.sweeps import lambda_window
+
+
+def _ref_tensor_power(slot_kinds, k):
+    """Reference for the int-coded table: the k-fold expansion on O2Label
+    tuples, in the given slot order, through ``tensor_o2``."""
+    state = {tuple(TRIV for _ in slot_kinds): 1}
+    for _ in range(k):
+        nxt = {}
+        for labels, mult in state.items():
+            for i, kind in enumerate(slot_kinds):
+                summands = tensor_o2(labels[i], V(1) if kind == "o2" else SGN)
+                for lab in summands:
+                    key = labels[:i] + (lab,) + labels[i + 1 :]
+                    nxt[key] = nxt.get(key, 0) + mult
+        state = nxt
+    return state
+
 
 labels = st.one_of(
     st.just(TRIV), st.just(SGN), st.integers(min_value=1, max_value=8).map(V)
@@ -99,3 +120,46 @@ def test_hom_multiplicity_domain():
 def test_mixed_factor_order():
     p = parse_factors("gl1(triv,5);gl2(2,0);gl1(sgn,3)")
     assert hom_multiplicity(p, 3) == 3  # 3!/1!2!0!
+
+
+def test_tensor_power_matches_label_reference():
+    for n in range(5):
+        for slot_kinds in itertools.product(("o2", "o1"), repeat=n):
+            for k in range(7):
+                assert tensor_power(slot_kinds, k) == _ref_tensor_power(slot_kinds, k), (
+                    slot_kinds,
+                    k,
+                )
+
+
+def test_hom_multiplicity_matches_label_reference():
+    ref = {}
+    for n in range(1, 6):
+        for lam in lambda_window(n, n):
+            for p in enumerate_real_params(lam, 0):
+                kinds = tuple("o2" if isinstance(f, GL2Factor) else "o1" for f in p.factors)
+                target = tuple(
+                    V(f.l) if isinstance(f, GL2Factor) else SGN if f.eps == "triv" else TRIV
+                    for f in p.factors
+                )
+                for k in range(p.level + 1):
+                    if (kinds, k) not in ref:
+                        ref[kinds, k] = _ref_tensor_power(kinds, k)
+                    assert hom_multiplicity(p, k) == ref[kinds, k].get(target, 0), (p, k)
+
+
+def test_table_memo_is_bounded_and_canonical():
+    assert branching._table.cache_parameters()["maxsize"] == branching.MEMO_SIZE >= 62
+    branching._table.cache_clear()
+    tensor_power(("o1", "o2", "o1"), 3)
+    tensor_power(("o1", "o1", "o2"), 3)
+    tensor_power_standard(1, 2, 3)
+    assert hom_multiplicity(parse_factors("gl1(triv,5);gl2(2,0);gl1(sgn,3)"), 3) == 3
+    info = branching._table.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+    with pytest.raises(TypeError):
+        branching._table(1, 2, 3)[(0, 0, 0)] = 1  # the cached table is read-only
+    # the public result is the caller's own dict
+    key = (V(1), SGN, SGN)
+    tensor_power_standard(1, 2, 3)[key] = 99
+    assert tensor_power_standard(1, 2, 3)[key] == 6

@@ -86,6 +86,19 @@ def test_dim_and_oracle():
     assert out["multiplicity"] == 6
 
 
+def test_negative_k_is_rejected():
+    for args in (
+        ("dim", "--factors", "gl2(3,0)", "--k", "-1"),
+        ("dim", "--factors", "gl2(3,0)", "--k", "-1", "--format", "text"),
+        ("gamma", "--factors", "gl2(3,0)", "--k", "-2"),
+        ("oracle", "--factors", "gl2(3,0)", "--k", "-1"),
+    ):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1, args
+        assert proc.stdout == ""
+        assert proc.stderr == "error: k must be >= 0\n"
+
+
 def test_oracle_dump_csv():
     out = run_cli("oracle", "--s", "1", "--m", "0", "--k", "3").stdout
     lines = out.splitlines()

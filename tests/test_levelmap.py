@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from glhecke import levelmap
 from glhecke.branching import hom_multiplicity
 from glhecke.levelmap import (
     dimension_std,
@@ -14,6 +15,8 @@ from glhecke.levelmap import (
     w_structure,
 )
 from glhecke.multisegments import (
+    Multisegment,
+    Segment,
     central_character,
     dominant_representative,
     segments_str,
@@ -27,6 +30,24 @@ from glhecke.realparams import (
     parse_factors,
 )
 from glhecke.scalars import Scalar
+from glhecke.sweeps import lambda_window
+
+
+def _ref_position_eigenvalues(param, k):
+    """Reference for the integer closed form: the same formula on Scalars."""
+    assert param.level == k
+    out = []
+    for f in param.factors:
+        half = Scalar(Fraction(f.level - 1, 2))
+        out.extend(f.nu - half + j for j in range(f.level))
+    return tuple(out)
+
+
+def _ref_eigenvalue_identity(param, k):
+    """The Scalar identity: closed form against the central character of the
+    factor-order image (looked up on the module, so a patch reaches it)."""
+    image = levelmap.factor_order_image(param)
+    return _ref_position_eigenvalues(param, k) == central_character(image)
 
 
 def steinberg_real_param(n: int) -> RealParam:
@@ -133,6 +154,58 @@ def test_eigenvalue_identity_uses_factor_order():
     assert position_eigenvalues(p, 3) == central_character(img)
     # the dominant representative permutes the blocks here
     assert central_character(dominant_representative(img)) != central_character(img)
+
+
+def test_negative_k_is_rejected():
+    p = parse_factors("gl2(3,0)")
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            gamma(p, k)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            dimension_std(p, k)
+
+
+EXTRA_EIGEN_PARAMS = [
+    "gl1(triv,1/3)",
+    "gl2(3,1/2+1/3i)",
+    f"gl1(triv,{2**40});gl2(2,{2**40}+1/3i);gl1(sgn,-{2**40})",
+    "gl2(2,-5/6+7/4i);gl1(triv,1/2);gl1(sgn,1/5)",
+]
+
+
+def test_eigenvalue_identity_matches_scalar_reference():
+    params = [
+        p
+        for n in range(1, 6)
+        for lam in lambda_window(n, n)
+        for p in enumerate_real_params(lam, 0)
+        if 1 <= p.level <= 5
+    ]
+    params += [parse_factors(text) for text in EXTRA_EIGEN_PARAMS]
+    for p in params:
+        k = p.level
+        assert position_eigenvalues(p, k) == _ref_position_eigenvalues(p, k), p
+        assert eigenvalue_identity(p, k) == _ref_eigenvalue_identity(p, k) is True, p
+        with pytest.raises(ValueError):
+            eigenvalue_identity(p, k + 1)
+
+
+@pytest.mark.parametrize("shift", [Scalar(1), Scalar(0, 1), Scalar(Fraction(1, 7))])
+def test_eigenvalue_identity_reads_the_image(monkeypatch, shift):
+    # the second route must come from factor_order_image, not the closed form
+    original = levelmap.factor_order_image
+
+    def moved(param):
+        segs = list(original(param).segments)
+        last = segs[-1]
+        segs[-1] = Segment(last.start + shift, last.length)
+        return Multisegment(tuple(segs))
+
+    monkeypatch.setattr(levelmap, "factor_order_image", moved)
+    for text in ["gl2(2,1/2);gl2(2,-1/2)", "gl1(triv,1/3)"] + EXTRA_EIGEN_PARAMS:
+        p = parse_factors(text)
+        assert not eigenvalue_identity(p, p.level), text
+        assert not _ref_eigenvalue_identity(p, p.level), text
 
 
 def test_bijection_trivial_weight():
