@@ -29,9 +29,14 @@ def _parse_lambda(text: str) -> tuple[int, ...]:
         raise SystemExit(f"error: --lambda must be comma-separated integers: {exc}")
     if not entries:
         raise SystemExit("error: --lambda needs at least one entry")
+    return _or_exit(multisegments._validate_integral_lambda, entries)
+
+
+def _or_exit(f, *args, errors=ValueError):
+    """f(*args), with an error of the given types as a one-line exit."""
     try:
-        return multisegments._validate_integral_lambda(entries)
-    except ValueError as exc:
+        return f(*args)
+    except errors as exc:
         raise SystemExit(f"error: {exc}")
 
 
@@ -112,72 +117,39 @@ def _check_n(args, lam) -> None:
 def cmd_enumerate(args) -> int:
     lam = _parse_lambda(args.lam)
     _check_n(args, lam)
+    # per class: its JSON object, name, size and character, under these keys
     if args.side == "real":
-        params = realparams.enumerate_real_params(lam, args.min_level)
-        if args.format == "json":
-            text = _json_text(
-                [
-                    {
-                        "param": realparams.real_param_to_json(p),
-                        "level": p.level,
-                        "infinitesimal_character": [
-                            scalar_str(c) for c in p.infinitesimal_character()
-                        ],
-                    }
-                    for p in params
-                ]
-            )
-        else:
-            rows = [
-                [
-                    realparams.factors_str(p),
-                    str(p.level),
-                    ",".join(scalar_str(c) for c in p.infinitesimal_character()),
-                ]
-                for p in params
-            ]
-            if args.format == "csv":
-                text = _csv_text(["factors", "level", "infinitesimal_character"], rows)
-            else:
-                text = "\n".join("  ".join(r) for r in rows) + "\n"
+        keys, m = ("param", "factors", "level", "infinitesimal_character"), realparams
+        rows = [
+            (m.real_param_to_json(p), m.factors_str(p), p.level, p.infinitesimal_character())
+            for p in m.enumerate_real_params(lam, args.min_level)
+        ]
     else:
-        classes = multisegments.enumerate_multisegments(lam)
-        if args.format == "json":
-            text = _json_text(
-                [
-                    {
-                        "hecke": multisegments.multisegment_to_json(ms),
-                        "k": ms.k,
-                        "central_character": [
-                            scalar_str(c) for c in multisegments.central_character(ms)
-                        ],
-                    }
-                    for ms in classes
-                ]
-            )
-        else:
-            rows = [
-                [
-                    multisegments.segments_str(ms),
-                    str(ms.k),
-                    ",".join(scalar_str(c) for c in multisegments.central_character(ms)),
-                ]
-                for ms in classes
+        keys, m = ("hecke", "segments", "k", "central_character"), multisegments
+        rows = [
+            (m.multisegment_to_json(ms), m.segments_str(ms), ms.k, m.central_character(ms))
+            for ms in m.enumerate_multisegments(lam)
+        ]
+    if args.format == "json":
+        text = _json_text(
+            [
+                {keys[0]: obj, keys[2]: size, keys[3]: [scalar_str(c) for c in chars]}
+                for obj, _, size, chars in rows
             ]
-            if args.format == "csv":
-                text = _csv_text(["segments", "k", "central_character"], rows)
-            else:
-                text = "\n".join("  ".join(r) for r in rows) + "\n"
+        )
+    else:
+        table = [[n, str(size), ",".join(map(scalar_str, chars))] for _, n, size, chars in rows]
+        if args.format == "csv":
+            text = _csv_text(list(keys[1:]), table)
+        else:
+            text = "\n".join("  ".join(r) for r in table) + "\n"
     _emit(text, args.out)
     return 0
 
 
 def cmd_gamma(args) -> int:
     param = _load_real_param(args)
-    try:
-        image = levelmap.gamma(param, args.k)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    image = _or_exit(levelmap.gamma, param, args.k)
     payload = {"k": args.k, "level": param.level}
     if image is None:
         payload["result"] = "zero"
@@ -192,10 +164,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_dim(args) -> int:
     param = _load_real_param(args)
-    try:
-        d = levelmap.dimension_std(param, args.k)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    d = _or_exit(levelmap.dimension_std, param, args.k)
     if args.format == "text":
         _emit(f"{d}\n", args.out)
     else:
@@ -206,10 +175,7 @@ def cmd_dim(args) -> int:
 def cmd_oracle(args) -> int:
     if args.factors or args.param or args.param_file:
         param = _load_real_param(args)
-        try:
-            mult = branching.hom_multiplicity(param, args.k)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
+        mult = _or_exit(branching.hom_multiplicity, param, args.k)
         _emit(_json_text({"k": args.k, "level": param.level, "multiplicity": mult}), args.out)
         return 0
     if args.s is None or args.m is None:
@@ -228,28 +194,19 @@ def cmd_oracle(args) -> int:
 def cmd_module(args) -> int:
     ms = _load_multisegment(args)
     module = heckemod.build_standard_module(ms)
-    try:
-        payload = heckemod.module_to_json(module)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    payload = _or_exit(heckemod.module_to_json, module)
     payload["central_character"] = [scalar_str(c) for c in module.weight()]
     if args.quotient:
-        try:
-            payload["quotient_dim"] = heckemod.irreducible_quotient(
-                multisegments.dominant_representative(ms)
-            ).dim
-        except RuntimeError as exc:
-            raise SystemExit(f"error: {exc}")
+        dominant = multisegments.dominant_representative(ms)
+        q = _or_exit(heckemod.irreducible_quotient, dominant, errors=RuntimeError)
+        payload["quotient_dim"] = q.dim
     _emit(_json_text(payload), args.out)
     return 0
 
 
 def cmd_quotient(args) -> int:
     ms = multisegments.dominant_representative(_load_multisegment(args))
-    try:
-        q = heckemod.irreducible_quotient(ms)
-    except RuntimeError as exc:
-        raise SystemExit(f"error: {exc}")
+    q = _or_exit(heckemod.irreducible_quotient, ms, errors=RuntimeError)
     std_dim = heckemod.build_standard_module(ms).dim
     _emit(_json_text({"std_dim": std_dim, "quotient_dim": q.dim}), args.out)
     return 0
@@ -259,10 +216,7 @@ def cmd_psi(args) -> int:
     lam = _parse_lambda(args.lam)
     _check_n(args, lam)
     ms = _load_multisegment(args)
-    try:
-        diagram = orbits.build_diagram(ms, lam)
-    except (ValueError, orbits.StructuralError) as exc:
-        raise SystemExit(f"error: {exc}")
+    diagram = _or_exit(orbits.build_diagram, ms, lam, errors=(ValueError, orbits.StructuralError))
     sigma = orbits.flatten_diagram(diagram)
     cls = orbits.orbit_class(sigma, diagram.blocks())
     if args.format == "text":

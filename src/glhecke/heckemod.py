@@ -27,10 +27,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .multisegments import (
     Multisegment,
     central_character,
@@ -162,22 +162,16 @@ class StandardModule:
 
     @property
     def gen_s(self) -> list[list[list[Scalar]]]:
-        mats = [linalg.zeros(self.dim, self.dim) for _ in range(self.k - 1)]
-        for m, target, sign in zip(mats, self.s_target.tolist(), self.s_sign.tolist()):
-            for b, (t, sg) in enumerate(zip(target, sign)):
-                m[t][b] = Scalar(sg)
-        return mats
+        s_ops, _, _, g = _compact_operators(self, 0, 1)
+        return [_scalar_matrix(np.eye(len(t), dtype=int)[:, t] * sg, 1, g) for t, sg in s_ops]
 
     @property
     def gen_eps(self) -> list[list[list[Scalar]]]:
-        mats = [linalg.zeros(self.dim, self.dim) for _ in range(self.k)]
-        for m, pos, layers in zip(mats, self.pos.tolist(), self.nilpotent):
-            for b, t in enumerate(pos):
-                m[b][b] = self.chi[t]
-            for rows, cols, vals in layers:
-                for r, c, x in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-                    m[r][c] = m[r][c] + x
-        return mats
+        _, eps_ops, scale, gaussian = _compact_operators(self, 0, 1)
+        return [
+            _scalar_matrix(_apply_eps(d, layers, np.eye(len(d), dtype=d.dtype)), scale, gaussian)
+            for d, layers in eps_ops
+        ]
 
 
 def build_standard_module(ms: Multisegment) -> StandardModule:
@@ -194,19 +188,20 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
     return StandardModule(ms, k, blocks, len(basis), basis, central_character(ms), *tables)
 
 
-# -- exact matrix verification ------------------------------------------------
+# -- exact integer arithmetic -------------------------------------------------
 #
-# Every identity is checked on integer numpy arrays.  Entries are rescaled by
-# the common denominator of all real and imaginary parts; if any entry is
-# non-real, each Gaussian integer a+bi becomes the 2x2 block [[a, -b], [b, a]],
-# an injective ring homomorphism.  Arrays are int64 when a conservative bound
-# fits and Python-int object arrays otherwise.
+# Every identity is checked, and every intertwiner and quotient solved, on
+# integer numpy arrays and Python ints; Scalars appear only where a caller
+# asks for gen_s / gen_eps.  Entries are rescaled by the common denominator
+# of all real and imaginary parts; if any entry is non-real, each Gaussian
+# integer a+bi becomes the 2x2 block [[a, -b], [b, a]], an injective ring
+# homomorphism.  Arrays are int64 when a conservative bound fits and
+# Python-int object arrays otherwise.
 #
-# A StandardModule is checked on operators built from its compact form, and
-# no Scalar is scanned: s_i @ X is a signed row permutation, X @ s_i a signed
-# column gather, and eps_j @ X a diagonal scaling plus the sparse N_j product,
-# O(nnz * dim).  Explicit matrix lists (quotients) take _integer_arrays and
-# dense products through the same relation loops.
+# A StandardModule is checked on operators built from its compact form: s_i @ X
+# is a signed row scatter, X @ s_i a signed column gather, and eps_j @ X a
+# diagonal scaling plus the sparse N_j product, O(nnz * dim).  Quotients and
+# explicit Scalar matrix lists take dense products through the same loops.
 #
 # The central character is checked on eps_j - c for an integer c near chi:
 #     e_d(eps - c) = sum_{m <= d} C(k - m, d - m) (-c)^(d - m) e_m(eps)
@@ -263,13 +258,14 @@ def _double(x: np.ndarray) -> np.ndarray:
     return (2 * x[:, None] + np.arange(2)).ravel()
 
 
-def _compact_operators(M: StandardModule, shift: int, max_chain: int):
+def _compact_operators(M: StandardModule, shift: int, max_chain: int, bound: int = 1):
     """Integer operators of the s_i, as ``(targets, signs)``, and of
     scale * (eps_j - shift), as ``(diagonal, layers)``, in the dtype
-    :func:`_int_dtype` picks; the scale; whether 2x2 blocks embed them."""
+    :func:`_int_dtype` picks for them and factors up to ``bound``; the
+    scale; whether 2x2 blocks embed them."""
     re, im, scale, gaussian = _scaled([x - shift for x in M.chi])
     nil = max((int(abs(v).max()) for layers in M.nilpotent for _, _, v in layers), default=0)
-    bound = max(1, scale * nil, *map(abs, re), *map(abs, im))
+    bound = max(bound, scale * nil, *map(abs, re), *map(abs, im))
     dtype = _int_dtype(bound, M.dim, gaussian, max_chain)
     re, im = np.array(re, dtype=dtype), np.array(im, dtype=dtype)
 
@@ -293,6 +289,13 @@ def _compact_operators(M: StandardModule, shift: int, max_chain: int):
             for p, (d, layers) in zip(M.pos, eps_ops)
         ]
     return s_ops, eps_ops, scale, gaussian
+
+
+def _apply_s(target: np.ndarray, sign: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """s_i @ X for the signed table of s_i, a permutation."""
+    out = np.empty_like(X)
+    out[target] = sign[:, None] * X
+    return out
 
 
 def _apply_eps(diagonal: np.ndarray, layers, X: np.ndarray) -> np.ndarray:
@@ -334,20 +337,23 @@ def _relations_hold(k, s, eps, s_left, eps_left, s_right, one, unit) -> bool:
 def verify_relations(module_or_mats, gen_eps=None, k: "int | None" = None) -> bool:
     """Exact check of all defining relations as matrix identities.
 
-    Accepts a :class:`StandardModule`, checked on its compact form, anything
-    else with ``gen_s``/``gen_eps``, or an explicit pair of matrix lists.
+    Accepts a :class:`StandardModule`, checked on its compact form, a
+    :class:`QuotientModule`, checked on its integer matrices, or an explicit
+    pair of Scalar matrix lists.
     """
-    if gen_eps is None and isinstance(module_or_mats, StandardModule):
+    if isinstance(module_or_mats, StandardModule):
         return _verify_compact(module_or_mats)
-    if gen_eps is None:
-        gen_s, gen_eps = module_or_mats.gen_s, module_or_mats.gen_eps
+    if isinstance(module_or_mats, QuotientModule):
+        q = module_or_mats
+        s, eps, scale, k = q.s, q.eps, q.scale, len(q.eps)
     else:
-        gen_s = module_or_mats
-    k = len(gen_eps) if k is None else k
-    arrs, scale, gaussian = _integer_arrays(gen_s + gen_eps, max_chain=3)
-    s, eps = arrs[: len(gen_s)], arrs[len(gen_s) :]
-    # s_i * s_i and the commutator relation are products of two scaled factors
-    ident = _scalar_identity(Scalar(scale**2), arrs[0], gaussian)
+        arrs, scale, _ = _integer_arrays(module_or_mats + gen_eps, max_chain=3)
+        s, eps = arrs[: len(module_or_mats)], arrs[len(module_or_mats) :]
+        k = len(gen_eps) if k is None else k
+    # explicit matrices, each scale times its generator, in a dtype that holds
+    # scale**2 and products of three; s_i * s_i and the commutator relation
+    # are products of two scaled factors
+    ident = scale**2 * np.eye(len(eps[0]), dtype=eps[0].dtype)
     ops = (lambda i, X: s[i] @ X, lambda j, X: eps[j] @ X, lambda X, i: X @ s[i])
     return _relations_hold(k, s, eps, *ops, ident, ident)
 
@@ -355,13 +361,11 @@ def verify_relations(module_or_mats, gen_eps=None, k: "int | None" = None) -> bo
 def _verify_compact(M: StandardModule) -> bool:
     s_ops, eps_ops, scale, _ = _compact_operators(M, 0, max_chain=3)
     one = np.eye(len(eps_ops[0][0]), dtype=eps_ops[0][0].dtype)
-    # s_i @ X gathers rows by the inverse table; a table that is no
-    # permutation gives a singular s_i, so s_i * s_i != 1
-    inverse = [np.argsort(t) for t, _ in s_ops]
-    if any(not np.array_equal(t[inv], np.arange(len(one))) for (t, _), inv in zip(s_ops, inverse)):
+    # a table that is no permutation gives a singular s_i, so s_i * s_i != 1
+    if any(not np.array_equal(np.sort(t), np.arange(len(one))) for t, _ in s_ops):
         return False
     ops = (
-        lambda i, X: s_ops[i][1][inverse[i], None] * X[inverse[i]],
+        lambda i, X: _apply_s(*s_ops[i], X),
         lambda j, X: _apply_eps(*eps_ops[j], X),
         lambda X, i: X[:, s_ops[i][0]] * s_ops[i][1],
     )
@@ -419,81 +423,229 @@ def intertwiner_space(
     subalgebra, so by Frobenius reciprocity a module map is fixed by the
     image u of the generator (basis vector 0), and u may be any vector of
     the target on which the source's Young subgroup acts by sign and each
-    eps_j by the source weight chi_j.  The space is the nullspace of that
-    system in dim_to unknowns; each T then follows column by column, since
-    every other source basis vector is s_i times an earlier one.
+    eps_j by the source weight chi_j.  The basis is the reduced-echelon
+    nullspace basis of that system, solved on integers; each T follows
+    column by column, since every other source basis vector is s_i times
+    an earlier one.
     """
     if sorted(map(str, ms_from.segments)) != sorted(map(str, ms_to.segments)):
         raise ValueError("intertwiner endpoints must share the same segment multiset")
-    return _intertwiners(build_standard_module(ms_from), build_standard_module(ms_to))
+    gaussian, mats = _intertwiners(build_standard_module(ms_from), build_standard_module(ms_to))
+    return len(mats), [_scalar_matrix(T, den, gaussian) for T, den in mats]
+
+
+# -- intertwiners and quotients ----------------------------------------------
+#
+# The system for the generator image u is read off the target's integer
+# operators.  Its Young rows only say u[t] = -sign * u[b]: a signed union-find
+# collapses each orbit onto its largest coordinate (an orbit whose signs
+# conflict is 0), which keeps the reduced-echelon basis, and the rows
+# (eps_j - chi_j) u = 0 go through fraction-free Gauss-Jordan elimination.
+# T is then an integer matrix over one denominator, and the same elimination
+# gives its greedy pivot columns piv and C with T = T[:, piv] C.  As T
+# intertwines, rho_to(g) T[:, piv] = T[:, piv] (C rho_from(g)[:, piv]), so the
+# quotient action X_g = C rho_from(g)[:, piv] is a right product with the
+# source's compact operators, checked exactly against the image and then by
+# the relation loops at one common scale.
+
+
+def _eliminate(row: dict, pivot: dict, c: int) -> dict:
+    """a * row - f * pivot, zero in column c, divided by its content."""
+    g = math.gcd(pivot[c], row[c])
+    a, f = pivot[c] // g, row[c] // g
+    out = {x: a * row.get(x, 0) - f * pivot.get(x, 0) for x in row.keys() | pivot.keys()}
+    out = {x: v for x, v in out.items() if v}
+    g = math.gcd(*out.values())
+    return {x: v // g for x, v in out.items()} if g > 1 else out
+
+
+def _echelon(rows: list[dict]) -> list[tuple[int, dict]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+    of sparse integer rows ``{column: value}``, touching only the rows with
+    a nonzero in the pivot column: the ``(column, row)`` pivots in column
+    order, each row zero left of its pivot and in the other pivot columns."""
+    pending = [r for r in rows if r]
+    found: list[tuple[int, dict]] = []
+    for c in sorted({c for r in pending for c in r}):
+        hits = [r for r in pending if c in r]
+        if hits:
+            p = min(hits, key=len)
+            pending = [_eliminate(r, p, c) if c in r else r for r in pending if r is not p]
+            pending = [r for r in pending if r]
+            found = [(pc, _eliminate(r, p, c) if c in r else r) for pc, r in found]
+            found.append((c, p))
+    return found
+
+
+def _young_orbits(tables, n: int) -> tuple[list, int]:
+    """Solve u[t] = -sign * u[b] for the signed tables ``(target, sign)``:
+    per coordinate x, ``(c, sign)`` with u[x] = sign * v[c], v the orbit
+    roots in increasing order, or None where u[x] = 0; and len(v)."""
+    # u[x] = sign[x] * u[parent[x]]; a root is the largest coordinate of its orbit
+    parent, sign, dead = list(range(n)), [1] * n, set()
+
+    def find(x):
+        s = 1
+        while parent[x] != x:
+            x, s = parent[x], s * sign[x]
+        return x, s
+
+    for target, signs in tables:
+        for b, (t, sg) in enumerate(zip(target.tolist(), signs.tolist())):
+            (rt, st), (rb, sb) = find(t), find(b)
+            s = -sg * st * sb  # u[rt] = s * u[rb]
+            if rt == rb and s == -1:
+                dead.add(rt)
+            elif rt != rb:
+                lo, hi = sorted((rt, rb))
+                parent[lo], sign[lo] = hi, s
+                if lo in dead:
+                    dead.add(hi)
+    found = [find(x) for x in range(n)]
+    index = {r: c for c, r in enumerate(sorted({r for r, _ in found} - dead))}
+    return [(index[r], s) if r in index else None for r, s in found], len(index)
 
 
 def _intertwiners(m1: StandardModule, m2: StandardModule):
-    """:func:`intertwiner_space` on built modules."""
-    d2 = m2.dim
-    eye = linalg.identity(d2)
-    rows: list[list[Scalar]] = []
-    for i, g in enumerate(m2.gen_s):
-        if m1.s_sign[i, 0] == -1:  # s_i lies inside a block of the source
-            rows.extend([x + e for x, e in zip(gr, er)] for gr, er in zip(g, eye))
-    for c, g in zip(m1.weight(), m2.gen_eps):
-        rows.extend([x - c * e for x, e in zip(gr, er)] for gr, er in zip(g, eye))
+    """:func:`intertwiner_space` on built modules: whether the weight is
+    non-real, and the basis as ``(T, den)`` pairs, T an integer array (in
+    2x2 blocks when non-real) and den > 0 its denominator."""
+    s1, _, _, gaussian = _compact_operators(m1, 0, 1)
+    s2, eps2, _, _ = _compact_operators(m2, 0, 1)
+    re, im, _, _ = _scaled(m1.chi)  # at the scale of eps2, since chi2 permutes chi1
+    n = np.arange(len(eps2[0][0]))
+    width = 2 if gaussian else 1
+    inside = [i for i in range(m1.k - 1) if m1.s_sign[i, 0] == -1]  # the source's Young rows
+    orbits, columns = _young_orbits([s2[i] for i in inside], len(n))
+    rows = []
+    for (diagonal, layers), a, b in zip(eps2, re, im):
+        # scale * (eps_j - chi_j), with chi_j = a + bi as [[a, -b], [b, a]]
+        entries = [(n, n, diagonal - a), *layers]
+        if gaussian:
+            entries.append((n, n ^ 1, np.tile([b, -b], m2.dim)))
+        mat: list[dict] = [{} for _ in n]
+        for rr, cc, vv in entries:
+            for r, c, x in zip(rr.tolist(), cc.tolist(), vv.tolist()):
+                if x and orbits[c]:
+                    col, sg = orbits[c]
+                    mat[r][col] = mat[r].get(col, 0) + sg * x
+        rows += [{c: x for c, x in row.items() if x} for row in mat]
+    found = _echelon(rows)
+    pivots = {c for c, _ in found}
 
-    # e_b = s_i e_b2 with b2 < b for some i, so column b is s_i of column b2
+    # e_b = s_i e_b2 with b2 < b for some i, so column b is s_i of column b2;
+    # when non-real, column 2b + 1 is i times column 2b
     steps = []
-    for b in range(1, m1.dim):
-        i = next(i for i in range(m1.k - 1) if m1.s_sign[i, b] == 1 and m1.s_target[i, b] < b)
-        steps.append((m2.s_target[i].tolist(), m2.s_sign[i].tolist(), int(m1.s_target[i, b])))
+    for c in range(width, width * m1.dim):
+        i = next(i for i, (t, sg) in enumerate(s1) if sg[c] == 1 and t[c] < c)
+        steps.append((c, *s2[i], s1[i][0][c]))
     mats = []
-    for u in linalg.nullspace(rows):
-        cols = [u]
-        for target, sign, b2 in steps:
-            col = [Scalar(0)] * d2
-            for x, t, sg in zip(cols[b2], target, sign):
-                col[t] = x if sg == 1 else -x
-            cols.append(col)
-        mats.append([list(row) for row in zip(*cols)])
-    return len(mats), mats
+    # the free columns of a non-real system come in pairs 2c, 2c + 1
+    for f in range(0, columns, width):
+        if f in pivots:
+            continue
+        hits = [(c, r) for c, r in found if f in r]
+        den = math.lcm(*(r[c] for c, r in hits))
+        v = {f: den, **{c: -r[f] * (den // r[c]) for c, r in hits}}
+        g = math.gcd(*v.values())
+        u = [0 if o is None else o[1] * v.get(o[0], 0) // g for o in orbits]
+        dtype = np.int64 if max(map(abs, u)) < _INT64_LIMIT else object
+        T = np.zeros((len(n), width * m1.dim), dtype=dtype)
+        T[:, 0] = u
+        if gaussian:
+            T[:, 1] = np.tile([-1, 1], m2.dim) * T[n ^ 1, 0]
+        for c, target, sign, c2 in steps:
+            T[target, c] = sign * T[:, c2]
+        mats.append((T, den // g))
+    return gaussian, mats
 
 
-@dataclass
+def _scalar_matrix(a: np.ndarray, den: int, gaussian: bool) -> list[list[Scalar]]:
+    """The Scalar rows of a / den, read back from 2x2 blocks when embedded."""
+    re, im = (a[::2, ::2], a[1::2, ::2]) if gaussian else (a, np.zeros_like(a))
+    return [
+        [Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(rr, ri)]
+        for rr, ri in zip(re.tolist(), im.tolist())
+    ]
+
+
+def _column_basis(T: np.ndarray) -> tuple[list[int], np.ndarray, int]:
+    """The greedy pivot columns piv of an integer matrix T, and C and den
+    with T = T[:, piv] @ C / den: T's reduced echelon form."""
+    found = _echelon([dict(zip(np.flatnonzero(row).tolist(), row[row != 0].tolist())) for row in T])
+    den = math.lcm(*(r[c] for c, r in found))
+    C = np.zeros((len(found), T.shape[1]), dtype=object)
+    for n, (c, r) in enumerate(found):
+        C[n, list(r)] = [x * (den // r[c]) for x in r.values()]
+    return [c for c, _ in found], C, den
+
+
+def _quotient_action(m1: StandardModule, m2: StandardModule, image, C, den, piv):
+    """The quotient generators X_g = C rho_from(g)[:, piv], as integer arrays
+    ``(s, eps)`` over one common scale, and that scale.  Raises RuntimeError
+    unless rho_to(g) image = image X_g for every generator g."""
+    bound = max(1, int(abs(image).max()), *map(abs, C.flat))
+    s1, eps1, scale, _ = _compact_operators(m1, 0, 3, bound)
+    s2, eps2, _, _ = _compact_operators(m2, 0, 3, bound)
+    dtype = eps1[0][0].dtype
+    C, image, columns = C.astype(dtype), image.astype(dtype), np.eye(len(C.T), dtype=dtype)[:, piv]
+    # over den for s_i, over den * scale for eps_j
+    gens = [C[:, t[piv]] * sg[piv] for t, sg in s1] + [C @ _apply_eps(*op, columns) for op in eps1]
+    lefts = [_apply_s(*op, image) for op in s2] + [_apply_eps(*op, image) for op in eps2]
+    if not all(np.array_equal(den * L, image @ X) for L, X in zip(lefts, gens)):
+        raise RuntimeError("the intertwiner's image is not invariant; cannot isolate the quotient")
+    gens = [scale * X for X in gens[: m1.k - 1]] + gens[m1.k - 1 :]
+    dtype = _int_dtype(max(den * scale, *(int(abs(X).max()) for X in gens)), len(piv), False, 3)
+    gens = tuple(X.astype(dtype) for X in gens)
+    return gens[: m1.k - 1], gens[m1.k - 1 :], den * scale
+
+
+@dataclass(frozen=True, eq=False)
 class QuotientModule:
+    """Irreducible quotient as integer generator matrices over one scale:
+    s_i acts by ``s[i] / scale`` and eps_j by ``eps[j] / scale``, with
+    entries in 2x2 blocks when ``gaussian``.  ``gen_s`` and ``gen_eps`` are
+    the dense row-major Scalar matrices, built on access."""
+
     ms: Multisegment
     dim: int
-    gen_s: list[list[list[Scalar]]]
-    gen_eps: list[list[list[Scalar]]]
+    s: tuple
+    eps: tuple
+    scale: int
+    gaussian: bool
+
+    @property
+    def gen_s(self) -> list[list[list[Scalar]]]:
+        return [_scalar_matrix(a, self.scale, self.gaussian) for a in self.s]
+
+    @property
+    def gen_eps(self) -> list[list[list[Scalar]]]:
+        return [_scalar_matrix(a, self.scale, self.gaussian) for a in self.eps]
 
 
 def irreducible_quotient(ms: Multisegment) -> QuotientModule:
     """Unique irreducible quotient of the induced module of a dominant
     ordering, realized as the image of the intertwiner to the reversed
-    ordering.
+    ordering, with the action read off the source module.
 
     The intertwiner space must be one-dimensional; anything else raises,
-    surfacing the failed assumption instead of hiding it.
+    surfacing the failed assumption instead of hiding it, and so do a
+    non-invariant image and quotient matrices that fail the relations.
     """
     if not is_dominant_ms(ms):
         raise ValueError("irreducible_quotient requires a dominant ordering")
-    m2 = build_standard_module(reversed_ordering(ms))
-    dim_space, mats = _intertwiners(build_standard_module(ms), m2)
-    if dim_space != 1:
+    m1, m2 = build_standard_module(ms), build_standard_module(reversed_ordering(ms))
+    gaussian, mats = _intertwiners(m1, m2)
+    if len(mats) != 1:
         raise RuntimeError(
-            f"intertwiner space has dimension {dim_space}, expected 1; "
+            f"intertwiner space has dimension {len(mats)}, expected 1; "
             "cannot isolate the quotient"
         )
-    T = mats[0]
-    _, pivots = linalg.rref(T)
-    image = [[T[r][c] for c in pivots] for r in range(m2.dim)]
-    quotient_dim = len(pivots)
-    # one reduction for all 2k-1 right-hand sides g*image, side by side
-    gens = m2.gen_s + m2.gen_eps
-    products = [linalg.mat_mul(g, image) for g in gens]
-    x = linalg.solve_columns(image, [sum(rows, []) for rows in zip(*products)])
-    gen_q = [
-        [row[t * quotient_dim : (t + 1) * quotient_dim] for row in x] for t in range(len(gens))
-    ]
-    q = QuotientModule(ms=ms, dim=quotient_dim, gen_s=gen_q[: m2.k - 1], gen_eps=gen_q[m2.k - 1 :])
-    if not verify_relations(q.gen_s, q.gen_eps, k=len(q.gen_eps)):
+    T, _ = mats[0]
+    piv, C, den = _column_basis(T)
+    s, eps, scale = _quotient_action(m1, m2, T[:, piv], C, den, piv)
+    q = QuotientModule(ms, len(piv) // (2 if gaussian else 1), s, eps, scale, gaussian)
+    if not verify_relations(q):
         raise RuntimeError("quotient matrices fail the defining relations")
     return q
 

@@ -1,14 +1,15 @@
-"""Small exact linear algebra kernel over Gaussian rationals.
+"""Dense exact linear algebra over Gaussian rationals, for test oracles.
 
-Matrices are lists of row lists of :class:`~glhecke.scalars.Scalar`.  Only
-what the intertwiner and quotient constructions need: multiplication, row
-reduction, nullspace, and column-space solving.  Everything is exact;
-no pivoting heuristics are required over an exact field.
+Matrices are lists of row lists of :class:`~glhecke.scalars.Scalar`:
+multiplication, row reduction, nullspace and column-space solving.  The
+Scalar intertwiner and quotient oracles in ``test_heckemod.py`` run on it;
+the library solves the same systems on integers.  Everything is exact; no
+pivoting heuristics are required over an exact field.
 """
 
 from __future__ import annotations
 
-from .scalars import Scalar
+from glhecke.scalars import Scalar
 
 __all__ = [
     "identity",

@@ -1,16 +1,27 @@
 import dataclasses
 import itertools
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from linalg_oracle import identity, mat_mul, nullspace, rref, solve_columns
+
 from glhecke.heckemod import (
     StandardModule,
+    _column_basis,
     _compact_operators,
     _coset_reps,
+    _echelon,
     _integer_arrays,
+    _intertwiners,
+    _quotient_action,
+    _scalar_matrix,
+    _young_orbits,
     build_standard_module,
     central_character_of_module,
     intertwiner_space,
@@ -20,7 +31,6 @@ from glhecke.heckemod import (
     verify_relations,
 )
 from glhecke.levelmap import dimension_std, gamma
-from glhecke.linalg import mat_mul, nullspace, rref
 from glhecke.multisegments import (
     Multisegment,
     Segment,
@@ -418,35 +428,185 @@ def _nullspace_intertwiners(ms_from, ms_to):
     return [[v[i * d1 : (i + 1) * d1] for i in range(d2)] for v in nullspace(rows)]
 
 
+# {1};{0};{1} has a two-dimensional Hom space from itself to itself
+ORACLE_MULTISETS = [
+    "{1};{0};{1}",
+    "{0,1};{-1,0}",
+    "{1+1i};{0+1i}",
+    "{1/2};{-1/2}",
+    "{3};{1}",
+    "{0};{0}",
+    "{0,1};{0}",
+    "{1,2};{0}",
+]
+
+
+def _ordering_pairs(text):
+    orderings = {Multisegment(p) for p in itertools.permutations(parse_segments(text).segments)}
+    return itertools.product(sorted(orderings, key=str), repeat=2)
+
+
+def _ref_intertwiners(m1, m2):
+    """Reference Hom basis on dense Scalar matrices: the reduced-echelon
+    nullspace of the system for the generator image, then T column by
+    column."""
+    d2 = m2.dim
+    eye = identity(d2)
+    rows = []
+    for i, g in enumerate(m2.gen_s):
+        if m1.s_sign[i, 0] == -1:  # s_i lies inside a block of the source
+            rows.extend([x + e for x, e in zip(gr, er)] for gr, er in zip(g, eye))
+    for c, g in zip(m1.weight(), m2.gen_eps):
+        rows.extend([x - c * e for x, e in zip(gr, er)] for gr, er in zip(g, eye))
+
+    # e_b = s_i e_b2 with b2 < b for some i, so column b is s_i of column b2
+    steps = []
+    for b in range(1, m1.dim):
+        i = next(i for i in range(m1.k - 1) if m1.s_sign[i, b] == 1 and m1.s_target[i, b] < b)
+        steps.append((m2.s_target[i].tolist(), m2.s_sign[i].tolist(), int(m1.s_target[i, b])))
+    mats = []
+    for u in nullspace(rows):
+        cols = [u]
+        for target, sign, b2 in steps:
+            col = [Scalar(0)] * d2
+            for x, t, sg in zip(cols[b2], target, sign):
+                col[t] = x if sg == 1 else -x
+            cols.append(col)
+        mats.append([list(row) for row in zip(*cols)])
+    return len(mats), mats
+
+
+def _ref_irreducible_quotient(m2, T):
+    """Reference quotient on dense Scalar matrices, from the intertwiner T
+    into m2: the image of T's greedy pivot columns, and the action that
+    solve_columns finds on it, as (dim, gen_s, gen_eps)."""
+    _, pivots = rref(T)
+    image = [[T[r][c] for c in pivots] for r in range(m2.dim)]
+    quotient_dim = len(pivots)
+    # one reduction for all 2k-1 right-hand sides g*image, side by side
+    gens = m2.gen_s + m2.gen_eps
+    products = [mat_mul(g, image) for g in gens]
+    x = solve_columns(image, [sum(rows, []) for rows in zip(*products)])
+    gen_q = [
+        [row[t * quotient_dim : (t + 1) * quotient_dim] for row in x] for t in range(len(gens))
+    ]
+    return quotient_dim, gen_q[: m2.k - 1], gen_q[m2.k - 1 :]
+
+
 def test_intertwiner_matches_nullspace_oracle():
-    # {1};{0};{1} has a two-dimensional Hom space from itself to itself
-    for text in [
-        "{1};{0};{1}",
-        "{0,1};{-1,0}",
-        "{1+1i};{0+1i}",
-        "{1/2};{-1/2}",
-        "{3};{1}",
-        "{0};{0}",
-        "{0,1};{0}",
-        "{1,2};{0}",
-    ]:
-        orderings = {Multisegment(p) for p in itertools.permutations(parse_segments(text).segments)}
-        for ms_from, ms_to in itertools.product(orderings, repeat=2):
+    for text in ORACLE_MULTISETS:
+        for ms_from, ms_to in _ordering_pairs(text):
             expected = _nullspace_intertwiners(ms_from, ms_to)
             d, mats = intertwiner_space(ms_from, ms_to)
             assert d == len(expected) >= 1, (ms_from, ms_to)
             flat = [[x for row in T for x in row] for T in mats + expected]
             assert rank(flat) == d, (ms_from, ms_to)
+            # and exactly the reduced-echelon basis of the Scalar route
+            m1, m2 = build_standard_module(ms_from), build_standard_module(ms_to)
+            assert (d, mats) == _ref_intertwiners(m1, m2), (ms_from, ms_to)
     # here eps-weight vectors alone give a two-dimensional space: the Young
     # subgroup of a length-2 block must also act by sign (the dimension 1
-    # is the reference's, which takes about 30 s for each of these pairs)
+    # is the nullspace oracle's, which takes about 30 s for each of these pairs)
     for text in ["{0,1};{0};{1}", "{-1,0};{1};{0}"]:
+        for ms_from, ms_to in _ordering_pairs(text):
+            m1, m2 = build_standard_module(ms_from), build_standard_module(ms_to)
+            assert intertwiner_space(ms_from, ms_to) == _ref_intertwiners(m1, m2)
         ms = parse_segments(text)
         M = build_standard_module(ms)
         d, mats = intertwiner_space(ms, ms)
         assert d == 1
         for g in M.gen_s + M.gen_eps:
             assert mat_mul(mats[0], g) == mat_mul(g, mats[0])
+
+
+POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "quotients.json"
+
+
+def test_quotient_matches_scalar_reference():
+    # every dominant input of the quotients benchmark pool, the dominant
+    # orderings of the oracle multisets, Gaussian and half-integer weights,
+    # and weights past int64, which take the object-dtype path
+    big = 1 << 70
+    texts = [item["input"] for item in json.loads(POOL.read_text())["items"]]
+    texts += ORACLE_MULTISETS + ["{1+1i};{0}", "{1/2+1/3i};{-1/2+1/3i}"]
+    texts += [f"{{{big},{big + 1}}};{{{big - 1}}};{{{big + 5}}}"]
+    texts += [f"{{{big}+{big}i}};{{{big - 1}+{big}i}}"]
+    for text in texts:
+        ms = dominant_representative(parse_segments(text))
+        rev = reversed_ordering(ms)
+        m2 = build_standard_module(rev)
+        d, mats = _ref_intertwiners(build_standard_module(ms), m2)
+        assert intertwiner_space(ms, rev) == (d, mats), text
+        if d != 1:
+            with pytest.raises(RuntimeError, match=f"dimension {d}"):
+                irreducible_quotient(ms)
+            continue
+        q = irreducible_quotient(ms)
+        assert (q.dim, q.gen_s, q.gen_eps) == _ref_irreducible_quotient(m2, mats[0]), text
+
+
+def test_conflicting_young_orbit_is_forced_to_zero():
+    # in a genuine module both Young subgroups act through the sign, so no
+    # orbit conflicts; doctored signs make the union-find find a conflict,
+    # and the Scalar nullspace agrees that those coordinates vanish
+    m1 = build_standard_module(parse_segments("{0,1};{5}"))
+    assert None not in _young_orbits([(m1.s_target[0], m1.s_sign[0])], m1.dim)[0]
+    kept = 0
+    for b in range(m1.dim):
+        sign = m1.s_sign.copy()
+        sign[0, b] = -sign[0, b]
+        bad = dataclasses.replace(m1, s_sign=sign)
+        orbits, _ = _young_orbits([(bad.s_target[0], bad.s_sign[0])], bad.dim)
+        assert orbits[b] is None and orbits[m1.s_target[0, b]] is None
+        _, mats = _intertwiners(m1, bad)
+        _, ref = _ref_intertwiners(m1, bad)
+        assert [_scalar_matrix(T, den, False) for T, den in mats] == ref
+        kept += len(ref)
+    assert kept > 0
+
+
+def test_echelon_matches_scalar_rref():
+    rng = random.Random(0)
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(n_cols)] for _ in range(n_rows)]
+        found = _echelon([{c: x for c, x in enumerate(row) if x} for row in a])
+        ref, pivots = rref([[Scalar(x) for x in row] for row in a])
+        assert [c for c, _ in found] == pivots
+        for (c, row), ref_row in zip(found, ref):
+            assert [Scalar(Fraction(row.get(x, 0), row[c])) for x in range(n_cols)] == ref_row
+
+
+@pytest.mark.parametrize(
+    "text, std_dim, quotient_dim",
+    [
+        ("{2,3};{1};{0};{-1}", 60, 4),
+        ("{1,2,3};{0,1};{0}", 60, 30),
+        ("{4};{3};{2};{1};{0}", 120, 1),
+        # pairwise unlinked (Zelevinsky), so the standard module is irreducible
+        ("{9};{5,6};{0,1,2}", 60, 60),
+    ],
+)
+def test_large_quotients(text, std_dim, quotient_dim):
+    ms = parse_segments(text)
+    # irreducible_quotient raises unless its invariance and relation checks pass
+    q = irreducible_quotient(ms)
+    assert (build_standard_module(ms).dim, q.dim) == (std_dim, quotient_dim)
+    assert verify_relations(q)
+
+
+def test_quotient_invariance_check_fails_loudly():
+    ms = parse_segments("{0,1};{-1,0}")
+    m1, m2 = build_standard_module(ms), build_standard_module(reversed_ordering(ms))
+    _, [(T, _)] = _intertwiners(m1, m2)
+    piv, C, den = _column_basis(T)
+    image = T[:, piv]
+    _quotient_action(m1, m2, image, C, den, piv)
+    for r, c in itertools.product(range(image.shape[0]), range(image.shape[1])):
+        tampered = image.copy()
+        tampered[r, c] += 1
+        with pytest.raises(RuntimeError, match="not invariant"):
+            _quotient_action(m1, m2, tampered, C, den, piv)
 
 
 def test_intertwiner_rejects_mismatched_multisets():
