@@ -68,6 +68,12 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+# what a malformed spec raises: bad values and missing keys, JSON of the
+# wrong shape (a list or a number where an object or a string belongs), and
+# an unreadable file
+_SPEC_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OSError)
+
+
 def _load_real_param(args) -> realparams.RealParam:
     sources = [s for s in (args.factors, args.param, args.param_file) if s]
     if len(sources) != 1:
@@ -79,7 +85,7 @@ def _load_real_param(args) -> realparams.RealParam:
             return realparams.real_param_from_json(json.loads(args.param))
         with open(args.param_file) as fh:
             return realparams.real_param_from_json(json.load(fh))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except _SPEC_ERRORS as exc:
         raise SystemExit(f"error: bad parameter spec: {exc}")
 
 
@@ -93,7 +99,7 @@ def _load_multisegment(args) -> multisegments.Multisegment:
         if args.param:
             return multisegments.multisegment_from_json(json.loads(args.param))
         return multisegments.steinberg_param(int(args.steinberg))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except _SPEC_ERRORS as exc:
         raise SystemExit(f"error: bad multisegment spec: {exc}")
 
 
@@ -193,7 +199,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_module(args) -> int:
     ms = _load_multisegment(args)
-    module = heckemod.build_standard_module(ms)
+    module = _or_exit(heckemod.build_standard_module, ms)
     payload = _or_exit(heckemod.module_to_json, module)
     payload["central_character"] = [scalar_str(c) for c in module.weight()]
     if args.quotient:
@@ -206,7 +212,7 @@ def cmd_module(args) -> int:
 
 def cmd_quotient(args) -> int:
     ms = multisegments.dominant_representative(_load_multisegment(args))
-    q = _or_exit(heckemod.irreducible_quotient, ms, errors=RuntimeError)
+    q = _or_exit(heckemod.irreducible_quotient, ms, errors=(ValueError, RuntimeError))
     std_dim = heckemod.build_standard_module(ms).dim
     _emit(_json_text({"std_dim": std_dim, "quotient_dim": q.dim}), args.out)
     return 0

@@ -200,8 +200,8 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
 #
 # A StandardModule is checked on operators built from its compact form: s_i @ X
 # is a signed row scatter, X @ s_i a signed column gather, and eps_j @ X a
-# diagonal scaling plus the sparse N_j product, O(nnz * dim).  Quotients and
-# explicit Scalar matrix lists take dense products through the same loops.
+# diagonal scaling plus the sparse N_j product, O(nnz * dim).  Quotients take
+# dense products of their integer matrices through the same loops.
 #
 # The central character is checked on eps_j - c for an integer c near chi:
 #     e_d(eps - c) = sum_{m <= d} C(k - m, d - m) (-c)^(d - m) e_m(eps)
@@ -232,16 +232,6 @@ def _scaled(xs) -> tuple[list[int], list[int], int, bool]:
     return re, im, scale, any(im)
 
 
-def _integer_arrays(mats, max_chain: int) -> tuple[list[np.ndarray], int, bool]:
-    """Integer images of square Scalar matrices of one size, the common
-    scale, and whether entries were embedded as 2x2 blocks."""
-    n = len(mats[0])
-    re, im, scale, gaussian = _scaled([x for m in mats for row in m for x in row])
-    dtype = _int_dtype(max(1, *map(abs, re), *map(abs, im)), n, gaussian, max_chain)
-    re, im = (np.array(v, dtype=dtype).reshape(-1, n, n) for v in (re, im))
-    return [_embed(a, b) if gaussian else a for a, b in zip(re, im)], scale, gaussian
-
-
 def _scalar_identity(c: Scalar, like: np.ndarray, gaussian: bool):
     """c * I in the integer form of ``like`` (same length and dtype), or None
     when no matrix of that form equals c * I (c not a Gaussian integer, or
@@ -258,14 +248,14 @@ def _double(x: np.ndarray) -> np.ndarray:
     return (2 * x[:, None] + np.arange(2)).ravel()
 
 
-def _compact_operators(M: StandardModule, shift: int, max_chain: int, bound: int = 1):
+def _compact_operators(M: StandardModule, shift: int, max_chain: int):
     """Integer operators of the s_i, as ``(targets, signs)``, and of
     scale * (eps_j - shift), as ``(diagonal, layers)``, in the dtype
-    :func:`_int_dtype` picks for them and factors up to ``bound``; the
-    scale; whether 2x2 blocks embed them."""
+    :func:`_int_dtype` picks for their entries; the scale; whether 2x2
+    blocks embed them."""
     re, im, scale, gaussian = _scaled([x - shift for x in M.chi])
     nil = max((int(abs(v).max()) for layers in M.nilpotent for _, _, v in layers), default=0)
-    bound = max(bound, scale * nil, *map(abs, re), *map(abs, im))
+    bound = max(scale * nil, *map(abs, re), *map(abs, im))
     dtype = _int_dtype(bound, M.dim, gaussian, max_chain)
     re, im = np.array(re, dtype=dtype), np.array(im, dtype=dtype)
 
@@ -334,28 +324,24 @@ def _relations_hold(k, s, eps, s_left, eps_left, s_right, one, unit) -> bool:
     return True
 
 
-def verify_relations(module_or_mats, gen_eps=None, k: "int | None" = None) -> bool:
+def verify_relations(module) -> bool:
     """Exact check of all defining relations as matrix identities.
 
-    Accepts a :class:`StandardModule`, checked on its compact form, a
-    :class:`QuotientModule`, checked on its integer matrices, or an explicit
-    pair of Scalar matrix lists.
+    A :class:`StandardModule` is checked on its compact form and a
+    :class:`QuotientModule` on its integer matrices; any other argument
+    raises TypeError.
     """
-    if isinstance(module_or_mats, StandardModule):
-        return _verify_compact(module_or_mats)
-    if isinstance(module_or_mats, QuotientModule):
-        q = module_or_mats
-        s, eps, scale, k = q.s, q.eps, q.scale, len(q.eps)
-    else:
-        arrs, scale, _ = _integer_arrays(module_or_mats + gen_eps, max_chain=3)
-        s, eps = arrs[: len(module_or_mats)], arrs[len(module_or_mats) :]
-        k = len(gen_eps) if k is None else k
-    # explicit matrices, each scale times its generator, in a dtype that holds
-    # scale**2 and products of three; s_i * s_i and the commutator relation
-    # are products of two scaled factors
-    ident = scale**2 * np.eye(len(eps[0]), dtype=eps[0].dtype)
+    if isinstance(module, StandardModule):
+        return _verify_compact(module)
+    if not isinstance(module, QuotientModule):
+        raise TypeError(f"verify_relations takes a module, not {type(module).__name__}")
+    s, eps = module.s, module.eps
+    # each matrix is scale times its generator, in a dtype that holds scale**2
+    # and products of three; s_i * s_i and the commutator relation are
+    # products of two scaled factors
+    ident = module.scale**2 * np.eye(len(eps[0]), dtype=eps[0].dtype)
     ops = (lambda i, X: s[i] @ X, lambda j, X: eps[j] @ X, lambda X, i: X @ s[i])
-    return _relations_hold(k, s, eps, *ops, ident, ident)
+    return _relations_hold(len(eps), s, eps, *ops, ident, ident)
 
 
 def _verify_compact(M: StandardModule) -> bool:
@@ -430,8 +416,11 @@ def intertwiner_space(
     """
     if sorted(map(str, ms_from.segments)) != sorted(map(str, ms_to.segments)):
         raise ValueError("intertwiner endpoints must share the same segment multiset")
-    gaussian, mats = _intertwiners(build_standard_module(ms_from), build_standard_module(ms_to))
-    return len(mats), [_scalar_matrix(T, den, gaussian) for T, den in mats]
+    m1 = build_standard_module(ms_from)
+    ops1 = _compact_operators(m1, 0, 3)
+    ops2 = _compact_operators(build_standard_module(ms_to), 0, 3)
+    mats = _intertwiners(m1, ops1, ops2)
+    return len(mats), [_scalar_matrix(T, den, ops1[3]) for T, den in mats]
 
 
 # -- intertwiners and quotients ----------------------------------------------
@@ -446,7 +435,8 @@ def intertwiner_space(
 # intertwines, rho_to(g) T[:, piv] = T[:, piv] (C rho_from(g)[:, piv]), so the
 # quotient action X_g = C rho_from(g)[:, piv] is a right product with the
 # source's compact operators, checked exactly against the image and then by
-# the relation loops at one common scale.
+# the relation loops at one common scale.  Each module's operators are built
+# once, in a dtype for products of three, and serve both steps.
 
 
 def _eliminate(row: dict, pivot: dict, c: int) -> dict:
@@ -506,12 +496,12 @@ def _young_orbits(tables, n: int) -> tuple[list, int]:
     return [(index[r], s) if r in index else None for r, s in found], len(index)
 
 
-def _intertwiners(m1: StandardModule, m2: StandardModule):
-    """:func:`intertwiner_space` on built modules: whether the weight is
-    non-real, and the basis as ``(T, den)`` pairs, T an integer array (in
-    2x2 blocks when non-real) and den > 0 its denominator."""
-    s1, _, _, gaussian = _compact_operators(m1, 0, 1)
-    s2, eps2, _, _ = _compact_operators(m2, 0, 1)
+def _intertwiners(m1: StandardModule, ops1, ops2):
+    """:func:`intertwiner_space` from the source module and the
+    :func:`_compact_operators` of source and target: the basis as
+    ``(T, den)`` pairs, T an integer array (in 2x2 blocks when the weight is
+    non-real) and den > 0 its denominator."""
+    (s1, _, _, gaussian), (s2, eps2, _, _) = ops1, ops2
     re, im, _, _ = _scaled(m1.chi)  # at the scale of eps2, since chi2 permutes chi1
     n = np.arange(len(eps2[0][0]))
     width = 2 if gaussian else 1
@@ -522,7 +512,7 @@ def _intertwiners(m1: StandardModule, m2: StandardModule):
         # scale * (eps_j - chi_j), with chi_j = a + bi as [[a, -b], [b, a]]
         entries = [(n, n, diagonal - a), *layers]
         if gaussian:
-            entries.append((n, n ^ 1, np.tile([b, -b], m2.dim)))
+            entries.append((n, n ^ 1, np.tile([b, -b], m1.dim)))
         mat: list[dict] = [{} for _ in n]
         for rr, cc, vv in entries:
             for r, c, x in zip(rr.tolist(), cc.tolist(), vv.tolist()):
@@ -553,11 +543,11 @@ def _intertwiners(m1: StandardModule, m2: StandardModule):
         T = np.zeros((len(n), width * m1.dim), dtype=dtype)
         T[:, 0] = u
         if gaussian:
-            T[:, 1] = np.tile([-1, 1], m2.dim) * T[n ^ 1, 0]
+            T[:, 1] = np.tile([-1, 1], m1.dim) * T[n ^ 1, 0]
         for c, target, sign, c2 in steps:
             T[target, c] = sign * T[:, c2]
         mats.append((T, den // g))
-    return gaussian, mats
+    return mats
 
 
 def _scalar_matrix(a: np.ndarray, den: int, gaussian: bool) -> list[list[Scalar]]:
@@ -580,24 +570,29 @@ def _column_basis(T: np.ndarray) -> tuple[list[int], np.ndarray, int]:
     return [c for c, _ in found], C, den
 
 
-def _quotient_action(m1: StandardModule, m2: StandardModule, image, C, den, piv):
+def _quotient_action(ops1, ops2, image, C, den, piv):
     """The quotient generators X_g = C rho_from(g)[:, piv], as integer arrays
-    ``(s, eps)`` over one common scale, and that scale.  Raises RuntimeError
+    ``(s, eps)`` over one common scale, and that scale, from the
+    :func:`_compact_operators` of source and target.  Raises RuntimeError
     unless rho_to(g) image = image X_g for every generator g."""
+    (s1, eps1, scale, _), (s2, eps2, _, _) = ops1, ops2
+    # int64 only if products of three factors fit for the entries of the
+    # image and C as well as for those of the operators; len(image) counts
+    # 2x2 blocks already
     bound = max(1, int(abs(image).max()), *map(abs, C.flat))
-    s1, eps1, scale, _ = _compact_operators(m1, 0, 3, bound)
-    s2, eps2, _, _ = _compact_operators(m2, 0, 3, bound)
-    dtype = eps1[0][0].dtype
+    dtype = np.result_type(eps1[0][0].dtype, eps2[0][0].dtype)
+    dtype = np.result_type(dtype, _int_dtype(bound, len(image), False, 3))
     C, image, columns = C.astype(dtype), image.astype(dtype), np.eye(len(C.T), dtype=dtype)[:, piv]
     # over den for s_i, over den * scale for eps_j
     gens = [C[:, t[piv]] * sg[piv] for t, sg in s1] + [C @ _apply_eps(*op, columns) for op in eps1]
     lefts = [_apply_s(*op, image) for op in s2] + [_apply_eps(*op, image) for op in eps2]
     if not all(np.array_equal(den * L, image @ X) for L, X in zip(lefts, gens)):
         raise RuntimeError("the intertwiner's image is not invariant; cannot isolate the quotient")
-    gens = [scale * X for X in gens[: m1.k - 1]] + gens[m1.k - 1 :]
+    k = len(eps1)
+    gens = [scale * X for X in gens[: k - 1]] + gens[k - 1 :]
     dtype = _int_dtype(max(den * scale, *(int(abs(X).max()) for X in gens)), len(piv), False, 3)
     gens = tuple(X.astype(dtype) for X in gens)
-    return gens[: m1.k - 1], gens[m1.k - 1 :], den * scale
+    return gens[: k - 1], gens[k - 1 :], den * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -634,8 +629,10 @@ def irreducible_quotient(ms: Multisegment) -> QuotientModule:
     """
     if not is_dominant_ms(ms):
         raise ValueError("irreducible_quotient requires a dominant ordering")
-    m1, m2 = build_standard_module(ms), build_standard_module(reversed_ordering(ms))
-    gaussian, mats = _intertwiners(m1, m2)
+    m1 = build_standard_module(ms)
+    ops1 = _compact_operators(m1, 0, 3)
+    ops2 = _compact_operators(build_standard_module(reversed_ordering(ms)), 0, 3)
+    mats = _intertwiners(m1, ops1, ops2)
     if len(mats) != 1:
         raise RuntimeError(
             f"intertwiner space has dimension {len(mats)}, expected 1; "
@@ -643,7 +640,8 @@ def irreducible_quotient(ms: Multisegment) -> QuotientModule:
         )
     T, _ = mats[0]
     piv, C, den = _column_basis(T)
-    s, eps, scale = _quotient_action(m1, m2, T[:, piv], C, den, piv)
+    s, eps, scale = _quotient_action(ops1, ops2, T[:, piv], C, den, piv)
+    gaussian = ops1[3]
     q = QuotientModule(ms, len(piv) // (2 if gaussian else 1), s, eps, scale, gaussian)
     if not verify_relations(q):
         raise RuntimeError("quotient matrices fail the defining relations")

@@ -243,15 +243,12 @@ def _parity_sign(value: int) -> int:
     return 1 if value % 2 == 0 else -1
 
 
-# a cell is (sign, fresh, arc); sign is +1/-1, arc is an arc id or None
-_State = "tuple[tuple[tuple[int, bool, Optional[int]], ...], ...]"
-
-
 @dataclass(frozen=True)
 class ColumnDiagram:
     """Final state of the column construction, ready to flatten or render."""
 
     values: tuple[int, ...]  # distinct support values, decreasing
+    # a cell is (sign, fresh, arc); sign is +1/-1, arc is an arc id or None
     columns: tuple[tuple[tuple[int, bool, Optional[int]], ...], ...]
 
     @property

@@ -132,10 +132,6 @@ class RealParam:
         return factors_str(self)
 
 
-def level(param: RealParam) -> int:
-    return param.level
-
-
 def is_dominant(param: RealParam) -> bool:
     """True iff Re(nu_i)/size_i is weakly decreasing along the factor list."""
     slopes = [_slope(f) for f in param.factors]

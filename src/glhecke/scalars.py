@@ -29,8 +29,6 @@ __all__ = [
     "scalar_sort_key",
 ]
 
-RatLike = "int | Fraction"
-
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):

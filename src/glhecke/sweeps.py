@@ -39,22 +39,11 @@ def consecutive_lambda(n: int) -> tuple[int, ...]:
     return tuple(range(n - 1, -1, -1))
 
 
-def _shape_key(param, k):
-    shape = []
-    for f in param.factors:
-        if isinstance(f, realparams.GL2Factor):
-            shape.append(("gl2", f.l))
-        else:
-            shape.append(("gl1", f.eps))
-    return (tuple(shape), k)
-
-
 def sweep_dimensions(max_n: int, max_k: int) -> dict:
     """Dimension formula against the branching oracle, plus the vanishing
     above level k, for every parameter in the window sweeps."""
     failures = []
     checked = 0
-    memo: dict = {}
     for n in range(1, max_n + 1):
         for lam in lambda_window(n, n):
             for param in realparams.enumerate_real_params(lam, 0):
@@ -63,12 +52,7 @@ def sweep_dimensions(max_n: int, max_k: int) -> dict:
                     if lev < k:
                         continue
                     checked += 1
-                    key = _shape_key(param, k)
-                    if key in memo:
-                        oracle = memo[key]
-                    else:
-                        oracle = branching.hom_multiplicity(param, k)
-                        memo[key] = oracle
+                    oracle = branching.hom_multiplicity(param, k)
                     formula = levelmap.dimension_std(param, k)
                     expected_zero = lev > k
                     if formula != oracle or (expected_zero and oracle != 0):

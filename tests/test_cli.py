@@ -133,7 +133,7 @@ def test_quotient_command():
     assert out == {"std_dim": 2, "quotient_dim": 2}
 
 
-def test_module_rejects_malformed_spec():
+def test_module_rejects_malformed_spec(tmp_path):
     proc = run_cli("module", "--segments", "{0,2}", check=False)
     assert proc.returncode != 0
     assert "segment" in proc.stderr
@@ -142,6 +142,27 @@ def test_module_rejects_malformed_spec():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: JSON segment encoding covers real starts only\n"
+    # JSON of the wrong shape, a numeric start or nu, and a missing file
+    nu = {"kind": "gl1", "eps": "triv", "nu": 1}
+    for args, kind in (
+        (("module", "--param", "[]"), "multisegment"),
+        (("module", "--param", '{"segments": 5}'), "multisegment"),
+        (("module", "--param", '{"segments": [{"start": 1, "len": 1}]}'), "multisegment"),
+        (("gamma", "--param", "[]", "--k", "1"), "parameter"),
+        (("gamma", "--param", json.dumps({"factors": [nu]}), "--k", "1"), "parameter"),
+        (("dim", "--param-file", str(tmp_path / "missing.json"), "--k", "1"), "parameter"),
+    ):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1, args
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: bad {kind} spec: "), args
+        assert proc.stderr.count("\n") == 1, args
+    # a multisegment with no segments
+    for command in ("module", "quotient"):
+        proc = run_cli(command, "--param", '{"segments": []}', check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: cannot build a module from an empty multisegment\n"
 
 
 def test_psi_json():

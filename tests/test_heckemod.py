@@ -11,16 +11,20 @@ import pytest
 
 from linalg_oracle import identity, mat_mul, nullspace, rref, solve_columns
 
+from glhecke import heckemod
 from glhecke.heckemod import (
+    QuotientModule,
     StandardModule,
     _column_basis,
     _compact_operators,
     _coset_reps,
     _echelon,
-    _integer_arrays,
+    _embed,
+    _int_dtype,
     _intertwiners,
     _quotient_action,
     _scalar_matrix,
+    _scaled,
     _young_orbits,
     build_standard_module,
     central_character_of_module,
@@ -187,6 +191,20 @@ def rank(m) -> int:
     return len(rref(m)[1])
 
 
+def _explicit_module(gen_s, gen_eps):
+    """Explicit Scalar generator matrices as a QuotientModule, which
+    verify_relations checks by dense products: integer images over their
+    common scale, each a+bi as [[a, -b], [b, a]] when some entry is
+    non-real, in a dtype that holds products of three."""
+    mats = gen_s + gen_eps
+    n = len(mats[0])
+    re, im, scale, gaussian = _scaled([x for m in mats for row in m for x in row])
+    dtype = _int_dtype(max(1, *map(abs, re), *map(abs, im)), n, gaussian, 3)
+    re, im = (np.array(v, dtype=dtype).reshape(-1, n, n) for v in (re, im))
+    arrs = tuple(_embed(a, b) if gaussian else a for a, b in zip(re, im))
+    return QuotientModule(None, n, arrs[: len(gen_s)], arrs[len(gen_s) :], scale, gaussian)
+
+
 def _with_diagonal(M, j, b, delta):
     """A copy of M whose D_j[b, b] alone is moved by delta: one more weight
     coordinate, and pos[j, b] pointing at it."""
@@ -299,7 +317,7 @@ def test_relations_detect_perturbation():
     assert verify_relations(M)
     gen_eps = M.gen_eps
     gen_eps[0][0][0] = gen_eps[0][0][0] + 1
-    assert not verify_relations(M.gen_s, gen_eps)
+    assert not verify_relations(_explicit_module(M.gen_s, gen_eps))
     # the same perturbation of the compact form, and one of the N_j entry
     assert not verify_relations(_with_diagonal(M, 0, 0, 1))
     assert not verify_relations(_with_entry(M, 0, 0, 1, 1))
@@ -316,10 +334,10 @@ def test_relations_object_dtype_path():
     big = 1 << 40
     for start, dim in ((Scalar(big), 3), (Scalar(big, 1), 6)):
         M = build_standard_module(Multisegment((Segment(start, 2), Segment(Scalar(0), 1))))
-        arrs, _, _ = _integer_arrays(M.gen_s + M.gen_eps, max_chain=3)
-        assert arrs[0].dtype == object and arrs[0].shape == (dim, dim)
+        explicit = _explicit_module(M.gen_s, M.gen_eps)
+        assert explicit.s[0].dtype == object and explicit.s[0].shape == (dim, dim)
         assert verify_relations(M)
-        assert verify_relations(M.gen_s, M.gen_eps)
+        assert verify_relations(explicit)
         assert central_character_of_module(M) == (start + 1, start, Scalar(0))
 
 
@@ -331,7 +349,7 @@ def test_complex_module_exact_path():
     assert central_character_of_module(M) == (i, Scalar(0))
     gen_eps = M.gen_eps
     gen_eps[0][1][1] = gen_eps[0][1][1] + 1
-    assert not verify_relations(M.gen_s, gen_eps)
+    assert not verify_relations(_explicit_module(M.gen_s, gen_eps))
     assert not verify_relations(_with_diagonal(M, 0, 1, 1))
     assert not verify_relations(_with_entry(M, 0, 0, 1, 1))
     # a perturbation of an imaginary part alone is caught too
@@ -339,14 +357,14 @@ def test_complex_module_exact_path():
     assert verify_relations(M)
     gen_eps = M.gen_eps
     gen_eps[0][0][0] = gen_eps[0][0][0] + i
-    assert not verify_relations(M.gen_s, gen_eps)
+    assert not verify_relations(_explicit_module(M.gen_s, gen_eps))
     assert not verify_relations(_with_diagonal(M, 0, 0, i))
     assert not verify_relations(_with_entry(M, 1, 0, 1, 1))
     # denominators in both parts share one scale
     nu = Scalar(Fraction(1, 2), Fraction(1, 3))
     M = build_standard_module(parse_segments("{1/2+1/3i};{0}"))
     assert verify_relations(M)
-    assert verify_relations(M.gen_s, M.gen_eps)
+    assert verify_relations(_explicit_module(M.gen_s, M.gen_eps))
     assert central_character_of_module(M) == (nu, Scalar(0))
 
 
@@ -558,7 +576,7 @@ def test_conflicting_young_orbit_is_forced_to_zero():
         bad = dataclasses.replace(m1, s_sign=sign)
         orbits, _ = _young_orbits([(bad.s_target[0], bad.s_sign[0])], bad.dim)
         assert orbits[b] is None and orbits[m1.s_target[0, b]] is None
-        _, mats = _intertwiners(m1, bad)
+        mats = _intertwiners(m1, _compact_operators(m1, 0, 3), _compact_operators(bad, 0, 3))
         _, ref = _ref_intertwiners(m1, bad)
         assert [_scalar_matrix(T, den, False) for T, den in mats] == ref
         kept += len(ref)
@@ -598,15 +616,39 @@ def test_large_quotients(text, std_dim, quotient_dim):
 def test_quotient_invariance_check_fails_loudly():
     ms = parse_segments("{0,1};{-1,0}")
     m1, m2 = build_standard_module(ms), build_standard_module(reversed_ordering(ms))
-    _, [(T, _)] = _intertwiners(m1, m2)
+    ops1, ops2 = _compact_operators(m1, 0, 3), _compact_operators(m2, 0, 3)
+    [(T, _)] = _intertwiners(m1, ops1, ops2)
     piv, C, den = _column_basis(T)
     image = T[:, piv]
-    _quotient_action(m1, m2, image, C, den, piv)
+    _quotient_action(ops1, ops2, image, C, den, piv)
     for r, c in itertools.product(range(image.shape[0]), range(image.shape[1])):
         tampered = image.copy()
         tampered[r, c] += 1
         with pytest.raises(RuntimeError, match="not invariant"):
-            _quotient_action(m1, m2, tampered, C, den, piv)
+            _quotient_action(ops1, ops2, tampered, C, den, piv)
+
+
+def test_quotient_builds_each_modules_operators_once(monkeypatch):
+    calls = []
+    build = heckemod._compact_operators
+
+    def counted(M, *args):
+        calls.append(M.ms)
+        return build(M, *args)
+
+    monkeypatch.setattr(heckemod, "_compact_operators", counted)
+    ms = parse_segments("{0,1};{-1,0}")
+    irreducible_quotient(ms)
+    # the source's operators serve the intertwiner and the quotient action
+    assert calls == [ms, reversed_ordering(ms)]
+
+
+def test_verify_relations_takes_modules_only():
+    M = build_standard_module(parse_segments("{1};{0}"))
+    with pytest.raises(TypeError):
+        verify_relations(M.gen_s, M.gen_eps)
+    with pytest.raises(TypeError, match="takes a module, not list"):
+        verify_relations(M.gen_s)
 
 
 def test_intertwiner_rejects_mismatched_multisets():
@@ -620,10 +662,10 @@ def test_quotients():
     assert irreducible_quotient(parse_segments("{3};{1}")).dim == 2
     q = irreducible_quotient(parse_segments("{1+1i};{0+1i}"))
     assert q.dim == 1
-    assert verify_relations(q.gen_s, q.gen_eps)
+    assert verify_relations(_explicit_module(q.gen_s, q.gen_eps))
     q = irreducible_quotient(parse_segments("{3};{2};{1};{0}"))
     assert q.dim == 1
-    assert verify_relations(q.gen_s, q.gen_eps)
+    assert verify_relations(_explicit_module(q.gen_s, q.gen_eps))
     with pytest.raises(ValueError):
         irreducible_quotient(parse_segments("{0};{2}"))
 
@@ -656,7 +698,8 @@ def test_speh_quotient_and_complement():
     speh = parse_segments("{0,1};{-1,0}")
     q = irreducible_quotient(speh)
     assert q.dim == 2
-    assert verify_relations(q.gen_s, q.gen_eps, k=4)
+    assert len(q.gen_eps) == 4
+    assert verify_relations(_explicit_module(q.gen_s, q.gen_eps))
     # the kernel matches the induced module of the nested pair
     nested = build_standard_module(parse_segments("{-1,0,1};{0}"))
     assert build_standard_module(speh).dim == q.dim + nested.dim
