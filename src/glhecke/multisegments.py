@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 from .scalars import (
     Scalar,
+    _json_field,
     parse_rat,
     parse_scalar,
     rat_str,
@@ -201,7 +202,10 @@ def multisegment_to_json(ms: Multisegment) -> dict:
 
 def multisegment_from_json(obj: dict) -> Multisegment:
     return Multisegment(
-        tuple(Segment(Scalar(parse_rat(so["start"])), int(so["len"])) for so in obj["segments"])
+        tuple(
+            Segment(Scalar(parse_rat(_json_field(so, "start", str))), _json_field(so, "len", int))
+            for so in obj["segments"]
+        )
     )
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .multisegments import (
@@ -36,6 +37,7 @@ from .multisegments import (
     enumerate_multisegments,
     segments_str,
 )
+from .scalars import _json_field
 
 __all__ = [
     "SignedInvolution",
@@ -135,25 +137,20 @@ class BlockStructure:
     def n(self) -> int:
         return sum(self.sizes)
 
+    @cached_property
     def block_of(self) -> tuple[int, ...]:
-        out = []
-        for b, s in enumerate(self.sizes):
-            out.extend([b] * s)
-        return tuple(out)
+        """The block index of each position."""
+        return tuple(b for b, s in enumerate(self.sizes) for _ in range(s))
 
     def in_same_block(self, i: int) -> bool:
         """Whether positions i and i+1 lie in one block."""
-        blocks = self.block_of()
-        return 0 <= i < self.n - 1 and blocks[i] == blocks[i + 1]
+        blocks = self.block_of
+        return 0 <= i < len(blocks) - 1 and blocks[i] == blocks[i + 1]
 
 
 def column_blocks(lam: Sequence[int]) -> BlockStructure:
     """Column multiplicities of the distinct values of ``lam``."""
-    lam = _validate_integral_lambda(lam)
-    sizes = []
-    for v in sorted(set(lam), reverse=True):
-        sizes.append(sum(1 for x in lam if x == v))
-    return BlockStructure(tuple(sizes))
+    return initial_diagram(lam).blocks()
 
 
 def s_action(sigma: SignedInvolution, i: int, bs: BlockStructure) -> SignedInvolution:
@@ -239,10 +236,6 @@ def orbit_class(sigma: SignedInvolution, bs: BlockStructure) -> OrbitClass:
 # -- the column/arc/flip/flatten construction ---------------------------------
 
 
-def _parity_sign(value: int) -> int:
-    return 1 if value % 2 == 0 else -1
-
-
 @dataclass(frozen=True)
 class ColumnDiagram:
     """Final state of the column construction, ready to flatten or render."""
@@ -264,86 +257,74 @@ def initial_diagram(lam: Sequence[int]) -> ColumnDiagram:
     lam = _validate_integral_lambda(lam)
     values = tuple(sorted(set(lam), reverse=True))
     cols = tuple(
-        tuple((_parity_sign(v), True, None) for _ in range(lam.count(v))) for v in values
+        tuple((1 if v % 2 == 0 else -1, True, None) for _ in range(lam.count(v)))
+        for v in values
     )
     return ColumnDiagram(values=values, columns=cols)
 
 
-def _segments_by_length(ms: Multisegment) -> list[tuple[int, int]]:
+def _segments_by_length(ms: Multisegment, lam: tuple[int, ...]) -> list[tuple[int, int]]:
     """(min, max) integer endpoints of the length >= 2 segments, longest
-    first; ties keep the dominant-order position."""
-    segs = []
+    first (ties keep the dominant-order position), after checking that ``ms``
+    is integral with support ``lam``."""
+    ends = []
     for s in ms.segments:
-        if s.length >= 2:
-            if not (s.start.is_integer and s.end.is_integer):
-                raise ValueError("the orbit map needs integral segments")
-            segs.append((int(s.start.re), int(s.end.re)))
-    segs.sort(key=lambda ab: -(ab[1] - ab[0]))
-    return segs
-
-
-def _check_support(ms: Multisegment, lam: tuple[int, ...]):
-    support = []
-    for v in ms.support():
-        if not v.is_integer:
+        if not s.start.is_integer:
             raise ValueError("the orbit map needs an integral multisegment")
-        support.append(int(v.re))
-    if sorted(support) != sorted(lam):
-        raise ValueError(
-            f"support {sorted(support, reverse=True)} does not match lambda {list(lam)}"
-        )
+        lo = int(s.start.re)
+        ends.append((lo, lo + s.length - 1))
+    support = sorted((v for lo, hi in ends for v in range(lo, hi + 1)), reverse=True)
+    if support != list(lam):
+        raise ValueError(f"support {support} does not match lambda {list(lam)}")
+    return sorted(((lo, hi) for lo, hi in ends if hi > lo), key=lambda ab: ab[0] - ab[1])
 
 
-def _fresh_indices(col) -> list[int]:
-    return [t for t, (sign, fresh, arc) in enumerate(col) if fresh]
+def _touched_columns(values: tuple[int, ...], x: int, y: int) -> tuple[int, ...]:
+    """Column indices a segment from x to y touches: the column of its
+    maximum, the column of its minimum and, when x and y have equal parity,
+    every strictly intermediate column."""
+    top = values.index(y)
+    bottom = top + y - x  # the support holds every value from x to y
+    return (top, bottom, *(range(top + 1, bottom) if (y - x) % 2 == 0 else ()))
 
 
-def _apply_segment(columns, values, x: int, y: int, arc_id: int, picks):
-    """Join column y to column x with arc ``arc_id``; ``picks`` maps each
-    involved column index to the chosen cell index."""
-    col_index = {v: c for c, v in enumerate(values)}
-    new_cols = [list(col) for col in columns]
-    for v_end in (y, x):
-        c = col_index[v_end]
-        t = picks[c]
-        sign, fresh, arc = new_cols[c][t]
+def _fresh_cells(columns, touched: Sequence[int]) -> list[list[int]]:
+    """The fresh cell indices of each touched column."""
+    pools = []
+    for c in touched:
+        pool = [t for t, (sign, fresh, arc) in enumerate(columns[c]) if fresh]
+        if not pool:
+            raise StructuralError(f"no fresh cell left in column {c}")
+        pools.append(pool)
+    return pools
+
+
+def _apply_segment(columns, touched: Sequence[int], picks: Sequence[int], arc_id: int):
+    """Join the picked cells of the two end columns ``touched[:2]`` by arc
+    ``arc_id`` and flip the picked cell of every other touched column;
+    ``picks[i]`` is the cell chosen in column ``touched[i]``."""
+    new_cols = list(columns)
+    for i, (c, t) in enumerate(zip(touched, picks)):
+        col = list(new_cols[c])
+        sign, fresh, arc = col[t]
         if not fresh:
-            raise StructuralError(f"cell {t} in column {v_end} is not fresh")
-        new_cols[c][t] = (sign, False, arc_id)
-    if _parity_sign(x) == _parity_sign(y):
-        for v in range(x + 1, y):
-            c = col_index[v]
-            t = picks[c]
-            sign, fresh, arc = new_cols[c][t]
-            if not fresh:
-                raise StructuralError(f"cell {t} in column {v} is not fresh")
-            new_cols[c][t] = (-sign, False, None)
-    return tuple(tuple(col) for col in new_cols)
-
-
-def _default_picks(columns, values, x: int, y: int) -> dict[int, int]:
-    col_index = {v: c for c, v in enumerate(values)}
-    picks = {}
-    needed = [y, x] + ([v for v in range(x + 1, y)] if _parity_sign(x) == _parity_sign(y) else [])
-    for v in needed:
-        c = col_index[v]
-        fresh = _fresh_indices(columns[c])
-        if not fresh:
-            raise StructuralError(f"no fresh cell left in column {v}")
-        picks[c] = fresh[0]
-    return picks
+            raise StructuralError(f"cell {t} in column {c} is not fresh")
+        col[t] = (sign, False, arc_id) if i < 2 else (-sign, False, None)
+        new_cols[c] = tuple(col)
+    return tuple(new_cols)
 
 
 def build_diagram(ms: Multisegment, lam: Sequence[int]) -> ColumnDiagram:
     """Run the construction with the fixed default choices (longest segment
     first, dominant order inside a length tie, topmost fresh cell)."""
     lam = _validate_integral_lambda(lam)
-    _check_support(ms, lam)
+    segs = _segments_by_length(ms, lam)
     diagram = initial_diagram(lam)
     columns = diagram.columns
-    for arc_id, (x, y) in enumerate(_segments_by_length(ms), start=1):
-        picks = _default_picks(columns, diagram.values, x, y)
-        columns = _apply_segment(columns, diagram.values, x, y, arc_id, picks)
+    for arc_id, (x, y) in enumerate(segs, start=1):
+        touched = _touched_columns(diagram.values, x, y)
+        picks = [pool[0] for pool in _fresh_cells(columns, touched)]
+        columns = _apply_segment(columns, touched, picks, arc_id)
     return ColumnDiagram(values=diagram.values, columns=columns)
 
 
@@ -354,8 +335,12 @@ def flatten_diagram(
     cells inside each column (default: stored order)."""
     if orders is None:
         orders = [range(len(col)) for col in diagram.columns]
-    arcs_at: dict[int, list[int]] = {}
-    signs: dict[int, str] = {}
+    if len(orders) != len(diagram.columns):
+        raise ValueError("orders must give one permutation per column")
+    n = diagram.n
+    pairing = list(range(n))
+    signs: list[Optional[str]] = [None] * n
+    first_end: dict[int, Optional[int]] = {}  # None once the arc is closed
     pos = 0
     for col, order in zip(diagram.columns, orders):
         if sorted(order) != list(range(len(col))):
@@ -364,15 +349,16 @@ def flatten_diagram(
             sign, fresh, arc = col[t]
             if arc is None:
                 signs[pos] = "+" if sign > 0 else "-"
+            elif arc not in first_end:
+                first_end[arc] = pos
+            elif (other := first_end[arc]) is None:
+                raise ValueError(f"arc {arc} has more than two endpoints")
             else:
-                arcs_at.setdefault(arc, []).append(pos)
+                pairing[pos], pairing[other] = other, pos
+                first_end[arc] = None
             pos += 1
-    arcs = []
-    for arc, ends in arcs_at.items():
-        if len(ends) != 2:
-            raise ValueError(f"arc {arc} has {len(ends)} endpoints")
-        arcs.append((min(ends), max(ends)))
-    return make_involution(pos, arcs, signs)
+    # an arc with one endpoint leaves an unsigned fixed point, which is rejected
+    return SignedInvolution(n, tuple(pairing), tuple(signs))
 
 
 def psi_g(ms: Multisegment, lam: Sequence[int]) -> OrbitClass:
@@ -389,39 +375,19 @@ def _all_final_diagrams(ms: Multisegment, lam: tuple[int, ...]) -> set[ColumnDia
     length), endpoint choices, and flip choices."""
     base = initial_diagram(lam)
     values = base.values
-    col_index = {v: c for c, v in enumerate(values)}
-    segs = _segments_by_length(ms)
-    # group by length and take all orderings inside each tie group
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for x, y in segs:
-        groups.setdefault(y - x, []).append((x, y))
-    orderings = [[]]
-    for length in sorted(groups, reverse=True):
-        new_orderings = []
-        for perm in set(itertools.permutations(groups[length])):
-            for head in orderings:
-                new_orderings.append(head + list(perm))
-        orderings = new_orderings
-
+    segs = _segments_by_length(ms, lam)
+    # every ordering of each tie group of lengths, longest group first
+    groups = [list(g) for _, g in itertools.groupby(segs, key=lambda ab: ab[1] - ab[0])]
     finals: set[ColumnDiagram] = set()
-    for order in orderings:
+    for perms in itertools.product(*(set(itertools.permutations(g)) for g in groups)):
         states = {base.columns}
-        for arc_id, (x, y) in enumerate(order, start=1):
-            nxt = set()
-            flip_cols = (
-                [col_index[v] for v in range(x + 1, y)]
-                if _parity_sign(x) == _parity_sign(y)
-                else []
-            )
-            involved = [col_index[y], col_index[x]] + flip_cols
-            for columns in states:
-                pools = [_fresh_indices(columns[c]) for c in involved]
-                if any(not pool for pool in pools):
-                    raise StructuralError("no fresh cell available during sweep")
-                for combo in itertools.product(*pools):
-                    picks = dict(zip(involved, combo))
-                    nxt.add(_apply_segment(columns, values, x, y, arc_id, picks))
-            states = nxt
+        for arc_id, (x, y) in enumerate(itertools.chain(*perms), start=1):
+            touched = _touched_columns(values, x, y)
+            states = {
+                _apply_segment(columns, touched, picks, arc_id)
+                for columns in states
+                for picks in itertools.product(*_fresh_cells(columns, touched))
+            }
         finals.update(ColumnDiagram(values=values, columns=c) for c in states)
     return finals
 
@@ -560,4 +526,4 @@ def involution_to_json(sigma: SignedInvolution) -> dict:
 def involution_from_json(obj: dict) -> SignedInvolution:
     arcs = [(i - 1, j - 1) for i, j in obj["arcs"]]
     signs = {int(pos) - 1: s for pos, s in obj["signs"].items()}
-    return make_involution(int(obj["n"]), arcs, signs)
+    return make_involution(_json_field(obj, "n", int), arcs, signs)

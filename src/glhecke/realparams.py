@@ -20,6 +20,7 @@ from typing import Iterable, Sequence, Union
 from .multisegments import _validate_integral_lambda
 from .scalars import (
     Scalar,
+    _json_field,
     parse_scalar,
     scalar,
     scalar_from_json,
@@ -251,11 +252,11 @@ def real_param_to_json(param: RealParam) -> dict:
 def real_param_from_json(obj: dict) -> RealParam:
     factors: list[Factor] = []
     for fo in obj["factors"]:
-        nu = scalar_from_json(fo["nu"])
+        nu = scalar_from_json(_json_field(fo, "nu", dict))
         if fo["kind"] == "gl1":
             factors.append(GL1Factor(fo["eps"], nu))
         elif fo["kind"] == "gl2":
-            factors.append(GL2Factor(int(fo["l"]), nu))
+            factors.append(GL2Factor(_json_field(fo, "l", int), nu))
         else:
             raise ValueError(f"unknown factor kind {fo['kind']!r}")
     return RealParam(tuple(factors))

@@ -100,9 +100,6 @@ class Scalar:
 
     # -- structure ----------------------------------------------------------
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
     @property
     def is_real(self) -> bool:
         return self.im == 0
@@ -196,5 +193,17 @@ def scalar_to_json(s: Scalar) -> dict:
     return {"re": rat_str(s.re), "im": rat_str(s.im)}
 
 
+_JSON_TYPES = {str: "string", int: "integer", dict: "object"}
+
+
+def _json_field(obj: dict, key: str, kind: type):
+    """``obj[key]``, checked to be a JSON string, integer or object of the
+    given ``kind`` (a boolean is not an integer)."""
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def scalar_from_json(obj: dict) -> Scalar:
-    return Scalar(parse_rat(obj["re"]), parse_rat(obj["im"]))
+    return Scalar(parse_rat(_json_field(obj, "re", str)), parse_rat(_json_field(obj, "im", str)))

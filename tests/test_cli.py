@@ -142,20 +142,35 @@ def test_module_rejects_malformed_spec(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: JSON segment encoding covers real starts only\n"
-    # JSON of the wrong shape, a numeric start or nu, and a missing file
+    # JSON of the wrong shape, a numeric start or nu, a float or boolean
+    # length or l (never truncated), and a missing file; the error names the
+    # offending field where there is one
     nu = {"kind": "gl1", "eps": "triv", "nu": 1}
-    for args, kind in (
-        (("module", "--param", "[]"), "multisegment"),
-        (("module", "--param", '{"segments": 5}'), "multisegment"),
-        (("module", "--param", '{"segments": [{"start": 1, "len": 1}]}'), "multisegment"),
-        (("gamma", "--param", "[]", "--k", "1"), "parameter"),
-        (("gamma", "--param", json.dumps({"factors": [nu]}), "--k", "1"), "parameter"),
-        (("dim", "--param-file", str(tmp_path / "missing.json"), "--k", "1"), "parameter"),
+    zero = {"re": "0", "im": "0"}
+
+    def segs(*pairs):
+        return json.dumps({"segments": [{"start": a, "len": b} for a, b in pairs]})
+
+    def gl2(l):
+        return json.dumps({"factors": [{"kind": "gl2", "l": l, "nu": zero}]})
+
+    for args, kind, field in (
+        (("module", "--param", "[]"), "multisegment", ""),
+        (("module", "--param", '{"segments": 5}'), "multisegment", ""),
+        (("module", "--param", segs((1, 1))), "multisegment", "'start'"),
+        (("quotient", "--param", segs(("0", True), ("1", 2.7))), "multisegment", "'len'"),
+        (("quotient", "--param", segs(("0", 1), ("1", 2.7))), "multisegment", "'len'"),
+        (("module", "--param", segs(("0", 2.0))), "multisegment", "'len'"),
+        (("gamma", "--param", "[]", "--k", "1"), "parameter", ""),
+        (("gamma", "--param", json.dumps({"factors": [nu]}), "--k", "1"), "parameter", "'nu'"),
+        (("gamma", "--param", gl2(2.9), "--k", "1"), "parameter", "'l'"),
+        (("dim", "--param", gl2(True), "--k", "1"), "parameter", "'l'"),
+        (("dim", "--param-file", str(tmp_path / "missing.json"), "--k", "1"), "parameter", ""),
     ):
         proc = run_cli(*args, check=False)
         assert proc.returncode == 1, args
         assert proc.stdout == ""
-        assert proc.stderr.startswith(f"error: bad {kind} spec: "), args
+        assert proc.stderr.startswith(f"error: bad {kind} spec: {field}"), args
         assert proc.stderr.count("\n") == 1, args
     # a multisegment with no segments
     for command in ("module", "quotient"):
@@ -163,6 +178,17 @@ def test_module_rejects_malformed_spec(tmp_path):
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: cannot build a module from an empty multisegment\n"
+
+
+def test_psi_rejects_non_integral_or_mismatched_support():
+    for segments, message in (
+        ("{1/2};{-1/2}", "error: the orbit map needs an integral multisegment\n"),
+        ("{0};{0}", "error: support [0, 0] does not match lambda [1, 0]\n"),
+    ):
+        proc = run_cli("psi", "--lambda", "1,0", "--segments", segments, check=False)
+        assert proc.returncode == 1, segments
+        assert proc.stdout == ""
+        assert proc.stderr == message
 
 
 def test_psi_json():

@@ -1,12 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from glhecke.multisegments import parse_segments
 from glhecke.orbits import (
     BlockStructure,
+    ColumnDiagram,
     StructuralError,
     _apply_segment,
+    _fresh_cells,
+    _touched_columns,
     build_diagram,
     column_blocks,
     flatten_diagram,
@@ -146,11 +150,14 @@ def test_psi_rejects_support_mismatch():
 
 def test_structural_error_surfaces():
     d = initial_diagram((2, 1, 0))
-    cols = d.columns
-    cols = _apply_segment(cols, d.values, 0, 2, 1, {0: 0, 1: 0, 2: 0})
+    touched = _touched_columns(d.values, 0, 2)
+    assert touched == (0, 2, 1)
+    cols = _apply_segment(d.columns, touched, (0, 0, 0), 1)
     # every cell is now used or flipped; a second long segment cannot pick
     with pytest.raises(StructuralError):
-        _apply_segment(cols, d.values, 0, 2, 2, {0: 0, 1: 0, 2: 0})
+        _apply_segment(cols, touched, (0, 0, 0), 2)
+    with pytest.raises(StructuralError):
+        _fresh_cells(cols, touched)
 
 
 def test_worked_example_flattenings_are_equivalent():
@@ -200,6 +207,21 @@ def test_flatten_orders_change_positions_not_class():
         assert flatten_diagram(diagram2, orders) in cls2
 
 
+def test_flatten_rejects_malformed_input():
+    diagram = build_diagram(parse_segments("{0,1};{1};{0}"), (1, 1, 0, 0))
+    for orders in ([(0, 1)], [(0, 1), (0, 1), (0,)]):
+        with pytest.raises(ValueError, match="one permutation per column"):
+            flatten_diagram(diagram, orders)
+    with pytest.raises(ValueError, match="permute each column"):
+        flatten_diagram(diagram, [(0, 0), (0, 1)])
+    arc = (1, False, 1)
+    for cells in ((arc, arc, arc, arc), (arc, arc, arc, (1, True, None))):
+        with pytest.raises(ValueError, match="more than two endpoints"):
+            flatten_diagram(ColumnDiagram((1, 0), (cells[:2], cells[2:])))
+    with pytest.raises(ValueError):  # one endpoint
+        flatten_diagram(ColumnDiagram((0,), ((arc, (1, True, None)),)))
+
+
 def test_wellposed_and_injective_small():
     for lam in [(0,), (1, 1, 0), (2, 1, 0), (2, 1, 1, 0), (2, 2, 1, 0)]:
         assert verify_psi_wellposed(lam).ok
@@ -218,3 +240,34 @@ def test_involution_json_round_trip():
     obj = involution_to_json(sigma)
     assert obj == {"n": 4, "arcs": [[1, 4]], "signs": {"2": "+", "3": "-"}}
     assert involution_from_json(json.loads(json.dumps(obj))) == sigma
+    for n in (4.0, True):
+        with pytest.raises(ValueError, match="'n' must be a JSON integer"):
+            involution_from_json(dict(obj, n=n))
+
+
+WEIGHTS_POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "weights.json"
+
+
+def test_orbit_counts_match_weights_pool():
+    # the flattening count, the class count and both verdicts of every
+    # weight with n <= 5 in the weights benchmark pool, as recorded there
+    items = json.loads(WEIGHTS_POOL.read_text())["items"]
+    lams = {
+        tuple(int(x) for x in item["input"].split(",")): item["expect"]
+        for item in items
+        if item["input"].count(",") < 5
+    }
+    assert len(lams) == 175
+    for lam, expect in lams.items():
+        wellposed, injective = verify_psi_wellposed(lam), verify_injectivity(lam)
+        assert (
+            sum(entry["outputs"] for entry in wellposed.entries),
+            injective.classes,
+            wellposed.ok,
+            injective.ok,
+        ) == (
+            expect["flattenings"],
+            expect["orbit_classes"],
+            expect["psi_wellposed"],
+            expect["psi_injective"],
+        ), lam
