@@ -14,7 +14,12 @@ reports for its test (a module-scoped fixture counts towards the first test
 that uses it), plus their total.  A failing test is timed like a passing
 one; the known criterion-5 failure does not stop the run.
 The record names the machine and summarises each metric by the median and
-quartiles of each side and the number of pairs the change won.
+quartiles of each side and the number of pairs the change won.  Which way
+is better, and the bound of each end-to-end metric, come from this
+checkout's ``BENCHMARK.json`` (read only); a workload metric listed there
+gets ``within_bound``: whether the change's median is no worse than the
+parent's by more than the bound, a fraction of the parent's median.
+Acceptance times are lower-is-better and get no verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-HIGHER_IS_BETTER = {"items_per_s", "ok_frac"}
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 ACCEPTANCE = "tests/test_acceptance.py"
 
 
@@ -64,18 +69,30 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def _summary(pairs: list[dict]) -> dict:
+def _end_to_end() -> dict:
+    """Name -> (higher is better, bound) of each end-to-end metric."""
+    with open(BENCHMARK) as fh:
+        metrics = json.load(fh)["end_to_end"]
+    return {m["name"]: (m["better"] == "higher", m["bound"]) for m in metrics}
+
+
+def _summary(pairs: list[dict], end_to_end: "dict | None" = None) -> dict:
     out = {}
     for name in pairs[0]["parent"]:
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        sign = 1 if name in HIGHER_IS_BETTER else -1
-        out[name] = {
+        higher, bound = (end_to_end or {}).get(name, (False, None))
+        sign = 1 if higher else -1
+        entry = {
             "parent": _quartiles(parent),
             "change": _quartiles(change),
             "change_better_pairs": sum(sign * (c - a) > 0 for a, c in zip(parent, change)),
             "pairs": len(pairs),
         }
+        if bound is not None:
+            a, c = entry["parent"]["median"], entry["change"]["median"]
+            entry["within_bound"] = sign * (c - a) >= -bound * abs(a)
+        out[name] = entry
     return out
 
 
@@ -117,6 +134,7 @@ def main() -> None:
     )
     record = {"command": command, "machine": _machine(), "seconds": args.seconds}
     record["workloads"] = {}
+    end_to_end = _end_to_end()
     for spec in args.pairs:
         workload, count = spec.split("=")
         pairs = []
@@ -125,7 +143,7 @@ def main() -> None:
             pair = _alternate(p, lambda side: _bench(trees[side], workload, seed, args.seconds))
             pairs.append({"seed": seed, **pair})
             print(f"{workload} pair {p}: {pair}", file=sys.stderr)
-        record["workloads"][workload] = {"pairs": pairs, "summary": _summary(pairs)}
+        record["workloads"][workload] = {"pairs": pairs, "summary": _summary(pairs, end_to_end)}
 
     acceptance = []
     for p in range(args.tier1_pairs):

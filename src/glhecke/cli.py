@@ -44,16 +44,17 @@ def _emit(text: str, out: "str | None") -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".glhecke-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".glhecke-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {out}: {exc.strerror or exc}")
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _json_text(obj) -> str:

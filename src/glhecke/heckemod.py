@@ -416,20 +416,16 @@ def intertwiner_space(
     """
     if sorted(map(str, ms_from.segments)) != sorted(map(str, ms_to.segments)):
         raise ValueError("intertwiner endpoints must share the same segment multiset")
-    m1 = build_standard_module(ms_from)
-    ops1 = _compact_operators(m1, 0, 3)
-    ops2 = _compact_operators(build_standard_module(ms_to), 0, 3)
-    mats = _intertwiners(m1, ops1, ops2)
+    ops1, _, mats = _solve_intertwiners(ms_from, ms_to)
     return len(mats), [_scalar_matrix(T, den, ops1[3]) for T, den in mats]
 
 
 # -- intertwiners and quotients ----------------------------------------------
 #
 # The system for the generator image u is read off the target's integer
-# operators.  Its Young rows only say u[t] = -sign * u[b]: a signed union-find
-# collapses each orbit onto its largest coordinate (an orbit whose signs
-# conflict is 0), which keeps the reduced-echelon basis, and the rows
-# (eps_j - chi_j) u = 0 go through fraction-free Gauss-Jordan elimination.
+# operators: the two-entry Young rows u[t] + sign * u[b] = 0 and the rows
+# (eps_j - chi_j) u = 0 go through one fraction-free Gauss-Jordan
+# elimination, whose reduced echelon form gives the nullspace basis.
 # T is then an integer matrix over one denominator, and the same elimination
 # gives its greedy pivot columns piv and C with T = T[:, piv] C.  As T
 # intertwines, rho_to(g) T[:, piv] = T[:, piv] (C rho_from(g)[:, piv]), so the
@@ -467,35 +463,6 @@ def _echelon(rows: list[dict]) -> list[tuple[int, dict]]:
     return found
 
 
-def _young_orbits(tables, n: int) -> tuple[list, int]:
-    """Solve u[t] = -sign * u[b] for the signed tables ``(target, sign)``:
-    per coordinate x, ``(c, sign)`` with u[x] = sign * v[c], v the orbit
-    roots in increasing order, or None where u[x] = 0; and len(v)."""
-    # u[x] = sign[x] * u[parent[x]]; a root is the largest coordinate of its orbit
-    parent, sign, dead = list(range(n)), [1] * n, set()
-
-    def find(x):
-        s = 1
-        while parent[x] != x:
-            x, s = parent[x], s * sign[x]
-        return x, s
-
-    for target, signs in tables:
-        for b, (t, sg) in enumerate(zip(target.tolist(), signs.tolist())):
-            (rt, st), (rb, sb) = find(t), find(b)
-            s = -sg * st * sb  # u[rt] = s * u[rb]
-            if rt == rb and s == -1:
-                dead.add(rt)
-            elif rt != rb:
-                lo, hi = sorted((rt, rb))
-                parent[lo], sign[lo] = hi, s
-                if lo in dead:
-                    dead.add(hi)
-    found = [find(x) for x in range(n)]
-    index = {r: c for c, r in enumerate(sorted({r for r, _ in found} - dead))}
-    return [(index[r], s) if r in index else None for r, s in found], len(index)
-
-
 def _intertwiners(m1: StandardModule, ops1, ops2):
     """:func:`intertwiner_space` from the source module and the
     :func:`_compact_operators` of source and target: the basis as
@@ -505,9 +472,12 @@ def _intertwiners(m1: StandardModule, ops1, ops2):
     re, im, _, _ = _scaled(m1.chi)  # at the scale of eps2, since chi2 permutes chi1
     n = np.arange(len(eps2[0][0]))
     width = 2 if gaussian else 1
-    inside = [i for i in range(m1.k - 1) if m1.s_sign[i, 0] == -1]  # the source's Young rows
-    orbits, columns = _young_orbits([s2[i] for i in inside], len(n))
     rows = []
+    for i in range(m1.k - 1):
+        if m1.s_sign[i, 0] == -1:  # s_i lies inside a block of the source
+            # (s_i + 1) u = 0: u[t] + sign * u[b] = 0 for t = target[b]
+            for b, (t, sg) in enumerate(zip(*(x.tolist() for x in s2[i]))):
+                rows.append({t: 1, b: sg} if t != b else {b: 1 + sg})
     for (diagonal, layers), a, b in zip(eps2, re, im):
         # scale * (eps_j - chi_j), with chi_j = a + bi as [[a, -b], [b, a]]
         entries = [(n, n, diagonal - a), *layers]
@@ -516,11 +486,9 @@ def _intertwiners(m1: StandardModule, ops1, ops2):
         mat: list[dict] = [{} for _ in n]
         for rr, cc, vv in entries:
             for r, c, x in zip(rr.tolist(), cc.tolist(), vv.tolist()):
-                if x and orbits[c]:
-                    col, sg = orbits[c]
-                    mat[r][col] = mat[r].get(col, 0) + sg * x
-        rows += [{c: x for c, x in row.items() if x} for row in mat]
-    found = _echelon(rows)
+                mat[r][c] = mat[r].get(c, 0) + x
+        rows += mat
+    found = _echelon([{c: x for c, x in row.items() if x} for row in rows])
     pivots = {c for c, _ in found}
 
     # e_b = s_i e_b2 with b2 < b for some i, so column b is s_i of column b2;
@@ -531,14 +499,14 @@ def _intertwiners(m1: StandardModule, ops1, ops2):
         steps.append((c, *s2[i], s1[i][0][c]))
     mats = []
     # the free columns of a non-real system come in pairs 2c, 2c + 1
-    for f in range(0, columns, width):
+    for f in range(0, len(n), width):
         if f in pivots:
             continue
         hits = [(c, r) for c, r in found if f in r]
         den = math.lcm(*(r[c] for c, r in hits))
         v = {f: den, **{c: -r[f] * (den // r[c]) for c, r in hits}}
         g = math.gcd(*v.values())
-        u = [0 if o is None else o[1] * v.get(o[0], 0) // g for o in orbits]
+        u = [v.get(x, 0) // g for x in n.tolist()]
         dtype = np.int64 if max(map(abs, u)) < _INT64_LIMIT else object
         T = np.zeros((len(n), width * m1.dim), dtype=dtype)
         T[:, 0] = u
@@ -548,6 +516,15 @@ def _intertwiners(m1: StandardModule, ops1, ops2):
             T[target, c] = sign * T[:, c2]
         mats.append((T, den // g))
     return mats
+
+
+def _solve_intertwiners(ms_from: Multisegment, ms_to: Multisegment):
+    """The :func:`_compact_operators` of the source and target modules, each
+    built once, and :func:`_intertwiners` between them."""
+    m1 = build_standard_module(ms_from)
+    ops1 = _compact_operators(m1, 0, 3)
+    ops2 = _compact_operators(build_standard_module(ms_to), 0, 3)
+    return ops1, ops2, _intertwiners(m1, ops1, ops2)
 
 
 def _scalar_matrix(a: np.ndarray, den: int, gaussian: bool) -> list[list[Scalar]]:
@@ -629,10 +606,7 @@ def irreducible_quotient(ms: Multisegment) -> QuotientModule:
     """
     if not is_dominant_ms(ms):
         raise ValueError("irreducible_quotient requires a dominant ordering")
-    m1 = build_standard_module(ms)
-    ops1 = _compact_operators(m1, 0, 3)
-    ops2 = _compact_operators(build_standard_module(reversed_ordering(ms)), 0, 3)
-    mats = _intertwiners(m1, ops1, ops2)
+    ops1, ops2, mats = _solve_intertwiners(ms, reversed_ordering(ms))
     if len(mats) != 1:
         raise RuntimeError(
             f"intertwiner space has dimension {len(mats)}, expected 1; "

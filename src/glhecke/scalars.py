@@ -158,7 +158,10 @@ def parse_rat(text: str) -> Fraction:
     text = text.strip()
     if not _RAT_RE.match(text):
         raise ValueError(f"not a rational string: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational string: {text!r}") from None
 
 
 def scalar_str(s: Scalar) -> str:

@@ -146,6 +146,7 @@ def test_module_rejects_malformed_spec(tmp_path):
     # length or l (never truncated), and a missing file; the error names the
     # offending field where there is one
     nu = {"kind": "gl1", "eps": "triv", "nu": 1}
+    zero_den = "zero denominator in rational string: '1/0'"
     zero = {"re": "0", "im": "0"}
 
     def segs(*pairs):
@@ -166,6 +167,11 @@ def test_module_rejects_malformed_spec(tmp_path):
         (("gamma", "--param", gl2(2.9), "--k", "1"), "parameter", "'l'"),
         (("dim", "--param", gl2(True), "--k", "1"), "parameter", "'l'"),
         (("dim", "--param-file", str(tmp_path / "missing.json"), "--k", "1"), "parameter", ""),
+        # a zero denominator, in a compact spec, a segment spec and JSON
+        (("gamma", "--factors", "gl1(triv,1/0)", "--k", "1"), "parameter", zero_den),
+        (("module", "--segments", "{1/0}"), "multisegment", zero_den),
+        (("module", "--param", segs(("1/0", 1))), "multisegment", zero_den),
+        (("quotient", "--segments", "{1/2+1/0i}"), "multisegment", "malformed scalar"),
     ):
         proc = run_cli(*args, check=False)
         assert proc.returncode == 1, args
@@ -247,3 +253,17 @@ def test_out_file_written_atomically(tmp_path):
     )
     assert target.read_text().startswith("segments,k,central_character")
     assert list(tmp_path.iterdir()) == [target]
+    # a missing directory, and an existing directory as the file: one error
+    # line, and the temporary file is removed
+    (tmp_path / "dir").mkdir()
+    for out, reason in (
+        (tmp_path / "missing" / "x.csv", "No such file or directory"),
+        (tmp_path / "dir", "Is a directory"),
+    ):
+        proc = run_cli(
+            "enumerate", "--lambda", "1,0", "--side", "hecke", "--out", str(out), check=False
+        )
+        assert proc.returncode == 1, out
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: cannot write {out}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "rows.csv"]

@@ -57,6 +57,10 @@ def test_rational_strings():
         parse_rat("3.5")
     with pytest.raises(ValueError):
         parse_rat("3/-4")
+    # a zero denominator is a ValueError naming the text, not ZeroDivisionError
+    for text in ("1/0", "-3/00"):
+        with pytest.raises(ValueError, match=f"zero denominator in rational string: '{text}'"):
+            parse_rat(text)
 
 
 def test_scalar_strings():
@@ -67,6 +71,9 @@ def test_scalar_strings():
     assert parse_scalar("-5/7") == Scalar(Fraction(-5, 7))
     with pytest.raises(ValueError):
         parse_scalar("i")
+    for text in ("1/0", "1/2+1/0i", "1/0-1i"):
+        with pytest.raises(ValueError, match=r"1/0"):
+            parse_scalar(text)
     # an implicit coefficient is rejected with the expected form named
     for text in ("1+i", "1-i"):
         with pytest.raises(ValueError, match=r"a\+bi .* e\.g\. 1\+1i"):
