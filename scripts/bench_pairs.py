@@ -19,12 +19,14 @@ is better, and the bound of each end-to-end metric, come from this
 checkout's ``BENCHMARK.json`` (read only); a workload metric listed there
 gets ``within_bound``: whether the change's median is no worse than the
 parent's by more than the bound, a fraction of the parent's median.
-Acceptance times are lower-is-better and get no verdict.
+Acceptance times are lower-is-better and get no verdict.  ``src_lines``
+counts the lines of ``src/**/*.py`` in each tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -60,6 +62,14 @@ def _acceptance_s(tree: str) -> dict:
         raise RuntimeError(f"acceptance run failed in {tree}:\n{proc.stdout}\n{proc.stderr}")
     times["total_s"] = sum(times.values())
     return times
+
+
+def _src_lines(tree: str) -> int:
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "**", "*.py"), recursive=True):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -133,6 +143,7 @@ def main() -> None:
         f" --seed {args.seed} --seconds {args.seconds} --tier1-pairs {args.tier1_pairs}"
     )
     record = {"command": command, "machine": _machine(), "seconds": args.seconds}
+    record["src_lines"] = {side: _src_lines(tree) for side, tree in trees.items()}
     record["workloads"] = {}
     end_to_end = _end_to_end()
     for spec in args.pairs:

@@ -161,7 +161,7 @@ def cmd_gamma(args) -> int:
     if image is None:
         payload["result"] = "zero"
     else:
-        payload["hecke"] = multisegments.multisegment_to_json(image)
+        payload["hecke"] = _or_exit(multisegments.multisegment_to_json, image)
         payload["central_character"] = [
             scalar_str(c) for c in multisegments.central_character(image)
         ]

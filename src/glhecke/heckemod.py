@@ -37,7 +37,7 @@ from .multisegments import (
     is_dominant_ms,
     multisegment_to_json,
 )
-from .scalars import Scalar, scalar_str
+from .scalars import Scalar, scalar_sort_key, scalar_str
 
 __all__ = [
     "StandardModule",
@@ -191,12 +191,14 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
 # -- exact integer arithmetic -------------------------------------------------
 #
 # Every identity is checked, and every intertwiner and quotient solved, on
-# integer numpy arrays and Python ints; Scalars appear only where a caller
-# asks for gen_s / gen_eps.  Entries are rescaled by the common denominator
-# of all real and imaginary parts; if any entry is non-real, each Gaussian
-# integer a+bi becomes the 2x2 block [[a, -b], [b, a]], an injective ring
-# homomorphism.  Arrays are int64 when a conservative bound fits and
-# Python-int object arrays otherwise.
+# integer numpy arrays and Python ints.  Scalar is a boundary type: the weight
+# is read through its Fraction parts, Scalars are built only where a caller
+# asks for gen_s / gen_eps, and no Scalar arithmetic runs here
+# (tests/test_scalars.py::test_hot_paths_do_no_scalar_arithmetic).  Entries
+# are rescaled by the common denominator of all real and imaginary parts; if
+# any entry is non-real, each Gaussian integer a+bi becomes the 2x2 block
+# [[a, -b], [b, a]], an injective ring homomorphism.  Arrays are int64 when
+# a conservative bound fits and Python-int object arrays otherwise.
 #
 # A StandardModule is checked on operators built from its compact form: s_i @ X
 # is a signed row scatter, X @ s_i a signed column gather, and eps_j @ X a
@@ -232,15 +234,11 @@ def _scaled(xs) -> tuple[list[int], list[int], int, bool]:
     return re, im, scale, any(im)
 
 
-def _scalar_identity(c: Scalar, like: np.ndarray, gaussian: bool):
-    """c * I in the integer form of ``like`` (same length and dtype), or None
-    when no matrix of that form equals c * I (c not a Gaussian integer, or
-    non-real while ``gaussian`` is false); ``np.array_equal`` is then False.
-    """
-    if c.re.denominator != 1 or c.im.denominator != 1 or (c.im and not gaussian):
-        return None
+def _scalar_identity(re: int, im: int, like: np.ndarray, gaussian: bool):
+    """(re + i*im) * I in the integer form of ``like`` (same length and
+    dtype); ``im`` is 0 unless ``gaussian``."""
     eye = np.eye(len(like) // 2 if gaussian else len(like), dtype=like.dtype)
-    return _embed(int(c.re) * eye, int(c.im) * eye) if gaussian else int(c.re) * eye
+    return _embed(re * eye, im * eye) if gaussian else re * eye
 
 
 def _double(x: np.ndarray) -> np.ndarray:
@@ -253,7 +251,8 @@ def _compact_operators(M: StandardModule, shift: int, max_chain: int):
     scale * (eps_j - shift), as ``(diagonal, layers)``, in the dtype
     :func:`_int_dtype` picks for their entries; the scale; whether 2x2
     blocks embed them."""
-    re, im, scale, gaussian = _scaled([x - shift for x in M.chi])
+    re, im, scale, gaussian = _scaled(M.chi)
+    re = [x - shift * scale for x in re]
     nil = max((int(abs(v).max()) for layers in M.nilpotent for _, _, v in layers), default=0)
     bound = max(scale * nil, *map(abs, re), *map(abs, im))
     dtype = _int_dtype(bound, M.dim, gaussian, max_chain)
@@ -369,27 +368,30 @@ def central_character_of_module(M: StandardModule) -> tuple[Scalar, ...]:
     correct scalar (which would indicate a construction bug).
     """
     k = M.k
-    re = [x.re for x in M.chi]
-    shift = math.floor((min(re) + max(re)) / 2)
-    _, eps_ops, scale, gaussian = _compact_operators(M, shift, max_chain=k)
-    # elementary symmetric values of the shifted weight, exact
-    e_chi = [Scalar(1)] + [Scalar(0)] * k
-    for t, x in enumerate(M.chi):
+    re, im, scale, _ = _scaled(M.chi)
+    shift = (min(re) + max(re)) // (2 * scale)
+    _, eps_ops, _, gaussian = _compact_operators(M, shift, max_chain=k)
+    # elementary symmetric values of scale * (chi - shift), as Gaussian
+    # integer pairs
+    e_chi = [(1, 0)] + [(0, 0)] * k
+    for t, (a, b) in enumerate(zip(re, im)):
+        a -= shift * scale
         for d in range(t + 1, 0, -1):
-            e_chi[d] = e_chi[d] + e_chi[d - 1] * (x - shift)
+            (x, y), (u, v) = e_chi[d], e_chi[d - 1]
+            e_chi[d] = (x + u * a - v * b, y + u * b + v * a)
 
     # E[d] sums the ordered products eps_{t_1} ... eps_{t_d}, t_1 < ... < t_d,
     # over the factors seen so far; prepending eps_t keeps the order
     like = eps_ops[0][0]
-    E = [_scalar_identity(Scalar(1), like, gaussian)] + [0] * k
+    E = [_scalar_identity(1, 0, like, gaussian)] + [0] * k
     for t in reversed(range(k)):
         for d in range(k - t, 0, -1):
             E[d] = E[d] + _apply_eps(*eps_ops[t], E[d - 1])
     for d in range(1, k + 1):
-        if not np.array_equal(E[d], _scalar_identity(e_chi[d] * scale**d, like, gaussian)):
+        if not np.array_equal(E[d], _scalar_identity(*e_chi[d], like, gaussian)):
             raise ValueError(f"elementary symmetric polynomial {d} is not the expected scalar")
 
-    return tuple(sorted(M.chi, key=lambda x: (x.re, x.im), reverse=True))
+    return tuple(sorted(M.chi, key=scalar_sort_key, reverse=True))
 
 
 def reversed_ordering(ms: Multisegment) -> Multisegment:

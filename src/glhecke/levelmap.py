@@ -70,7 +70,7 @@ def factor_order_image(param: RealParam) -> Multisegment:
                 continue
             segs.append(Segment(f.nu, 1))
         else:
-            segs.append(Segment(f.nu - Scalar(Fraction(f.l - 1, 2)), f.l))
+            segs.append(Segment(Scalar(f.nu.re - Fraction(f.l - 1, 2), f.nu.im), f.l))
     return Multisegment(tuple(segs))
 
 

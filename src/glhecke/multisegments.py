@@ -53,16 +53,8 @@ class Segment:
         if not isinstance(self.length, int) or self.length < 1:
             raise ValueError(f"segment length must be a positive integer, got {self.length!r}")
 
-    @property
-    def end(self) -> Scalar:
-        return self.start + (self.length - 1)
-
-    @property
-    def center(self) -> Scalar:
-        return self.start + Scalar(Fraction(self.length - 1, 2))
-
     def entries(self) -> tuple[Scalar, ...]:
-        return tuple(self.start + j for j in range(self.length))
+        return tuple(Scalar(self.start.re + j, self.start.im) for j in range(self.length))
 
     def __str__(self):
         return "{" + ",".join(scalar_str(e) for e in self.entries()) + "}"
@@ -90,13 +82,14 @@ class Multisegment:
 
 
 def _segment_key(s: Segment):
-    # fixed total order: center desc, length desc, start desc, Im asc
-    return (-s.center.re, -s.length, -s.start.re, s.center.im)
+    # fixed total order: center desc, length desc, start desc, Im asc; the
+    # center is doubled, 2 * Re(start) + length - 1, and Im(center) = Im(start)
+    return (-(2 * s.start.re + s.length - 1), -s.length, -s.start.re, s.start.im)
 
 
 def is_dominant_ms(ms: Multisegment) -> bool:
     """True iff Re(center) is weakly decreasing along the segment list."""
-    centers = [s.center.re for s in ms.segments]
+    centers = [2 * s.start.re + s.length - 1 for s in ms.segments]  # doubled
     return all(a >= b for a, b in zip(centers, centers[1:]))
 
 

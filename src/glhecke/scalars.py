@@ -5,6 +5,11 @@ matrix entries) is a Gaussian rational a + b*i with both parts stored as
 reduced :class:`fractions.Fraction` values.  Arithmetic is exact; there is no
 floating point anywhere.
 
+Scalar is a boundary type: values are parsed, built and printed as Scalars,
+but no hot path does Scalar arithmetic.  Module checks, the level map and
+the orbit map read the Fraction parts ``re``/``im`` or scaled integers
+(``tests/test_scalars.py::test_hot_paths_do_no_scalar_arithmetic``).
+
 String forms (used in JSON and CSV):
 
 * a real value prints as ``"3"`` or ``"-3/4"`` (never ``"3/1"``);
@@ -70,9 +75,6 @@ class Scalar:
         other = scalar(other)
         return Scalar(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        return scalar(other) - self
-
     def __mul__(self, other):
         other = scalar(other)
         return Scalar(
@@ -94,9 +96,6 @@ class Scalar:
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
-
-    def __rtruediv__(self, other):
-        return scalar(other) / self
 
     # -- structure ----------------------------------------------------------
 

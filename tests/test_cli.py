@@ -77,6 +77,17 @@ def test_gamma_and_zero():
     assert proc.returncode != 0
 
 
+def test_gamma_non_real_twist_is_one_error_line():
+    # the multisegment JSON has no form for a non-real start
+    nu = {"re": "1", "im": "1"}
+    param = json.dumps({"factors": [{"kind": "gl1", "eps": "triv", "nu": nu}]})
+    for args in (("--factors", "gl1(triv,1+1i)"), ("--param", param)):
+        proc = run_cli("gamma", *args, "--k", "1", check=False)
+        assert proc.returncode == 1, args
+        assert proc.stdout == ""
+        assert proc.stderr == "error: JSON segment encoding covers real starts only\n"
+
+
 def test_dim_and_oracle():
     out = json.loads(run_cli("dim", "--factors", "gl2(2,1/2);gl2(2,-1/2)", "--k", "4").stdout)
     assert out["dim"] == 6

@@ -639,6 +639,23 @@ def test_quotient_builds_each_modules_operators_once(monkeypatch):
     assert calls == [ms, reversed_ordering(ms)]
 
 
+def test_quotient_failure_exits_raise(monkeypatch):
+    ms = parse_segments("{0,1};{-1,0}")
+    solve = heckemod._solve_intertwiners
+
+    def twice(*args):
+        ops1, ops2, mats = solve(*args)
+        return ops1, ops2, mats * 2
+
+    monkeypatch.setattr(heckemod, "_solve_intertwiners", twice)
+    with pytest.raises(RuntimeError, match="dimension 2"):
+        irreducible_quotient(ms)
+    monkeypatch.setattr(heckemod, "_solve_intertwiners", solve)
+    monkeypatch.setattr(heckemod, "verify_relations", lambda module: False)
+    with pytest.raises(RuntimeError, match="fail the defining relations"):
+        irreducible_quotient(ms)
+
+
 def test_verify_relations_takes_modules_only():
     M = build_standard_module(parse_segments("{1};{0}"))
     with pytest.raises(TypeError):

@@ -30,11 +30,26 @@ multisegments = st.builds(Multisegment, st.lists(segments, max_size=5).map(tuple
 
 def test_segment_derived_fields():
     s = Segment(Scalar(3), 2)
-    assert s.end == Scalar(4)
-    assert s.center == Scalar(Fraction(7, 2))
+    assert s.entries()[-1] == Scalar(4)
+    assert _segment_key(s)[0] == -7  # the doubled center
     assert s.entries() == (Scalar(3), Scalar(4))
     with pytest.raises(ValueError):
         Segment(Scalar(0), 0)
+
+
+def _ref_segment_key(s):
+    # the Scalar-center order the doubled integer center replaced
+    center = s.start + Scalar(Fraction(s.length - 1, 2))
+    return (-center.re, -s.length, -s.start.re, center.im)
+
+
+@given(multisegments)
+def test_segment_key_matches_scalar_center_reference(ms):
+    ref = sorted(ms.segments, key=_ref_segment_key)
+    assert dominant_representative(ms).segments == tuple(ref)
+    centers = [_ref_segment_key(s)[0] for s in ms.segments]
+    assert is_dominant_ms(ms) == all(a <= b for a, b in zip(centers, centers[1:]))
+    assert parse_segments(segments_str(ms)) == ms
 
 
 def test_support_counts_multiplicity():

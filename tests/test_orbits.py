@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from glhecke.multisegments import parse_segments
+from glhecke import orbits
+from glhecke.multisegments import enumerate_multisegments, parse_segments
 from glhecke.orbits import (
     BlockStructure,
     ColumnDiagram,
@@ -228,6 +229,16 @@ def test_wellposed_and_injective_small():
         report = verify_injectivity(lam)
         assert report.ok
     assert verify_injectivity((2, 1, 0)).classes == 4
+
+
+def test_injectivity_reports_a_collision(monkeypatch):
+    # an orbit map sending every class at (1, 0) to the class of the first
+    real = orbits.psi_g
+    monkeypatch.setattr(orbits, "psi_g", lambda ms, lam: real(enumerate_multisegments(lam)[0], lam))
+    report = verify_injectivity((1, 0))
+    assert report.classes == 1
+    assert not report.ok
+    assert [c["taus"] for c in report.collisions] == [["{1};{0}", "{0,1}"]]
 
 
 def test_worked_example_wellposed():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from glhecke import heckemod, levelmap, multisegments, orbits, realparams
 from glhecke.scalars import (
     Scalar,
     parse_rat,
@@ -103,3 +104,38 @@ def test_ring_axioms(a, b, c):
 def test_field_inverse(a):
     if a:
         assert a / a == 1
+
+
+def test_hot_paths_do_no_scalar_arithmetic(monkeypatch):
+    # Scalar is a boundary type: inputs are parsed first, then every module
+    # check, the level map and the orbit map run with Scalar arithmetic off
+    parse = multisegments.parse_segments
+    modules = ("{1/2,3/2};{-1}", "{1+1i};{0}", "{1+1/3i,2+1/3i};{0}", "{3};{2};{1}")
+    modules = [parse(t) for t in modules]
+    quotients = [parse(t) for t in ("{3};{1}", "{1/2,3/2};{-1/2,1/2}", "{1+1i};{0+1i}")]
+    lam = (2, 1, 1, 0)
+
+    def forbidden(*args):
+        raise AssertionError("Scalar arithmetic on a hot path")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__", "__neg__"):
+        monkeypatch.setattr(Scalar, name, forbidden)
+
+    for ms in modules:
+        M = heckemod.build_standard_module(ms)
+        assert heckemod.verify_relations(M)
+        assert heckemod.central_character_of_module(M) == ms.support()
+        assert len(M.gen_s) == M.k - 1 and len(M.gen_eps) == M.k
+    assert [heckemod.irreducible_quotient(ms).dim for ms in quotients] == [2, 2, 1]
+
+    params = realparams.enumerate_real_params(lam, 0)
+    classes = multisegments.enumerate_multisegments(lam)
+    assert levelmap.verify_bijection_level_n(lam).bijection_on_support_matching
+    for p in params:
+        assert levelmap.eigenvalue_identity(p, p.level)
+        levelmap.gamma(p, p.level)
+    assert orbits.verify_psi_wellposed(lam).ok
+    assert orbits.verify_injectivity(lam).ok
+    for ms in classes + modules:
+        assert multisegments.dominant_representative(ms).support() == ms.support()
+        assert multisegments.segments_str(ms)
