@@ -262,6 +262,9 @@ _SUITE_BOUNDS = {
 def cmd_verify(args) -> int:
     if args.suite == "relations" and args.max_n is not None:
         raise SystemExit("error: --suite relations reads --max-k, not --max-n")
+    if args.suite != "bijection" and args.lam is not None:
+        bounds = _SUITE_BOUNDS[args.suite]
+        raise SystemExit(f"error: --suite {args.suite} reads {bounds}, not --lambda")
     lam = _parse_lambda(args.lam) if args.lam is not None else None
     max_n = 4 if args.max_n is None else args.max_n
     report = sweeps.run_suite(args.suite, max_n, args.max_k, lam)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .multisegments import _validate_integral_lambda
@@ -119,7 +120,7 @@ class RealParam:
     def n(self) -> int:
         return sum(f.size for f in self.factors)
 
-    @property
+    @cached_property
     def level(self) -> int:
         return sum(f.level for f in self.factors)
 

@@ -256,6 +256,21 @@ def test_verify_exit_codes():
         assert proc.stderr == "error: --suite relations reads --max-k, not --max-n\n"
 
 
+def test_verify_refuses_lambda_outside_bijection():
+    # only the bijection suite reads --lambda; the others would check a
+    # different window and pass, so a --lambda is refused
+    for args, bounds in (
+        (("--suite", "psi", "--max-n", "1"), "--max-n"),
+        (("--suite", "dims"), "--max-n and --max-k"),
+        (("--suite", "relations", "--max-k", "2"), "--max-k"),
+        (("--suite", "eigenvalues"), "--max-n and --max-k"),
+    ):
+        proc = run_cli("verify", *args, "--lambda", "2,1,0", check=False)
+        assert proc.returncode == 1, args
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {args[0]} {args[1]} reads {bounds}, not --lambda\n"
+
+
 def test_out_file_written_atomically(tmp_path):
     target = tmp_path / "rows.csv"
     run_cli(

@@ -1,13 +1,16 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from glhecke import orbits
-from glhecke.multisegments import enumerate_multisegments, parse_segments
+from glhecke.multisegments import enumerate_multisegments, parse_segments, segments_str
 from glhecke.orbits import (
     BlockStructure,
     ColumnDiagram,
+    OrbitClass,
+    SignedInvolution,
     StructuralError,
     _apply_segment,
     _fresh_cells,
@@ -27,6 +30,7 @@ from glhecke.orbits import (
     verify_injectivity,
     verify_psi_wellposed,
 )
+from glhecke.sweeps import lambda_window
 
 WORKED_LAMBDA = (4, 4, 3, 3, 3, 3, 2, 2, 2, 1, 1, 0)
 WORKED_TAU = "{0,1,2,3,4};{1,2,3};{2};{3};{3};{4}"
@@ -282,3 +286,145 @@ def test_orbit_counts_match_weights_pool():
             expect["psi_wellposed"],
             expect["psi_injective"],
         ), lam
+
+
+# -- reference routes: closure and flattenings on validated involutions ---------
+
+
+def _ref_s_action(sigma, i):
+    a, b = i, i + 1
+    if sigma.pairing[a] == a and sigma.pairing[b] == b:
+        if sigma.signs[a] != sigma.signs[b]:
+            pairing, signs = list(sigma.pairing), list(sigma.signs)
+            pairing[a], pairing[b] = b, a
+            signs[a] = signs[b] = None
+            return SignedInvolution(sigma.n, tuple(pairing), tuple(signs))
+        return sigma
+    if sigma.pairing[a] == b:
+        return sigma
+    t = list(range(sigma.n))
+    t[a], t[b] = b, a
+    pairing, signs = [0] * sigma.n, [None] * sigma.n
+    for j in range(sigma.n):
+        pairing[t[j]] = t[sigma.pairing[j]]
+        signs[t[j]] = sigma.signs[j]
+    return SignedInvolution(sigma.n, tuple(pairing), tuple(signs))
+
+
+def _ref_neighbors(sigma, i):
+    yield _ref_s_action(sigma, i)
+    if sigma.pairing[i] == i + 1:
+        for sa, sb in (("+", "-"), ("-", "+")):
+            pairing, signs = list(sigma.pairing), list(sigma.signs)
+            pairing[i], pairing[i + 1] = i, i + 1
+            signs[i], signs[i + 1] = sa, sb
+            yield SignedInvolution(sigma.n, tuple(pairing), tuple(signs))
+
+
+def _ref_orbit_class(sigma, bs):
+    in_block = [i for i in range(sigma.n - 1) if bs.in_same_block(i)]
+    seen, frontier = {sigma}, [sigma]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for i in in_block:
+                for other in _ref_neighbors(cur, i):
+                    if other not in seen:
+                        seen.add(other)
+                        nxt.append(other)
+        frontier = nxt
+    return OrbitClass(bs, frozenset(seen), min(seen, key=SignedInvolution.encode))
+
+
+def _ref_verify_psi_wellposed(lam):
+    report = orbits.WellPosedReport(lam=tuple(lam))
+    for ms in enumerate_multisegments(lam):
+        diagram = build_diagram(ms, lam)
+        target = _ref_orbit_class(flatten_diagram(diagram), diagram.blocks())
+        ok, outputs = True, 0
+        for d in orbits._all_final_diagrams(ms, tuple(lam)):
+            for orders in itertools.product(
+                *(itertools.permutations(range(len(col))) for col in d.columns)
+            ):
+                outputs += 1
+                ok &= flatten_diagram(d, orders) in target
+        report.entries.append({"tau": segments_str(ms), "outputs": outputs, "ok": ok})
+    return report
+
+
+ORACLE_N6 = [(5, 4, 3, 2, 1, 0), (3, 3, 2, 2, 1, 1), (2, 2, 1, 1, 0, 0), (3, 2, 2, 1, 1, 0)]
+
+
+def test_code_routes_match_reference_routes():
+    lams = [lam for n in range(1, 6) for lam in lambda_window(n, n)] + ORACLE_N6
+    for lam in lams:
+        for ms in enumerate_multisegments(lam):
+            diagram = build_diagram(ms, lam)
+            sigma, bs = flatten_diagram(diagram), diagram.blocks()
+            cls, ref = orbit_class(sigma, bs), _ref_orbit_class(sigma, bs)
+            assert (cls.members, cls.canonical) == (ref.members, ref.canonical), (lam, ms)
+            for member, i in itertools.product(cls.members, range(len(lam) - 1)):
+                if bs.in_same_block(i):
+                    assert s_action(member, i, bs) == _ref_s_action(member, i)
+        got, want = verify_psi_wellposed(lam).to_json(), _ref_verify_psi_wellposed(lam).to_json()
+        assert got == want, lam
+
+
+# -- doctored final diagrams: the code loop must still see bad flattenings -----
+
+
+def _doctor_first_diagram(monkeypatch, tau, edit):
+    """Replace one final diagram of ``tau`` by ``edit`` of it."""
+    real = orbits._all_final_diagrams
+
+    def doctored(ms, lam):
+        finals = real(ms, lam)
+        if segments_str(ms) != tau:
+            return finals
+        first = min(finals, key=lambda d: d.columns)
+        return (finals - {first}) | {edit(first)}
+
+    monkeypatch.setattr(orbits, "_all_final_diagrams", doctored)
+
+
+def _edit_cell(diagram, pick, cell):
+    """``diagram`` with the first cell satisfying ``pick`` replaced by
+    ``cell(old)``."""
+    columns = [list(col) for col in diagram.columns]
+    c, t = next((c, t) for c, col in enumerate(columns) for t, x in enumerate(col) if pick(x))
+    columns[c][t] = cell(columns[c][t])
+    return ColumnDiagram(diagram.values, tuple(map(tuple, columns)))
+
+
+DOCTOR_LAMBDA, DOCTOR_TAU = (2, 1, 1, 0), "{1,2};{1};{0}"
+
+
+def test_flipped_fixed_point_sign_fails_the_entry(monkeypatch):
+    honest = verify_psi_wellposed(DOCTOR_LAMBDA).to_json()
+    flip = lambda d: _edit_cell(d, lambda x: x[2] is None, lambda x: (-x[0], x[1], None))
+    _doctor_first_diagram(monkeypatch, DOCTOR_TAU, flip)
+    entries = verify_psi_wellposed(DOCTOR_LAMBDA).to_json()["entries"]
+    expected = [
+        dict(e, ok=False) if e["tau"] == DOCTOR_TAU else e for e in honest["entries"]
+    ]
+    assert entries == expected
+    assert DOCTOR_TAU in [e["tau"] for e in entries]
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        # an arc cell moved to a fresh arc id: two arcs with one endpoint each
+        (lambda d: _edit_cell(d, lambda x: x[2], lambda x: (x[0], False, 99)), "fixed points"),
+        # a fixed point joined to arc 1: three endpoints
+        (
+            lambda d: _edit_cell(d, lambda x: x[2] is None, lambda x: (x[0], False, 1)),
+            "more than two endpoints",
+        ),
+    ],
+    ids=["one-endpoint", "three-endpoints"],
+)
+def test_malformed_final_diagram_raises(monkeypatch, edit, match):
+    _doctor_first_diagram(monkeypatch, DOCTOR_TAU, edit)
+    with pytest.raises(ValueError, match=match):
+        verify_psi_wellposed(DOCTOR_LAMBDA)

@@ -2,6 +2,7 @@
 exact failure record, report ``ok: false``, and make ``glhecke verify`` exit
 1 with that report as its JSON."""
 
+import dataclasses
 import json
 
 import pytest
@@ -20,6 +21,34 @@ def _corrupt_module(monkeypatch):
         return _with_entry(M, 0, 0, 0, 1) if multisegments.segments_str(ms) == "{1};{0}" else M
 
     monkeypatch.setattr(heckemod, "build_standard_module", corrupted)
+
+
+def _with_flipped_sign(M):
+    # s_0 e_0 = sign * e_target with the sign negated
+    sign = M.s_sign.copy()
+    sign[0, 0] *= -1
+    sign.setflags(write=False)
+    return dataclasses.replace(M, s_sign=sign)
+
+
+def _flipped_sign(monkeypatch):
+    # the s_0 sign table of the module of {0,1} with its one entry negated
+    build = heckemod.build_standard_module
+
+    def flipped(ms):
+        M = build(ms)
+        return _with_flipped_sign(M) if multisegments.segments_str(ms) == "{0,1}" else M
+
+    monkeypatch.setattr(heckemod, "build_standard_module", flipped)
+
+
+def test_flipped_sign_table_fails_relations():
+    # across blocks the flip breaks s_0 * s_0 = 1; inside a block it keeps
+    # s_0 * s_0 = 1 and breaks the commutator relation
+    for tau in ("{1};{0}", "{0,1}"):
+        M = heckemod.build_standard_module(multisegments.parse_segments(tau))
+        assert heckemod.verify_relations(M)
+        assert not heckemod.verify_relations(_with_flipped_sign(M)), tau
 
 
 def _wrong_center(monkeypatch):
@@ -69,6 +98,12 @@ CASES = {
         ["--suite", "relations", "--max-k", "2"],
         {"checked": 24, "relations_ok": False, "center_ok": True},
         [{"tau": "{1};{0}", "check": "relations"}],
+    ),
+    "sign": (
+        _flipped_sign,
+        ["--suite", "relations", "--max-k", "2"],
+        {"checked": 24, "relations_ok": False, "center_ok": True},
+        [{"tau": "{0,1}", "check": "relations"}],
     ),
     "center": (
         _wrong_center,
