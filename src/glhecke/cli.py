@@ -3,7 +3,8 @@
 Subcommands: enumerate, gamma, dim, oracle, module, quotient, psi, verify.
 All output is deterministic (fixed orderings, sorted JSON keys) and files
 are written atomically.  ``verify`` exits nonzero iff a check failed or
-the sweep checked nothing.
+the sweep checked nothing, and refuses a bound flag its suite does not read
+(``sweeps.SUITES`` names the bounds of each suite).
 """
 
 from __future__ import annotations
@@ -249,29 +250,20 @@ def cmd_psi(args) -> int:
     return 0
 
 
-# the size flags each suite reads; a sweep that checked nothing names them
-_SUITE_BOUNDS = {
-    "dims": "--max-n and --max-k",
-    "relations": "--max-k",
-    "bijection": "--max-n or --lambda",
-    "psi": "--max-n",
-    "eigenvalues": "--max-n and --max-k",
-}
-
-
 def cmd_verify(args) -> int:
-    if args.suite == "relations" and args.max_n is not None:
-        raise SystemExit("error: --suite relations reads --max-k, not --max-n")
-    if args.suite != "bijection" and args.lam is not None:
-        bounds = _SUITE_BOUNDS[args.suite]
-        raise SystemExit(f"error: --suite {args.suite} reads {bounds}, not --lambda")
+    _, bounds, text = sweeps.SUITES[args.suite]
+    given = {"--max-n": args.max_n, "--max-k": args.max_k, "--lambda": args.lam}
+    for flag, value in given.items():
+        if value is not None and flag not in bounds:
+            raise SystemExit(f"error: --suite {args.suite} reads {text}, not {flag}")
+    # a suite that reads --max-n or --lambda sweeps a window or checks one weight
+    if args.max_n is not None and args.lam is not None:
+        raise SystemExit(f"error: --suite {args.suite} reads {text}, not both")
     lam = _parse_lambda(args.lam) if args.lam is not None else None
-    max_n = 4 if args.max_n is None else args.max_n
-    report = sweeps.run_suite(args.suite, max_n, args.max_k, lam)
+    max_n, max_k = (4 if v is None else v for v in (args.max_n, args.max_k))
+    report = sweeps.run_suite(args.suite, max_n, max_k, lam)
     if report["checked"] == 0:
-        raise SystemExit(
-            f"error: --suite {args.suite} checked 0 objects; it reads {_SUITE_BOUNDS[args.suite]}"
-        )
+        raise SystemExit(f"error: --suite {args.suite} checked 0 objects; it reads {text}")
     _emit(_json_text(report), args.out)
     return 0 if report["ok"] else 1
 
@@ -334,8 +326,8 @@ def main(argv: "list[str] | None" = None) -> int:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sweeps.SUITES, required=True)
-    p.add_argument("--max-n", type=int, help="default 4; the relations suite reads --max-k only")
-    p.add_argument("--max-k", type=int, default=4)
+    p.add_argument("--max-n", type=int, help="default 4")
+    p.add_argument("--max-k", type=int, help="default 4")
     p.add_argument("--lambda", dest="lam", help="restrict the bijection suite to one weight")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)

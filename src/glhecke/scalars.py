@@ -63,6 +63,10 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting the slots
+        return (Scalar, (self.re, self.im))
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):

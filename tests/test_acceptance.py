@@ -135,6 +135,20 @@ def test_criterion_5_companion_support_matching_bijection(bijection_reports, rho
     assert ok
 
 
+def test_criterion_5_off_support_images_hit_at_own_support(bijection_reports):
+    # the decisions ledger's shadow property: each off-support pair (p, ms)
+    # at lam has ms among the support-matching images at ms's own support
+    def support_matching_images(report):
+        off = set(report.off_support)
+        return {ms for p, ms in report.pairs if (p, ms) not in off}
+
+    matched = {lam: support_matching_images(r) for lam, r in bijection_reports.items()}
+    strays = [ms for report in bijection_reports.values() for _, ms in report.off_support]
+    missed = [ms for ms in strays if ms not in matched[tuple(int(c.re) for c in ms.support())]]
+    _report(5, not missed, f"{len(strays)} off-support images hit at their own support")
+    assert strays and not missed, missed[:3]
+
+
 def test_criterion_6_worked_example_golden():
     tau = parse_segments(WORKED_TAU)
     diagram = build_diagram(tau, WORKED_LAMBDA)

@@ -1,6 +1,15 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glhecke import cli
 
 
 def run_cli(*args, check=True):
@@ -12,6 +21,17 @@ def run_cli(*args, check=True):
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.returncode}\n{proc.stderr}")
     return proc
+
+
+def run_in_process(argv):
+    """(exit code or SystemExit message, stdout, stderr) of ``cli.main``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_enumerate_hecke_csv():
@@ -269,6 +289,154 @@ def test_verify_refuses_lambda_outside_bijection():
         assert proc.returncode == 1, args
         assert proc.stdout == ""
         assert proc.stderr == f"error: {args[0]} {args[1]} reads {bounds}, not --lambda\n"
+
+
+def test_verify_refuses_bounds_a_suite_ignores():
+    for args, refusal in (
+        (("--suite", "psi", "--max-k", "9"), "reads --max-n, not --max-k"),
+        (("--suite", "bijection", "--max-k", "1"), "reads --max-n or --lambda, not --max-k"),
+        (
+            ("--suite", "bijection", "--lambda", "1,0", "--max-n", "7", "--max-k", "1"),
+            "reads --max-n or --lambda, not --max-k",
+        ),
+        (
+            ("--suite", "bijection", "--lambda", "1,0", "--max-n", "7"),
+            "reads --max-n or --lambda, not both",
+        ),
+    ):
+        proc = run_cli("verify", *args, check=False)
+        assert proc.returncode == 1, args
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {args[0]} {args[1]} {refusal}\n"
+
+
+# (exit code, sha256 of stdout) of in-process `glhecke verify`, recorded
+# before the sweeps shared one walk and one report builder
+VERIFY_DIGESTS = {
+    "dims --max-n 3 --max-k 3": (
+        0, "cf0ecb77362a7dad70c4d7b7687bcba609ddbb188e849733413b2b3ff6dce157"
+    ),
+    "relations --max-k 3": (
+        0, "dadb09443d6b3abad09d2d14a222ee4cbb9bd963f63dc95152351d08b4a3a5dc"
+    ),
+    "bijection --max-n 4": (
+        1, "a3f378057ffc5196f6a1b960e445f7907e9a6274295327f327a37717f4de371b"
+    ),
+    "bijection --lambda 2,0,0": (
+        1, "469768d76eb53053ae5bf27b13e412b259590fc9fb4d913d46febebc5545618f"
+    ),
+    "psi --max-n 4": (
+        0, "bc7d53e37b3d9dafac8b33269867444a2fb9de4e8c5362505857d97e3ab736e2"
+    ),
+    "eigenvalues --max-n 4 --max-k 4": (
+        0, "d6f5a7181767f448565820031028c3b36317e24ef9bdad2cd8a5f4ecf580e97c"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", VERIFY_DIGESTS)
+def test_verify_report_digests(args):
+    code, out, err = run_in_process(["verify", "--suite", *args.split()])
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_DIGESTS[args]
+
+
+# malformed spec text: at most 4 weight entries, segment points or factors,
+# so no draw starts exponential work
+_NUMBER = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["", " ", "x", "1/2", "-1/2", "1/0", "1+1i", "1i", "+1", "--1", "1.5"]),
+)
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(), st.text(max_size=3))
+
+
+def _json_object(**fields):
+    """A JSON object with any subset of ``fields``, each value drawn from
+    its strategy or replaced by an arbitrary leaf."""
+    return st.fixed_dictionaries(
+        {}, optional={key: st.one_of(value, _LEAF) for key, value in fields.items()}
+    )
+
+
+_REAL_JSON = _json_object(
+    factors=st.lists(
+        _json_object(
+            kind=st.sampled_from(["gl1", "gl2", "gl3"]),
+            eps=st.sampled_from(["triv", "sgn"]),
+            l=st.integers(-1, 4),
+            nu=_json_object(re=_NUMBER, im=_NUMBER),
+        ),
+        max_size=4,
+    )
+)
+_SEGMENTS_JSON = _json_object(
+    segments=st.lists(_json_object(start=_NUMBER, len=st.integers(-1, 2)), max_size=2)
+)
+
+
+@st.composite
+def _json_text(draw, objects):
+    """JSON text of a drawn object, or of a leaf, possibly cut short."""
+    text = json.dumps(draw(st.one_of(objects, _LEAF)))
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@st.composite
+def _segments_text(draw):
+    """Up to 4 points cut into braced segments, with junk around them."""
+    points = draw(st.lists(_NUMBER, max_size=4))
+    segments, current = [], []
+    for point in points:
+        current.append(point)
+        if draw(st.booleans()):
+            segments.append("{" + ",".join(current) + "}")
+            current = []
+    if current:
+        segments.append("{" + ",".join(current) + draw(st.sampled_from(["}", ""])))
+    junk = st.sampled_from(["", "(", ")", "{", "}", ";", "x"])
+    return draw(junk) + draw(st.sampled_from([";", ",", "", " ; "])).join(segments) + draw(junk)
+
+
+def _flag(name, text):
+    # --flag=text, so argparse reads a leading '-' as part of the value
+    return text.map(f"--{name}={{}}".format)
+
+
+_LAMBDA = _flag("lambda", st.lists(_NUMBER, max_size=4).map(",".join))
+_FACTOR = st.one_of(
+    st.builds("gl1({},{})".format, st.sampled_from(["triv", "sgn", "x", ""]), _NUMBER),
+    st.builds("gl2({},{})".format, _NUMBER, _NUMBER),
+    st.sampled_from(["gl1(triv)", "gl2(", "gl3(1,0)", "x", "()", "gl2(1,2,3)"]),
+)
+_REAL_SPEC = st.one_of(
+    _flag("factors", st.lists(_FACTOR, max_size=4).map(";".join)),
+    _flag("param", _json_text(_REAL_JSON)),
+)
+_HECKE_SPEC = st.one_of(
+    _flag("segments", _segments_text()), _flag("param", _json_text(_SEGMENTS_JSON))
+)
+_SPEC_ARGV = st.one_of(
+    st.tuples(st.just("enumerate"), _LAMBDA, st.sampled_from(["--side=real", "--side=hecke"])),
+    st.tuples(st.just("psi"), _LAMBDA, _HECKE_SPEC),
+    st.tuples(st.sampled_from(["module", "quotient"]), _HECKE_SPEC),
+    st.tuples(st.just("module"), st.just("--quotient"), _HECKE_SPEC),
+    st.tuples(
+        st.sampled_from(["gamma", "dim", "oracle"]),
+        _REAL_SPEC,
+        _flag("k", st.integers(-1, 4).map(str)),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SPEC_ARGV)
+def test_spec_flags_fuzz_gives_output_or_one_error_line(argv):
+    code, out, err = run_in_process(list(argv))
+    if code == 0:
+        assert out and err == "", argv
+    else:
+        assert isinstance(code, str) and code.startswith("error: "), (argv, code)
+        assert "\n" not in code and out == "" and err == "", argv
 
 
 def test_out_file_written_atomically(tmp_path):

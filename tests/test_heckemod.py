@@ -327,6 +327,29 @@ def test_relations_detect_perturbation():
         assert not verify_relations(dataclasses.replace(M, s_target=target))
 
 
+def _integer_s_module(s):
+    """A QuotientModule with integer s_i matrices, zero eps_j and scale 1."""
+    s = tuple(np.asarray(a, dtype=np.int64) for a in s)
+    eps = tuple(np.zeros_like(s[0]) for _ in range(len(s) + 1))
+    return QuotientModule(None, len(s[0]), s, eps, 1, False)
+
+
+def test_relations_braid_and_far_commutation_exits():
+    swap, minus = np.array([[0, 1], [1, 0]]), -np.eye(2, dtype=int)
+    p12 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    p23 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    p13 = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    # k = 3: s_0 s_1 s_0 = -1 but s_1 s_0 s_1 = s_0
+    assert (swap @ minus @ swap != minus @ swap @ minus).any()
+    # k = 4: both braid relations hold, but s_0 s_2 != s_2 s_0
+    for a, b in ((p12, p23), (p23, p13)):
+        assert (a @ b @ a == b @ a @ b).all()
+    assert (p12 @ p13 != p13 @ p12).any()
+    for s in ((swap, minus), (p12, p23, p13)):
+        assert all((a @ a == np.eye(len(a))).all() for a in s)
+        assert not verify_relations(_integer_s_module(s))
+
+
 def test_relations_object_dtype_path():
     # entries near 2**40 push the conservative int64 bound over the edge,
     # for real entries and for Gaussian ones embedded as 2x2 blocks

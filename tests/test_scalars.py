@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -43,6 +45,21 @@ def test_mixed_equality_and_hash():
     assert hash(Scalar(3)) == hash(3)
     assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
     assert Scalar(3, 1) != 3
+
+
+def test_copy_and_pickle_round_trips():
+    param = realparams.parse_factors("gl2(3,1);gl1(sgn,0)")
+    assert param.level == 3  # cached before pickling
+    values = [
+        Scalar(Fraction(1, 2)),
+        Scalar(Fraction(1, 2), -3),
+        multisegments.parse_segments("{1/2,3/2};{-1/2+1i}"),
+        param,
+    ]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value), value
+    assert pickle.loads(pickle.dumps(param)).level == 3
 
 
 def test_halving_stays_exact():
