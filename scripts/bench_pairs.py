@@ -12,7 +12,9 @@ change first in odd ones, and keeps the end-to-end metrics of both runs.
 and times every acceptance criterion as the set-up plus call time pytest
 reports for its test (a module-scoped fixture counts towards the first test
 that uses it), plus their total.  A failing test is timed like a passing
-one; the known criterion-5 failure does not stop the run.
+one; the known criterion-5 failure does not stop the run.  A failing
+``bench/run.py`` stops the script with an error that names the tree, the
+workload and the seed and shows the end of its stderr.
 The record names the machine and summarises each metric by the median and
 quartiles of each side and the number of pairs the change won.  Which way
 is better, and the bound of each end-to-end metric, come from this
@@ -43,7 +45,13 @@ ACCEPTANCE = "tests/test_acceptance.py"
 def _bench(tree: str, workload: str, seed: int, seconds: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.strip().splitlines()[-15:])
+        raise RuntimeError(
+            f"bench/run.py exited {proc.returncode} in {tree}"
+            f" (workload {workload}, seed {seed}); last lines of stderr:\n{tail}"
+        )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
 

@@ -130,8 +130,10 @@ def cmd_enumerate(args) -> int:
         keys, m = ("param", "factors", "level", "infinitesimal_character"), realparams
         rows = [
             (m.real_param_to_json(p), m.factors_str(p), p.level, p.infinitesimal_character())
-            for p in m.enumerate_real_params(lam, args.min_level)
+            for p in m.enumerate_real_params(lam, args.min_level or 0)
         ]
+    elif args.min_level is not None:
+        raise SystemExit("error: --side hecke reads no --min-level; a multisegment has no level")
     else:
         keys, m = ("hecke", "segments", "k", "central_character"), multisegments
         rows = [
@@ -182,6 +184,8 @@ def cmd_dim(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.factors or args.param or args.param_file:
+        if args.s is not None or args.m is not None:
+            raise SystemExit("error: oracle reads a parameter or --s and --m, not both")
         param = _load_real_param(args)
         mult = _or_exit(branching.hom_multiplicity, param, args.k)
         _emit(_json_text({"k": args.k, "level": param.level, "multiplicity": mult}), args.out)
@@ -279,7 +283,7 @@ def main(argv: "list[str] | None" = None) -> int:
     p.add_argument("--lambda", dest="lam", required=True, help="e.g. '2,1,0'")
     p.add_argument("--n", type=int, help="expected number of lambda entries (guard)")
     p.add_argument("--side", choices=("real", "hecke"), required=True)
-    p.add_argument("--min-level", type=int, default=0)
+    p.add_argument("--min-level", type=int, help="real side only; default 0")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_enumerate)

@@ -13,6 +13,7 @@ entries of each segment in increasing order.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -50,7 +51,7 @@ class Segment:
 
     def __post_init__(self):
         object.__setattr__(self, "start", scalar(self.start))
-        if not isinstance(self.length, int) or self.length < 1:
+        if not isinstance(self.length, int) or isinstance(self.length, bool) or self.length < 1:
             raise ValueError(f"segment length must be a positive integer, got {self.length!r}")
 
     def entries(self) -> tuple[Scalar, ...]:
@@ -125,36 +126,53 @@ def _validate_integral_lambda(lam: Sequence[int]) -> tuple[int, ...]:
     return lam
 
 
-def _enumerate_segment_multisets(counts: dict[int, int]) -> Iterable[tuple[tuple[int, int], ...]]:
-    """All segment multisets (as (start, length) int pairs) with the given
-    support counts.  Every copy of the maximal value must end a segment, so
-    the copies of the maximum are assigned start values simultaneously."""
+def _cover(counts: dict[int, int], pieces, need: int = 0, bound=None) -> Iterable[tuple]:
+    """Key tuples of every multiset of pieces that covers ``counts`` (value
+    -> copies) exactly and whose levels add up to at least ``need``.
+
+    ``pieces(a, lower)`` lists ``(key, used, level)`` for each piece whose
+    largest value is ``a``, where ``lower`` holds the smaller values left, in
+    decreasing order; ``used`` holds the smaller values the piece takes one
+    copy of.  Every copy of the current maximum is covered at once by a
+    weakly increasing choice of pieces, so each multiset comes out exactly
+    once.  A branch stops as soon as ``bound(counts) < need``.
+    """
     counts = {v: c for v, c in counts.items() if c > 0}
     if not counts:
-        yield ()
+        if need <= 0:
+            yield ()
+        return
+    if need > 0 and bound is not None and bound(counts) < need:
         return
     a = max(counts)
     mult = counts.pop(a)
-    starts = sorted(counts) + [a]  # candidate lower endpoints
-    for combo in itertools.combinations_with_replacement(sorted(starts, reverse=True), mult):
-        used: dict[int, int] = {}
-        ok = True
-        for x in combo:
-            for v in range(x, a):
-                used[v] = used.get(v, 0) + 1
-                if used[v] > counts.get(v, 0):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+    options = pieces(a, sorted(counts, reverse=True))
+    for combo in itertools.combinations_with_replacement(options, mult):
+        rest, left = dict(counts), need
+        for _, used, level in combo:
+            left -= level
+            for v in used:
+                rest[v] = rest.get(v, 0) - 1
+        if any(c < 0 for c in rest.values()):
             continue
-        rest = dict(counts)
-        for v, c in used.items():
-            rest[v] -= c
-        head = tuple((x, a - x + 1) for x in combo)
-        for tail in _enumerate_segment_multisets(rest):
+        head = tuple(key for key, _, _ in combo)
+        for tail in _cover(rest, pieces, left, bound):
             yield head + tail
+
+
+def _classes(lam: Sequence[int], pieces, build, wrap, need: int = 0, bound=None) -> list:
+    """``wrap`` of the built pieces of each class :func:`_cover` finds for
+    the weight ``lam``.  A class is its sorted key tuple, the classes are
+    sorted on those tuples, and ``build`` runs once per distinct key."""
+    lam = _validate_integral_lambda(lam)
+    classes = sorted(tuple(sorted(keys)) for keys in _cover(Counter(lam), pieces, need, bound))
+    built = {key: build(key) for key in {key for keys in classes for key in keys}}
+    return [wrap(tuple(built[key] for key in keys)) for keys in classes]
+
+
+def _segment_pieces(a: int, lower: list[int]) -> list[tuple]:
+    # the segment x..a, keyed by _segment_key with the center doubled
+    return [((-(x + a), -(a - x + 1), -x), range(x, a), 0) for x in [a] + lower]
 
 
 def enumerate_multisegments(lam: Sequence[int]) -> list[Multisegment]:
@@ -168,17 +186,9 @@ def enumerate_multisegments(lam: Sequence[int]) -> list[Multisegment]:
     >>> len(enumerate_multisegments((2, 1, 0)))
     4
     """
-    lam = _validate_integral_lambda(lam)
-    counts: dict[int, int] = {}
-    for x in lam:
-        counts[x] = counts.get(x, 0) + 1
-    classes = sorted(
-        tuple(sorted((-(2 * x + ln - 1), -ln, -x) for x, ln in pairs))
-        for pairs in _enumerate_segment_multisets(counts)
+    return _classes(
+        lam, _segment_pieces, lambda key: Segment(Scalar(-key[2]), -key[1]), Multisegment
     )
-    distinct = {key for keys in classes for key in keys}
-    built = {key: Segment(Scalar(-key[2]), -key[1]) for key in distinct}
-    return [Multisegment(tuple(built[key] for key in keys)) for keys in classes]
 
 
 # -- serialization ------------------------------------------------------------

@@ -12,13 +12,12 @@ measure the lowest compact-group type of the induced module.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
-from .multisegments import _validate_integral_lambda
+from .multisegments import _classes
 from .scalars import (
     Scalar,
     _json_field,
@@ -171,43 +170,15 @@ def _level_bound(counts: dict[int, int]) -> int:
     return max(m, (m // 2) * span + m % 2)
 
 
-def _enumerate_factor_multisets(counts: dict[int, int], need: int = 0) -> Iterable[tuple]:
-    """Integer factor keys of every factor multiset exhausting ``counts``
-    whose level is at least ``need``.
-
-    A factor is given by its key, ``_factor_key`` with the slope scaled by 4
+def _factor_pieces(a: int, lower: list[int]) -> list[tuple]:
+    """Covering pieces (see :func:`multisegments._cover`) whose largest
+    coordinate is ``a``: triv, sgn, then the pair ``a > b`` for each smaller
+    value ``b``.  A factor's key is ``_factor_key`` with the slope scaled by 4
     and the size appended: ``(-4a, -level, eps_rank, 1)`` for a GL(1) factor
-    at ``a`` and ``(-(a+b), -(a-b+1), 0, 2)`` for the GL(2) factor whose
-    coordinates are ``a > b``.  Copies of the current maximum are covered
-    simultaneously (one choice per copy, weakly increasing in a fixed option
-    order) so each factor multiset is produced exactly once.  A branch is
-    pruned as soon as :func:`_level_bound` of what is left cannot make up
-    the missing level.
-    """
-    counts = {v: c for v, c in counts.items() if c > 0}
-    if not counts:
-        if need <= 0:
-            yield ()
-        return
-    if need > 0 and _level_bound(counts) < need:
-        return
-    a = max(counts)
-    mult = counts.pop(a)
-    lower = sorted(counts, reverse=True)
-    # triv, sgn, then a pair with each smaller value b
-    options = [(-4 * a, -1, 0, 1), (-4 * a, 0, 1, 1)]
-    options += [(-(a + b), -(a - b + 1), 0, 2) for b in lower]
-    for combo in itertools.combinations_with_replacement(range(len(options)), mult):
-        rest = dict(counts)
-        for i in combo:
-            if i >= 2:
-                rest[lower[i - 2]] -= 1
-        if any(c < 0 for c in rest.values()):
-            continue
-        head = tuple(options[i] for i in combo)
-        level = -sum(key[1] for key in head)
-        for tail in _enumerate_factor_multisets(rest, need - level):
-            yield head + tail
+    and ``(-(a+b), -(a-b+1), 0, 2)`` for a GL(2) factor."""
+    return [((-4 * a, -1, 0, 1), (), 1), ((-4 * a, 0, 1, 1), (), 0)] + [
+        ((-(a + b), -(a - b + 1), 0, 2), (b,), a - b + 1) for b in lower
+    ]
 
 
 def _factor_from_key(key: tuple) -> Factor:
@@ -221,20 +192,13 @@ def enumerate_real_params(lam: Sequence[int], min_level: int = 0) -> list[RealPa
     and level at least ``min_level``, in a fixed deterministic order.
 
     Classes are built and ordered on integer factor keys (see
-    :func:`_enumerate_factor_multisets`); sorting a class's keys gives the
+    :func:`_factor_pieces`); sorting a class's keys gives the
     ``_factor_key`` order of :func:`canonical_class`, and the classes are
-    sorted on their key tuples.  ``min_level`` prunes the search rather than
-    filtering its output.  Each distinct factor is built once per call.
+    sorted on their key tuples.  ``min_level`` prunes the search through
+    :func:`_level_bound` rather than filtering its output.  Each distinct
+    factor is built once per call.
     """
-    lam = _validate_integral_lambda(lam)
-    counts: dict[int, int] = {}
-    for x in lam:
-        counts[x] = counts.get(x, 0) + 1
-    multisets = _enumerate_factor_multisets(counts, min_level)
-    classes = sorted(tuple(sorted(keys)) for keys in multisets)
-    distinct = {key for keys in classes for key in keys}
-    built = {key: _factor_from_key(key) for key in distinct}
-    return [RealParam(tuple(built[key] for key in keys)) for keys in classes]
+    return _classes(lam, _factor_pieces, _factor_from_key, RealParam, min_level, _level_bound)
 
 
 # -- serialization ------------------------------------------------------------

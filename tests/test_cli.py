@@ -56,6 +56,20 @@ def test_enumerate_real_rows():
     assert len(out_hecke.splitlines()[1:]) == 5
 
 
+def test_enumerate_hecke_refuses_min_level():
+    # a multisegment has no level, so the flag would silently do nothing
+    for value in ("5", "0"):
+        proc = run_cli(
+            "enumerate", "--lambda", "2,1,0", "--side", "hecke", "--min-level", value,
+            check=False,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: --side hecke reads no --min-level")
+        assert len(proc.stderr.splitlines()) == 1
+    real = ("enumerate", "--lambda", "2,1,0", "--side", "real")
+    assert run_cli(*real).stdout == run_cli(*real, "--min-level", "0").stdout
+
+
 def test_enumerate_deterministic_bytes():
     args = ("enumerate", "--lambda", "3,2,1,0", "--side", "real", "--format", "json")
     assert run_cli(*args).stdout == run_cli(*args).stdout
@@ -145,6 +159,13 @@ def test_oracle_dump_csv():
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: {flag} must be nonnegative")
         assert len(proc.stderr.splitlines()) == 1
+
+
+def test_oracle_refuses_parameter_with_dump_flags():
+    for extra in (("--s", "1", "--m", "1"), ("--s", "1"), ("--m", "0")):
+        proc = run_cli("oracle", "--factors", "gl2(2,0)", *extra, "--k", "2", check=False)
+        assert proc.returncode == 1 and proc.stdout == "", extra
+        assert proc.stderr == "error: oracle reads a parameter or --s and --m, not both\n"
 
 
 def test_module_dump_and_quotient():

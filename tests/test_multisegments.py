@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from glhecke.multisegments import (
     Multisegment,
     Segment,
-    _enumerate_segment_multisets,
     _segment_key,
     central_character,
     dominant_representative,
@@ -35,6 +35,13 @@ def test_segment_derived_fields():
     assert s.entries() == (Scalar(3), Scalar(4))
     with pytest.raises(ValueError):
         Segment(Scalar(0), 0)
+
+
+def test_segment_rejects_bool_length():
+    # a bool is an int; accepted, it would serialize as "len": true
+    for length in (True, False):
+        with pytest.raises(ValueError, match="positive integer"):
+            Segment(Scalar(0), length)
 
 
 def _ref_segment_key(s):
@@ -144,13 +151,39 @@ def test_parse_segments_forms():
         parse_segments("{}")
 
 
+def _ref_segment_multisets(counts):
+    """(start, length) pairs of every segment multiset with the given support
+    counts: the copies of the maximum all end segments, so they are assigned
+    start values simultaneously."""
+    counts = {v: c for v, c in counts.items() if c > 0}
+    if not counts:
+        yield ()
+        return
+    a = max(counts)
+    mult = counts.pop(a)
+    starts = sorted(counts) + [a]  # candidate lower endpoints
+    for combo in itertools.combinations_with_replacement(sorted(starts, reverse=True), mult):
+        used = {}
+        for x in combo:
+            for v in range(x, a):
+                used[v] = used.get(v, 0) + 1
+        if any(c > counts.get(v, 0) for v, c in used.items()):
+            continue
+        rest = dict(counts)
+        for v, c in used.items():
+            rest[v] -= c
+        head = tuple((x, a - x + 1) for x in combo)
+        for tail in _ref_segment_multisets(rest):
+            yield head + tail
+
+
 def _ref_enumerate_multisegments(lam):
     # the Fraction-keyed ordering the integer keys replaced
     counts = {}
     for x in lam:
         counts[x] = counts.get(x, 0) + 1
     out = []
-    for pairs in _enumerate_segment_multisets(counts):
+    for pairs in _ref_segment_multisets(counts):
         segs = tuple(Segment(Scalar(x), ln) for x, ln in pairs)
         out.append(dominant_representative(Multisegment(segs)))
     out.sort(key=lambda ms: tuple(_segment_key(s) for s in ms.segments))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from glhecke import realparams
 from glhecke.realparams import (
     GL1Factor,
     GL2Factor,
@@ -232,3 +233,20 @@ def test_enumerate_matches_fraction_keyed_reference():
             got = [factors_str(p) for p in enumerate_real_params(lam, min_level)]
             assert got == expected, (lam, min_level)
         assert enumerate_real_params(lam, 0) == ref
+
+
+def test_min_level_prunes_the_search(monkeypatch):
+    # the level bound must cut branches, not filter the finished classes
+    calls, pieces = [], realparams._factor_pieces
+
+    def counted(a, lower):
+        calls.append(a)
+        return pieces(a, lower)
+
+    monkeypatch.setattr(realparams, "_factor_pieces", counted)
+    rho = tuple(range(5, -1, -1))
+    everything = enumerate_real_params(rho, 0)
+    unpruned = len(calls)
+    calls.clear()
+    assert enumerate_real_params(rho, 6) == [p for p in everything if p.level >= 6]
+    assert 0 < len(calls) < unpruned
