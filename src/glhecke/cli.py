@@ -127,6 +127,8 @@ def cmd_enumerate(args) -> int:
     _check_n(args, lam)
     # per class: its JSON object, name, size and character, under these keys
     if args.side == "real":
+        if (args.min_level or 0) < 0:
+            raise SystemExit(f"error: --min-level must be nonnegative, got {args.min_level}")
         keys, m = ("param", "factors", "level", "infinitesimal_character"), realparams
         rows = [
             (m.real_param_to_json(p), m.factors_str(p), p.level, p.infinitesimal_character())

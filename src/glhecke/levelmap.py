@@ -10,6 +10,10 @@ On the level = k locus the induced module has dimension k!/prod(level_i!),
 its restriction to the symmetric group is induced-from-sign over the Young
 subgroup of the nonzero levels, and the weight of the generating vector is
 given position by position by a closed form reproduced here.
+
+The bijection check stays on the integer keys of both enumerations: each
+factor key maps straight to its image's segment key, and parameters and
+multisegments are built only for the report.
 """
 
 from __future__ import annotations
@@ -21,15 +25,18 @@ from typing import Optional, Sequence
 
 from .multisegments import (
     Multisegment,
-    Segment,
+    _built,
+    _cover,
+    _segment_from_key,
+    _segment_pieces,
     dominant_representative,
-    enumerate_multisegments,
     multisegment_to_json,
 )
 from .realparams import (
-    GL1Factor,
     RealParam,
-    enumerate_real_params,
+    _factor_from_key,
+    _factor_pieces,
+    _level_bound,
     real_param_to_json,
 )
 from .scalars import Scalar
@@ -62,16 +69,9 @@ def factor_order_image(param: RealParam) -> Multisegment:
 
     Defined for any parameter; sign factors are dropped.  The result need
     not have weakly decreasing centers even when the input is dominant.
+    Each factor's segment is built once, on first use.
     """
-    segs = []
-    for f in param.factors:
-        if isinstance(f, GL1Factor):
-            if f.eps == "sgn":
-                continue
-            segs.append(Segment(f.nu, 1))
-        else:
-            segs.append(Segment(Scalar(f.nu.re - Fraction(f.l - 1, 2), f.nu.im), f.l))
-    return Multisegment(tuple(segs))
+    return Multisegment(tuple(f._image for f in param.factors if f.level))
 
 
 def gamma(param: RealParam, k: int) -> Optional[Multisegment]:
@@ -123,7 +123,9 @@ def _scaled_eigenvalues(param: RealParam, k: int) -> tuple[int, list[tuple[int, 
     lev = param.level
     if lev != k:
         raise ValueError(f"eigenvalues need level == k, got level {lev} and k={k}")
-    scale = math.lcm(2, *(x.denominator for f in param.factors for x in (f.nu.re, f.nu.im)))
+    scale = 2
+    for f in param.factors:
+        scale = math.lcm(scale, f.nu.re.denominator, f.nu.im.denominator)
     out: list[tuple[int, int]] = []
     for f in param.factors:
         level = f.level
@@ -132,7 +134,7 @@ def _scaled_eigenvalues(param: RealParam, k: int) -> tuple[int, list[tuple[int, 
         re = _scaled(f.nu.re, scale) - (level - 1) * (scale // 2)
         im = _scaled(f.nu.im, scale)
         # ell = prec + j + 1, so ell - prec - 1 = j
-        out.extend((re + j * scale, im) for j in range(level))
+        out += [(re + j * scale, im) for j in range(level)]
     return scale, out
 
 
@@ -165,7 +167,7 @@ def eigenvalue_identity(param: RealParam, k: int) -> bool:
         re, im = _scaled(seg.start.re, scale), _scaled(seg.start.im, scale)
         if re is None or im is None:
             return False
-        image.extend((re + j * scale, im) for j in range(seg.length))
+        image += [(re + j * scale, im) for j in range(seg.length)]
     return image == eig
 
 
@@ -220,28 +222,37 @@ class BijectionReport:
         }
 
 
+def _image_key(key: tuple) -> tuple:
+    """Segment key (``multisegments._segment_pieces``) of the image of a
+    factor key (``realparams._factor_pieces``) of nonzero level."""
+    if key[3] == 1:  # triv at a, (-4a, -1, 0, 1): the segment {a}
+        return (key[0] // 2, -1, key[0] // 4)
+    # the pair a > b, (-(a+b), -(a-b+1), 0, 2): the segment b..a
+    return (key[0], key[1], (key[0] - key[1] - 1) // 2)
+
+
 def verify_bijection_level_n(lam: Sequence[int]) -> BijectionReport:
     """Match the level-n classes at ``lam`` against the multisegment classes
     with support ``lam`` through the level map; failures are reported, not
-    raised."""
+    raised.  An image is the sorted segment keys of a class's nonzero-level
+    factor keys; each distinct factor and segment is built once per call."""
     lam = tuple(lam)
-    n = len(lam)
-    params = [p for p in enumerate_real_params(lam, n) if p.level == n]
-    classes = enumerate_multisegments(lam)
+    params = _cover(lam, _factor_pieces, len(lam), _level_bound, exact=True)
+    classes = _cover(lam, _segment_pieces)
     targets = set(classes)
-    hit: dict[Multisegment, list[RealParam]] = {}
-    pairs = []
-    off_support = []
-    for p in params:
-        ms = gamma(p, n)
-        assert ms is not None
-        pairs.append((p, ms))
-        if ms in targets:
-            hit.setdefault(ms, []).append(p)
-        else:
-            off_support.append((p, ms))
-    missing = [ms for ms in classes if ms not in hit]
-    collisions = [(ms, ps) for ms, ps in hit.items() if len(ps) > 1]
+    images = [tuple(sorted(_image_key(key) for key in keys if key[1])) for keys in params]
+    hit: dict[tuple, list[int]] = {}
+    for i, image in enumerate(images):
+        if image in targets:
+            hit.setdefault(image, []).append(i)
+    missing = [keys for keys in classes if keys not in hit]
+    reals = _built(params, _factor_from_key, RealParam)
+    shown = _built(images + missing, _segment_from_key, Multisegment)
+    pairs = list(zip(reals, shown))
     return BijectionReport(
-        lam=lam, pairs=pairs, missing=missing, collisions=collisions, off_support=off_support
+        lam=lam,
+        pairs=pairs,
+        missing=shown[len(images) :],
+        collisions=[(shown[ps[0]], [reals[i] for i in ps]) for ps in hit.values() if len(ps) > 1],
+        off_support=[pair for pair, image in zip(pairs, images) if image not in targets],
     )

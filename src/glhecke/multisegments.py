@@ -16,7 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .scalars import (
     Scalar,
@@ -126,53 +126,62 @@ def _validate_integral_lambda(lam: Sequence[int]) -> tuple[int, ...]:
     return lam
 
 
-def _cover(counts: dict[int, int], pieces, need: int = 0, bound=None) -> Iterable[tuple]:
-    """Key tuples of every multiset of pieces that covers ``counts`` (value
-    -> copies) exactly and whose levels add up to at least ``need``.
+def _cover(lam: Sequence[int], pieces, need: int = 0, bound=None, exact=False) -> list[tuple]:
+    """Every multiset of pieces that covers the weight ``lam`` exactly and
+    whose levels add up to at least ``need``, or to exactly ``need`` when
+    ``exact``, as its sorted key tuple; the tuples come out sorted.
 
     ``pieces(a, lower)`` lists ``(key, used, level)`` for each piece whose
     largest value is ``a``, where ``lower`` holds the smaller values left, in
     decreasing order; ``used`` holds the smaller values the piece takes one
     copy of.  Every copy of the current maximum is covered at once by a
     weakly increasing choice of pieces, so each multiset comes out exactly
-    once.  A branch stops as soon as ``bound(counts) < need``.
-    """
-    counts = {v: c for v, c in counts.items() if c > 0}
-    if not counts:
-        if need <= 0:
-            yield ()
-        return
-    if need > 0 and bound is not None and bound(counts) < need:
-        return
-    a = max(counts)
-    mult = counts.pop(a)
-    options = pieces(a, sorted(counts, reverse=True))
-    for combo in itertools.combinations_with_replacement(options, mult):
-        rest, left = dict(counts), need
-        for _, used, level in combo:
-            left -= level
-            for v in used:
-                rest[v] = rest.get(v, 0) - 1
-        if any(c < 0 for c in rest.values()):
-            continue
-        head = tuple(key for key, _, _ in combo)
-        for tail in _cover(rest, pieces, left, bound):
-            yield head + tail
+    once.  A branch stops as soon as ``bound(counts) < need``, or, when
+    ``exact``, once its levels pass ``need``.  The chosen keys sit on one
+    stack, and each finished class goes straight into one output list."""
+    out: list[tuple] = []
+    head: list = []
+
+    def walk(counts: dict[int, int], need: int) -> None:
+        if not counts:
+            if need == 0 or (need < 0 and not exact):
+                out.append(tuple(sorted(head)))
+            return
+        if (need < 0 and exact) or (need > 0 and bound is not None and bound(counts) < need):
+            return
+        a = max(counts)
+        mult = counts.pop(a)
+        options = pieces(a, sorted(counts, reverse=True))
+        for combo in itertools.combinations_with_replacement(options, mult):
+            rest, left = dict(counts), need
+            for _, used, level in combo:
+                left -= level
+                for v in used:
+                    rest[v] = rest.get(v, 0) - 1
+            if any(c < 0 for c in rest.values()):
+                continue
+            head.extend(key for key, _, _ in combo)
+            walk({v: c for v, c in rest.items() if c}, left)
+            del head[-mult:]
+
+    walk(Counter(_validate_integral_lambda(lam)), need)
+    return sorted(out)
 
 
-def _classes(lam: Sequence[int], pieces, build, wrap, need: int = 0, bound=None) -> list:
-    """``wrap`` of the built pieces of each class :func:`_cover` finds for
-    the weight ``lam``.  A class is its sorted key tuple, the classes are
-    sorted on those tuples, and ``build`` runs once per distinct key."""
-    lam = _validate_integral_lambda(lam)
-    classes = sorted(tuple(sorted(keys)) for keys in _cover(Counter(lam), pieces, need, bound))
-    built = {key: build(key) for key in {key for keys in classes for key in keys}}
-    return [wrap(tuple(built[key] for key in keys)) for keys in classes]
+def _built(classes: list, build, wrap) -> list:
+    """``wrap`` of the built pieces of each key tuple in ``classes``;
+    ``build`` runs once per distinct key."""
+    built = {key: build(key) for key in {key for keys in classes for key in keys}}.__getitem__
+    return [wrap(tuple(map(built, keys))) for keys in classes]
 
 
 def _segment_pieces(a: int, lower: list[int]) -> list[tuple]:
     # the segment x..a, keyed by _segment_key with the center doubled
     return [((-(x + a), -(a - x + 1), -x), range(x, a), 0) for x in [a] + lower]
+
+
+def _segment_from_key(key: tuple) -> Segment:
+    return Segment(Scalar(-key[2]), -key[1])
 
 
 def enumerate_multisegments(lam: Sequence[int]) -> list[Multisegment]:
@@ -186,9 +195,7 @@ def enumerate_multisegments(lam: Sequence[int]) -> list[Multisegment]:
     >>> len(enumerate_multisegments((2, 1, 0)))
     4
     """
-    return _classes(
-        lam, _segment_pieces, lambda key: Segment(Scalar(-key[2]), -key[1]), Multisegment
-    )
+    return _built(_cover(lam, _segment_pieces), _segment_from_key, Multisegment)
 
 
 # -- serialization ------------------------------------------------------------
@@ -242,7 +249,7 @@ def parse_segments(text: str) -> Multisegment:
         if not entries:
             raise ValueError("empty segment")
         for a, b in zip(entries, entries[1:]):
-            if b - a != Scalar(1):
+            if b.re - a.re != 1 or b.im != a.im:
                 raise ValueError(f"segment entries must step by 1: {text[pos:close+1]}")
         segments.append(Segment(entries[0], len(entries)))
         pos = close + 1

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
-from .multisegments import _classes
+from .multisegments import Segment, _built, _cover
 from .scalars import (
     Scalar,
     _json_field,
@@ -68,6 +68,10 @@ class GL1Factor:
     def inf_char(self) -> tuple[Scalar, ...]:
         return (self.nu,)
 
+    @cached_property
+    def _image(self) -> Segment | None:  # see levelmap.factor_order_image
+        return Segment(self.nu, 1) if self.eps == TRIV else None
+
     def __str__(self):
         return f"gl1({self.eps},{scalar_str(self.nu)})"
 
@@ -91,8 +95,12 @@ class GL2Factor:
         return self.l
 
     def inf_char(self) -> tuple[Scalar, ...]:
-        half = Scalar(Fraction(self.l - 1, 2))
-        return (self.nu + half, self.nu - half)
+        re, im, half = self.nu.re, self.nu.im, Fraction(self.l - 1, 2)
+        return (Scalar(re + half, im), Scalar(re - half, im))
+
+    @cached_property
+    def _image(self) -> Segment:  # see levelmap.factor_order_image
+        return Segment(Scalar(self.nu.re - Fraction(self.l - 1, 2), self.nu.im), self.l)
 
     def __str__(self):
         return f"gl2({self.l},{scalar_str(self.nu)})"
@@ -198,7 +206,8 @@ def enumerate_real_params(lam: Sequence[int], min_level: int = 0) -> list[RealPa
     :func:`_level_bound` rather than filtering its output.  Each distinct
     factor is built once per call.
     """
-    return _classes(lam, _factor_pieces, _factor_from_key, RealParam, min_level, _level_bound)
+    classes = _cover(lam, _factor_pieces, min_level, _level_bound)
+    return _built(classes, _factor_from_key, RealParam)
 
 
 # -- serialization ------------------------------------------------------------

@@ -70,6 +70,18 @@ def test_enumerate_hecke_refuses_min_level():
     assert run_cli(*real).stdout == run_cli(*real, "--min-level", "0").stdout
 
 
+def test_enumerate_real_refuses_negative_min_level():
+    # a negative floor would silently list every class
+    args = ("enumerate", "--lambda", "2,1,0", "--side", "real", "--min-level")
+    proc = run_cli(*args, "-3", check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: --min-level must be nonnegative, got -3\n"
+    assert run_in_process([*args, "-1"])[:2] == (
+        "error: --min-level must be nonnegative, got -1",
+        "",
+    )
+
+
 def test_enumerate_deterministic_bytes():
     args = ("enumerate", "--lambda", "3,2,1,0", "--side", "real", "--format", "json")
     assert run_cli(*args).stdout == run_cli(*args).stdout

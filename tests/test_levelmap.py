@@ -17,8 +17,11 @@ from glhecke.levelmap import (
 from glhecke.multisegments import (
     Multisegment,
     Segment,
+    _built,
+    _cover,
     central_character,
     dominant_representative,
+    enumerate_multisegments,
     segments_str,
     steinberg_param,
 )
@@ -26,11 +29,14 @@ from glhecke.realparams import (
     GL1Factor,
     GL2Factor,
     RealParam,
+    _factor_from_key,
+    _factor_pieces,
+    _level_bound,
     enumerate_real_params,
     parse_factors,
 )
 from glhecke.scalars import Scalar
-from glhecke.sweeps import lambda_window
+from glhecke.sweeps import consecutive_lambda, lambda_window
 
 
 def _ref_position_eigenvalues(param, k):
@@ -261,3 +267,57 @@ def test_image_support_is_endpoints_plus_interiors():
             assert sorted(img.support(), key=lambda s: s.re) == sorted(
                 expected, key=lambda s: s.re
             )
+
+
+# -- reference: the object route the integer-keyed verifier replaced -----------
+
+
+def _ref_verify_bijection_level_n(lam):
+    """Every class of level >= n filtered to level n, each image built by
+    ``gamma`` and matched as a ``Multisegment``."""
+    lam = tuple(lam)
+    n = len(lam)
+    params = [p for p in enumerate_real_params(lam, n) if p.level == n]
+    classes = enumerate_multisegments(lam)
+    targets = set(classes)
+    hit, pairs, off_support = {}, [], []
+    for p in params:
+        ms = gamma(p, n)
+        pairs.append((p, ms))
+        if ms in targets:
+            hit.setdefault(ms, []).append(p)
+        else:
+            off_support.append((p, ms))
+    return levelmap.BijectionReport(
+        lam=lam,
+        pairs=pairs,
+        missing=[ms for ms in classes if ms not in hit],
+        collisions=[(ms, ps) for ms, ps in hit.items() if len(ps) > 1],
+        off_support=off_support,
+    )
+
+
+REF_BIJECTION_WEIGHTS = (
+    [lam for n in range(1, 6) for lam in lambda_window(n, n)]
+    + [consecutive_lambda(n) for n in range(1, 9)]
+    + [(2, 0, 0)]
+)
+
+
+def test_bijection_matches_object_reference():
+    for lam in REF_BIJECTION_WEIGHTS:
+        report = verify_bijection_level_n(lam)
+        assert report.to_json() == _ref_verify_bijection_level_n(lam).to_json(), lam
+
+
+def test_exact_level_cover_is_the_level_filter():
+    # the exact-level prune lists exactly the classes of level k, in the
+    # order enumerate_real_params gives them, for every k up to one past the top
+    for lam in REF_BIJECTION_WEIGHTS:
+        n, everything = len(lam), enumerate_real_params(lam, 0)
+        for k in range(max(p.level for p in everything) + 2):
+            keys = _cover(lam, _factor_pieces, k, _level_bound, exact=True)
+            got = _built(keys, _factor_from_key, RealParam)
+            assert got == [p for p in everything if p.level == k], (lam, k)
+            if k == n:
+                assert got == [p for p in enumerate_real_params(lam, n) if p.level == n], lam

@@ -124,12 +124,8 @@ def test_field_inverse(a):
 
 
 def test_hot_paths_do_no_scalar_arithmetic(monkeypatch):
-    # Scalar is a boundary type: inputs are parsed first, then every module
-    # check, the level map and the orbit map run with Scalar arithmetic off
-    parse = multisegments.parse_segments
-    modules = ("{1/2,3/2};{-1}", "{1+1i};{0}", "{1+1/3i,2+1/3i};{0}", "{3};{2};{1}")
-    modules = [parse(t) for t in modules]
-    quotients = [parse(t) for t in ("{3};{1}", "{1/2,3/2};{-1/2,1/2}", "{1+1i};{0+1i}")]
+    # Scalar is a boundary type: parsing, every module check, the level map,
+    # the orbit map and infinitesimal characters run with Scalar arithmetic off
     lam = (2, 1, 1, 0)
 
     def forbidden(*args):
@@ -138,6 +134,10 @@ def test_hot_paths_do_no_scalar_arithmetic(monkeypatch):
     for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__", "__neg__"):
         monkeypatch.setattr(Scalar, name, forbidden)
 
+    parse = multisegments.parse_segments
+    modules = ("{1/2,3/2};{-1}", "{1+1i};{0}", "{1+1/3i,2+1/3i};{0}", "{3};{2};{1}")
+    modules = [parse(t) for t in modules]
+    quotients = [parse(t) for t in ("{3};{1}", "{1/2,3/2};{-1/2,1/2}", "{1+1i};{0+1i}")]
     for ms in modules:
         M = heckemod.build_standard_module(ms)
         assert heckemod.verify_relations(M)
@@ -151,6 +151,9 @@ def test_hot_paths_do_no_scalar_arithmetic(monkeypatch):
     for p in params:
         assert levelmap.eigenvalue_identity(p, p.level)
         levelmap.gamma(p, p.level)
+        assert sorted(c.re for c in p.infinitesimal_character()) == sorted(lam)
+    gl2 = realparams.parse_factors("gl2(3,1/2+1/3i);gl1(sgn,1/5)")
+    assert [str(c) for c in gl2.infinitesimal_character()] == ["3/2+1/3i", "1/5", "-1/2+1/3i"]
     assert orbits.verify_psi_wellposed(lam).ok
     assert orbits.verify_injectivity(lam).ok
     for ms in classes + modules:
