@@ -110,29 +110,22 @@ def w_structure(param: RealParam, k: int) -> tuple[int, ...]:
     return comp
 
 
-def _scaled(x: Fraction, scale: int) -> Optional[int]:
-    """``scale * x`` as an int, or None when it is not one."""
-    q, r = divmod(scale, x.denominator)
-    return None if r else x.numerator * q
-
-
 def _scaled_eigenvalues(param: RealParam, k: int) -> tuple[int, list[tuple[int, int]]]:
     """D and the closed form of :func:`position_eigenvalues` as integer
     pairs (D*re, D*im), with D = lcm(2, every denominator of every factor's
-    nu).  This is the one implementation of the formula."""
+    nu).  This is the one implementation of the formula; each factor's
+    ``nu`` is read as integers once, through its cached ``_nu_grid``."""
     lev = param.level
     if lev != k:
         raise ValueError(f"eigenvalues need level == k, got level {lev} and k={k}")
-    scale = 2
-    for f in param.factors:
-        scale = math.lcm(scale, f.nu.re.denominator, f.nu.im.denominator)
+    grids = [f._nu_grid for f in param.factors]
+    scale = math.lcm(2, *(d for d, _, _ in grids))
     out: list[tuple[int, int]] = []
-    for f in param.factors:
+    for f, (d, re, im) in zip(param.factors, grids):
         level = f.level
         if level == 0:
             continue
-        re = _scaled(f.nu.re, scale) - (level - 1) * (scale // 2)
-        im = _scaled(f.nu.im, scale)
+        re, im = re * (scale // d) - (level - 1) * (scale // 2), im * (scale // d)
         # ell = prec + j + 1, so ell - prec - 1 = j
         out += [(re + j * scale, im) for j in range(level)]
     return scale, out
@@ -155,18 +148,20 @@ def eigenvalue_identity(param: RealParam, k: int) -> bool:
 
     Both sides are compared as integer pairs (D*re, D*im), where D is
     lcm(2, every denominator of every factor's nu); no Scalar arithmetic is
-    done on the coordinates.  The two routes stay independent: the closed form reads each factor's
-    ``nu`` and ``level``; the other side reads the segment starts and
-    lengths that :func:`factor_order_image` builds and adds j*D for the
-    j-th entry of each segment.  A start off the 1/D grid, where every
-    closed-form coordinate lies, fails the identity.
+    done on the coordinates.  The two routes stay independent: the closed
+    form reads each factor's ``nu`` and ``level``; the other side reads the
+    segment starts and lengths that :func:`factor_order_image` builds (each
+    start as integers once, through the segment's cached ``_start_grid``)
+    and adds j*D for the j-th entry of each segment.  A start off the 1/D
+    grid, where every closed-form coordinate lies, fails the identity.
     """
     scale, eig = _scaled_eigenvalues(param, k)
     image: list[tuple[int, int]] = []
     for seg in factor_order_image(param).segments:
-        re, im = _scaled(seg.start.re, scale), _scaled(seg.start.im, scale)
-        if re is None or im is None:
+        d, re, im = seg._start_grid
+        if scale % d:
             return False
+        re, im = re * (scale // d), im * (scale // d)
         image += [(re + j * scale, im) for j in range(seg.length)]
     return image == eig
 

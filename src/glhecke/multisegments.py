@@ -16,10 +16,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .scalars import (
     Scalar,
+    _grid,
     _json_field,
     parse_rat,
     parse_scalar,
@@ -56,6 +58,10 @@ class Segment:
 
     def entries(self) -> tuple[Scalar, ...]:
         return tuple(Scalar(self.start.re + j, self.start.im) for j in range(self.length))
+
+    @cached_property
+    def _start_grid(self) -> tuple[int, int, int]:  # see levelmap.eigenvalue_identity
+        return _grid(self.start)
 
     def __str__(self):
         return "{" + ",".join(scalar_str(e) for e in self.entries()) + "}"

@@ -20,6 +20,7 @@ from typing import Sequence, Union
 from .multisegments import Segment, _built, _cover
 from .scalars import (
     Scalar,
+    _grid,
     _json_field,
     parse_scalar,
     scalar,
@@ -72,6 +73,10 @@ class GL1Factor:
     def _image(self) -> Segment | None:  # see levelmap.factor_order_image
         return Segment(self.nu, 1) if self.eps == TRIV else None
 
+    @cached_property
+    def _nu_grid(self) -> tuple[int, int, int]:  # see levelmap.position_eigenvalues
+        return _grid(self.nu)
+
     def __str__(self):
         return f"gl1({self.eps},{scalar_str(self.nu)})"
 
@@ -101,6 +106,10 @@ class GL2Factor:
     @cached_property
     def _image(self) -> Segment:  # see levelmap.factor_order_image
         return Segment(Scalar(self.nu.re - Fraction(self.l - 1, 2), self.nu.im), self.l)
+
+    @cached_property
+    def _nu_grid(self) -> tuple[int, int, int]:  # see levelmap.position_eigenvalues
+        return _grid(self.nu)
 
     def __str__(self):
         return f"gl2({self.l},{scalar_str(self.nu)})"

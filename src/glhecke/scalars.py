@@ -19,6 +19,7 @@ String forms (used in JSON and CSV):
 
 from __future__ import annotations
 
+import math
 import re as _re
 from fractions import Fraction
 
@@ -144,6 +145,13 @@ def scalar(x) -> Scalar:
 def scalar_sort_key(s: Scalar) -> tuple[Fraction, Fraction]:
     """Total-order key (real part, then imaginary part)."""
     return (s.re, s.im)
+
+
+def _grid(s: Scalar) -> tuple[int, int, int]:
+    """``(d, d*re, d*im)``, with d the least common denominator of the parts."""
+    re, im = s.re, s.im
+    d = math.lcm(re.denominator, im.denominator)
+    return d, re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
 
 
 # -- string and JSON forms ---------------------------------------------------

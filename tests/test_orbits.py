@@ -353,10 +353,12 @@ def _ref_verify_psi_wellposed(lam):
 
 
 ORACLE_N6 = [(5, 4, 3, 2, 1, 0), (3, 3, 2, 2, 1, 1), (2, 2, 1, 1, 0, 0), (3, 2, 2, 1, 1, 0)]
+# columns of length >= 3, where the sweep's keys merge the most flattenings
+ORACLE_N7 = [(1, 1, 1, 1, 0, 0, 0), (2, 2, 1, 1, 1, 0, 0)]
 
 
 def test_code_routes_match_reference_routes():
-    lams = [lam for n in range(1, 6) for lam in lambda_window(n, n)] + ORACLE_N6
+    lams = [lam for n in range(1, 6) for lam in lambda_window(n, n)] + ORACLE_N6 + ORACLE_N7
     for lam in lams:
         for ms in enumerate_multisegments(lam):
             diagram = build_diagram(ms, lam)
@@ -397,6 +399,39 @@ def _edit_cell(diagram, pick, cell):
 
 
 DOCTOR_LAMBDA, DOCTOR_TAU = (2, 1, 1, 0), "{1,2};{1};{0}"
+
+
+def test_wellposed_checks_every_ordering_of_a_column(monkeypatch):
+    # one final diagram, whose column of 1 stores a fixed point above the arc
+    # cell (its sorted order too), and a target missing the flattening with
+    # those two cells swapped: only the loop over each column's orderings
+    # can see that gap
+    ms = parse_segments(DOCTOR_TAU)
+    real_finals, real_psi = orbits._all_final_diagrams, orbits.psi_g
+    (diagram,) = [d for d in real_finals(ms, DOCTOR_LAMBDA) if d.columns[1][1][2] is not None]
+    swapped = flatten_diagram(diagram, [(0,), (1, 0), (0,)])
+    assert swapped != flatten_diagram(diagram)
+
+    def one_final(m, lam):
+        return {diagram} if segments_str(m) == DOCTOR_TAU else real_finals(m, lam)
+
+    def without_swapped(m, lam):
+        cls = real_psi(m, lam)
+        if segments_str(m) != DOCTOR_TAU:
+            return cls
+        assert swapped in cls
+        return OrbitClass(cls.blocks, cls.members - {swapped}, cls.canonical)
+
+    monkeypatch.setattr(orbits, "_all_final_diagrams", one_final)
+    honest = verify_psi_wellposed(DOCTOR_LAMBDA).to_json()
+    assert honest["ok"]
+    monkeypatch.setattr(orbits, "psi_g", without_swapped)
+    entries = verify_psi_wellposed(DOCTOR_LAMBDA).to_json()["entries"]
+    expected = [
+        dict(e, ok=False) if e["tau"] == DOCTOR_TAU else e for e in honest["entries"]
+    ]
+    assert entries == expected
+    assert {"tau": DOCTOR_TAU, "outputs": 2, "ok": False} in entries
 
 
 def test_flipped_fixed_point_sign_fails_the_entry(monkeypatch):
