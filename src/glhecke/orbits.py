@@ -20,8 +20,11 @@ its maximum to a fresh cell in the column of its minimum, flips one fresh
 cell in every strictly intermediate column when the endpoint parities agree,
 and finally flattens the columns left to right.  Cells that were used or
 flipped are never fresh again.  The flattening is ambiguous, but all choices
-land in one orbit class; :func:`verify_psi_wellposed` checks that
-exhaustively.
+land in one orbit class; :func:`verify_psi_wellposed` checks every choice.
+The fresh cells of a column are equal, so a choice of cells only reorders
+the columns of the diagram built on the topmost fresh cells for the same
+segment order: the check walks each segment order once and flattens every
+distinct ordering of every column.
 """
 
 from __future__ import annotations
@@ -115,6 +118,8 @@ def make_involution(n: int, arcs: Iterable[tuple[int, int]], signs: dict[int, st
     pairing = list(range(n))
     sign_list: list[Optional[str]] = [None] * n
     for i, j in arcs:
+        if i == j or not (0 <= i < n and 0 <= j < n) or pairing[i] != i or pairing[j] != j:
+            raise ValueError("arcs must join two distinct positions below n, each in one arc")
         pairing[i], pairing[j] = j, i
     fixed = {i for i in range(n) if pairing[i] == i}
     if set(signs) != fixed:
@@ -284,44 +289,35 @@ def _touched_columns(values: tuple[int, ...], x: int, y: int) -> tuple[int, ...]
     return (top, bottom, *(range(top + 1, bottom) if (y - x) % 2 == 0 else ()))
 
 
-def _fresh_cells(columns, touched: Sequence[int]) -> list[list[int]]:
-    """The fresh cell indices of each touched column."""
-    pools = []
-    for c in touched:
-        pool = [t for t, (sign, fresh, arc) in enumerate(columns[c]) if fresh]
-        if not pool:
-            raise StructuralError(f"no fresh cell left in column {c}")
-        pools.append(pool)
-    return pools
-
-
-def _apply_segment(columns, touched: Sequence[int], picks: Sequence[int], arc_id: int):
-    """Join the picked cells of the two end columns ``touched[:2]`` by arc
-    ``arc_id`` and flip the picked cell of every other touched column;
-    ``picks[i]`` is the cell chosen in column ``touched[i]``."""
+def _apply_segment(columns, touched: Sequence[int], arc_id: int):
+    """Join the topmost fresh cells of the two end columns ``touched[:2]`` by
+    arc ``arc_id`` and flip the topmost fresh cell of every other touched
+    column."""
     new_cols = list(columns)
-    for i, (c, t) in enumerate(zip(touched, picks)):
+    for i, c in enumerate(touched):
         col = list(new_cols[c])
-        sign, fresh, arc = col[t]
-        if not fresh:
-            raise StructuralError(f"cell {t} in column {c} is not fresh")
+        t = next((t for t, (_, fresh, _) in enumerate(col) if fresh), None)
+        if t is None:
+            raise StructuralError(f"no fresh cell left in column {c}")
+        sign = col[t][0]
         col[t] = (sign, False, arc_id) if i < 2 else (-sign, False, None)
         new_cols[c] = tuple(col)
     return tuple(new_cols)
+
+
+def _walk(values: tuple[int, ...], columns, segs: Iterable[tuple[int, int]]) -> ColumnDiagram:
+    """Apply the segments ``segs`` in order, arc ids from 1."""
+    for arc_id, (x, y) in enumerate(segs, start=1):
+        columns = _apply_segment(columns, _touched_columns(values, x, y), arc_id)
+    return ColumnDiagram(values=values, columns=columns)
 
 
 def build_diagram(ms: Multisegment, lam: Sequence[int]) -> ColumnDiagram:
     """Run the construction with the fixed default choices (longest segment
     first, dominant order inside a length tie, topmost fresh cell)."""
     lam = _validate_integral_lambda(lam)
-    segs = _segments_by_length(ms, lam)
-    diagram = initial_diagram(lam)
-    columns = diagram.columns
-    for arc_id, (x, y) in enumerate(segs, start=1):
-        touched = _touched_columns(diagram.values, x, y)
-        picks = [pool[0] for pool in _fresh_cells(columns, touched)]
-        columns = _apply_segment(columns, touched, picks, arc_id)
-    return ColumnDiagram(values=diagram.values, columns=columns)
+    base = initial_diagram(lam)
+    return _walk(base.values, base.columns, _segments_by_length(ms, lam))
 
 
 def _symbol(cell) -> tuple[int, Optional[int]]:
@@ -379,25 +375,21 @@ def psi_g(ms: Multisegment, lam: Sequence[int]) -> OrbitClass:
 
 
 def _all_final_diagrams(ms: Multisegment, lam: tuple[int, ...]) -> set[ColumnDiagram]:
-    """Every final diagram over all segment orders (within weakly decreasing
-    length), endpoint choices, and flip choices."""
+    """The diagram of every segment order (within weakly decreasing length),
+    each walked on the topmost fresh cells.
+
+    The fresh cells of a column are equal, so picking another fresh cell
+    only swaps two cells of its column: every other choice of endpoint and
+    flip cells gives a per-column reordering of one of these diagrams.
+    """
     base = initial_diagram(lam)
-    values = base.values
     segs = _segments_by_length(ms, lam)
     # every ordering of each tie group of lengths, longest group first
     groups = [list(g) for _, g in itertools.groupby(segs, key=lambda ab: ab[1] - ab[0])]
-    finals: set[ColumnDiagram] = set()
-    for perms in itertools.product(*(set(itertools.permutations(g)) for g in groups)):
-        states = {base.columns}
-        for arc_id, (x, y) in enumerate(itertools.chain(*perms), start=1):
-            touched = _touched_columns(values, x, y)
-            states = {
-                _apply_segment(columns, touched, picks, arc_id)
-                for columns in states
-                for picks in itertools.product(*_fresh_cells(columns, touched))
-            }
-        finals.update(ColumnDiagram(values=values, columns=c) for c in states)
-    return finals
+    return {
+        _walk(base.values, base.columns, itertools.chain(*perms))
+        for perms in itertools.product(*(set(itertools.permutations(g)) for g in groups))
+    }
 
 
 @dataclass
@@ -418,32 +410,30 @@ def verify_psi_wellposed(lam: Sequence[int]) -> WellPosedReport:
     under every choice path and every flattening and check all outputs land
     in a single orbit class.
 
-    A flattening's code reads only each cell's :func:`_symbol`, so two final
-    diagrams whose columns hold the same symbols in the same order flatten
-    alike, and a column's flattenings are the distinct orderings of its
-    symbols.  The check is therefore exact when it runs once per key, the
-    columns of symbols with each column sorted: one endpoint check through
-    :func:`flatten_diagram`, then one target lookup per product of the
-    columns' distinct orderings.  ``outputs`` still counts every flattening,
-    the product of (column length)! over every final diagram.
+    A flattening's code reads only each cell's :func:`_symbol`, and two cells
+    of one column with the same symbol are equal.  Every choice path ends in
+    a per-column reordering of a diagram of :func:`_all_final_diagrams`, so
+    its flattenings are the products of the distinct symbol orderings of
+    that diagram's columns.  Per diagram the check runs
+    :func:`flatten_diagram` once for the arc endpoints, whose counts do not
+    depend on the order, and looks up the code of every such product among
+    the target codes.  ``outputs`` counts the flattenings of every choice
+    path: each of the d distinct orderings of a column of length l is the
+    column of some final diagram and flattens in l! ways, so the column adds
+    the factor l!·d.
     """
     lam = _validate_integral_lambda(lam)
     report = WellPosedReport(lam=lam)
     for ms in enumerate_multisegments(lam):
         codes = {(m.pairing, m.signs) for m in psi_g(ms, lam).members}
-        verdicts: dict[tuple, bool] = {}
         ok, outputs = True, 0
         for diagram in _all_final_diagrams(ms, lam):
-            outputs += math.prod(math.factorial(len(col)) for col in diagram.columns)
-            key = tuple(tuple(sorted(map(_symbol, col))) for col in diagram.columns)
-            if key not in verdicts:
-                # endpoint counts do not depend on the order, so one check covers the key
-                flatten_diagram(diagram)
-                orderings = (set(itertools.permutations(col)) for col in key)
-                verdicts[key] = all(
-                    _flat_code(columns) in codes for columns in itertools.product(*orderings)
-                )
-            ok = ok and verdicts[key]
+            flatten_diagram(diagram)
+            orderings = [set(itertools.permutations(map(_symbol, col))) for col in diagram.columns]
+            outputs += math.prod(
+                math.factorial(len(col)) * len(o) for col, o in zip(diagram.columns, orderings)
+            )
+            ok = ok and all(_flat_code(cols) in codes for cols in itertools.product(*orderings))
         report.entries.append({"tau": segments_str(ms), "outputs": outputs, "ok": ok})
     return report
 

@@ -13,7 +13,6 @@ from glhecke.orbits import (
     SignedInvolution,
     StructuralError,
     _apply_segment,
-    _fresh_cells,
     _touched_columns,
     build_diagram,
     column_blocks,
@@ -44,6 +43,23 @@ def test_signed_involution_validation():
     sigma = make_involution(3, [(0, 2)], {1: "-"})
     assert sigma.arcs() == ((0, 2),)
     assert sigma.signature() == (1, 2)
+
+
+def test_make_involution_rejects_malformed_arcs():
+    # a loop, a repeated arc, two arcs sharing a position, and ends out of range
+    for arcs, signs in [
+        ([(1, 1)], {0: "+", 1: "+", 2: "-"}),
+        ([(0, 1), (0, 1)], {2: "+"}),
+        ([(0, 1), (1, 2)], {}),
+        ([(0, 3)], {1: "+", 2: "-"}),
+        ([(-1, 0)], {1: "+"}),
+    ]:
+        with pytest.raises(ValueError, match="arcs must join"):
+            make_involution(3, arcs, signs)
+    json_arcs = [([[2, 2]], {"1": "+", "2": "+"}), ([[1, 2], [1, 2]], {}), ([[1, 3]], {"2": "+"})]
+    for arcs, signs in json_arcs:
+        with pytest.raises(ValueError, match="arcs must join"):
+            involution_from_json({"n": 2, "arcs": arcs, "signs": signs})
 
 
 def test_block_structure():
@@ -157,12 +173,10 @@ def test_structural_error_surfaces():
     d = initial_diagram((2, 1, 0))
     touched = _touched_columns(d.values, 0, 2)
     assert touched == (0, 2, 1)
-    cols = _apply_segment(d.columns, touched, (0, 0, 0), 1)
-    # every cell is now used or flipped; a second long segment cannot pick
+    cols = _apply_segment(d.columns, touched, 1)
+    # every cell is now used or flipped; a second long segment finds no fresh cell
     with pytest.raises(StructuralError):
-        _apply_segment(cols, touched, (0, 0, 0), 2)
-    with pytest.raises(StructuralError):
-        _fresh_cells(cols, touched)
+        _apply_segment(cols, touched, 2)
 
 
 def test_worked_example_flattenings_are_equivalent():
@@ -336,13 +350,46 @@ def _ref_orbit_class(sigma, bs):
     return OrbitClass(bs, frozenset(seen), min(seen, key=SignedInvolution.encode))
 
 
+def _ref_apply_picks(columns, touched, picks, arc_id):
+    new_cols = list(columns)
+    for i, (c, t) in enumerate(zip(touched, picks)):
+        col = list(new_cols[c])
+        sign, fresh, _ = col[t]
+        assert fresh
+        col[t] = (sign, False, arc_id) if i < 2 else (-sign, False, None)
+        new_cols[c] = tuple(col)
+    return tuple(new_cols)
+
+
+def _ref_all_final_diagrams(ms, lam):
+    """Every final diagram over all segment orders (within weakly decreasing
+    length), endpoint choices and flip choices, built pick by pick."""
+    base = initial_diagram(lam)
+    segs = orbits._segments_by_length(ms, tuple(lam))
+    groups = [list(g) for _, g in itertools.groupby(segs, key=lambda ab: ab[1] - ab[0])]
+    finals = set()
+    for perms in itertools.product(*(set(itertools.permutations(g)) for g in groups)):
+        states = {base.columns}
+        for arc_id, (x, y) in enumerate(itertools.chain(*perms), start=1):
+            touched = _touched_columns(base.values, x, y)
+            states = {
+                _ref_apply_picks(columns, touched, picks, arc_id)
+                for columns in states
+                for picks in itertools.product(
+                    *([t for t, cell in enumerate(columns[c]) if cell[1]] for c in touched)
+                )
+            }
+        finals.update(ColumnDiagram(base.values, columns) for columns in states)
+    return finals
+
+
 def _ref_verify_psi_wellposed(lam):
     report = orbits.WellPosedReport(lam=tuple(lam))
     for ms in enumerate_multisegments(lam):
         diagram = build_diagram(ms, lam)
         target = _ref_orbit_class(flatten_diagram(diagram), diagram.blocks())
         ok, outputs = True, 0
-        for d in orbits._all_final_diagrams(ms, tuple(lam)):
+        for d in _ref_all_final_diagrams(ms, lam):
             for orders in itertools.product(
                 *(itertools.permutations(range(len(col))) for col in d.columns)
             ):
@@ -370,6 +417,23 @@ def test_code_routes_match_reference_routes():
                     assert s_action(member, i, bs) == _ref_s_action(member, i)
         got, want = verify_psi_wellposed(lam).to_json(), _ref_verify_psi_wellposed(lam).to_json()
         assert got == want, lam
+
+
+def _sorted_keys(diagrams):
+    return [tuple(tuple(sorted(map(orbits._symbol, col))) for col in d.columns) for d in diagrams]
+
+
+def test_walked_diagrams_reach_every_pick_by_pick_key():
+    # every final diagram of every choice of cells is a per-column reordering
+    # of exactly one walked diagram
+    for lam in [lam for n in range(1, 7) for lam in lambda_window(n, n)] + ORACLE_N7:
+        for ms in enumerate_multisegments(lam):
+            walked = _sorted_keys(orbits._all_final_diagrams(ms, lam))
+            assert len(set(walked)) == len(walked), (lam, segments_str(ms))
+            assert set(walked) == set(_sorted_keys(_ref_all_final_diagrams(ms, lam))), (
+                lam,
+                segments_str(ms),
+            )
 
 
 # -- doctored final diagrams: the code loop must still see bad flattenings -----
@@ -408,7 +472,11 @@ def test_wellposed_checks_every_ordering_of_a_column(monkeypatch):
     # can see that gap
     ms = parse_segments(DOCTOR_TAU)
     real_finals, real_psi = orbits._all_final_diagrams, orbits.psi_g
-    (diagram,) = [d for d in real_finals(ms, DOCTOR_LAMBDA) if d.columns[1][1][2] is not None]
+    (walked,) = real_finals(ms, DOCTOR_LAMBDA)
+    columns = list(walked.columns)
+    columns[1] = columns[1][::-1]
+    diagram = ColumnDiagram(walked.values, tuple(columns))
+    assert [cell[2] for cell in diagram.columns[1]] == [None, 1]
     swapped = flatten_diagram(diagram, [(0,), (1, 0), (0,)])
     assert swapped != flatten_diagram(diagram)
 
@@ -431,7 +499,9 @@ def test_wellposed_checks_every_ordering_of_a_column(monkeypatch):
         dict(e, ok=False) if e["tau"] == DOCTOR_TAU else e for e in honest["entries"]
     ]
     assert entries == expected
-    assert {"tau": DOCTOR_TAU, "outputs": 2, "ok": False} in entries
+    # one final diagram stands for the 2 orderings of its column of 1, each
+    # flattened in 2! ways
+    assert {"tau": DOCTOR_TAU, "outputs": 4, "ok": False} in entries
 
 
 def test_flipped_fixed_point_sign_fails_the_entry(monkeypatch):
