@@ -50,4 +50,4 @@ if __name__ == "__main__":
     st = steinberg_param(4)
     M = build_standard_module(st)
     print(f"length-4 block at 0: dimension {M.dim}, "
-          f"weight {[scalar_str(c) for c in M.weight()]}")
+          f"weight {[scalar_str(c) for c in M.chi]}")

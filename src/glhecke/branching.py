@@ -18,11 +18,10 @@ The expansion runs on small-int label codes, 0 = triv, 1 = sgn and
 j + 1 = V(j), in the canonical slot order: the s o2 slots first, then the
 m o1 slots.  It is done once per key (s, m, k) and kept in ``_table``, a
 ``functools.lru_cache`` of at most ``MEMO_SIZE`` = 128 keys; a sweep over
-every weight with n <= 7 needs 62.  The table lists every ordered tuple of
-codes, so any other slot order is a relabelling of its positions:
-:func:`tensor_power` translates it back to :class:`O2Label` tuples in the
-caller's slot order, and :func:`hom_multiplicity` moves the o2 slots of its
-target first (keeping their order) before the lookup.
+every weight with n <= 7 needs 62.  :func:`tensor_power_standard` translates
+the codes back to :class:`O2Label` tuples, and :func:`hom_multiplicity`
+moves the o2 slots of its target first (keeping their order) before the
+lookup.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "SGN",
     "V",
     "tensor_o2",
-    "tensor_power",
     "tensor_power_standard",
     "total_dimension",
     "hom_multiplicity",
@@ -135,33 +133,18 @@ def _table(s: int, m: int, k: int) -> Mapping[tuple[int, ...], int]:
     return MappingProxyType(state)
 
 
-def tensor_power(slot_kinds: tuple[str, ...], k: int) -> Decomposition:
-    """Decomposition of the k-th tensor power of the standard representation
-    over the product of compact factors named by ``slot_kinds``.
-
-    Each slot is ``'o2'`` or ``'o1'``.  The standard representation itself is
-    the sum of one V(1) per o2 slot and one sgn per o1 slot, all other slots
-    acting trivially; its k-th power is expanded by repeated tensoring in
-    the canonical slot order and returned as a new dict in this one.
-    """
-    for kind in slot_kinds:
-        if kind not in ("o2", "o1"):
-            raise ValueError(f"slot kind must be 'o2' or 'o1', got {kind!r}")
-    o2 = [i for i, kind in enumerate(slot_kinds) if kind == "o2"]
-    order = o2 + [i for i, kind in enumerate(slot_kinds) if kind == "o1"]
-    labels = [TRIV, SGN] + [V(j) for j in range(1, k + 1)]
-    out: dict[tuple[O2Label, ...], int] = {}
-    for codes, mult in _table(len(o2), len(order) - len(o2), k).items():
-        slots = [TRIV] * len(order)
-        for pos, code in zip(order, codes):
-            slots[pos] = labels[code]
-        out[tuple(slots)] = mult
-    return out
-
-
 def tensor_power_standard(s: int, m: int, k: int) -> Decomposition:
-    """Same as :func:`tensor_power` with the s o2 slots listed first."""
-    return tensor_power(("o2",) * s + ("o1",) * m, k)
+    """Decomposition of the k-th tensor power of the standard representation
+    over O(2)^s x O(1)^m, keyed by label tuples with the s o2 slots first.
+
+    The standard representation is the sum of one V(1) per o2 slot and one
+    sgn per o1 slot, all other slots acting trivially; its k-th power is
+    expanded by repeated tensoring and returned as a new dict.
+    """
+    if s < 0 or m < 0:
+        raise ValueError("s and m must be >= 0")
+    labels = [TRIV, SGN] + [V(j) for j in range(1, k + 1)]
+    return {tuple(labels[c] for c in codes): mult for codes, mult in _table(s, m, k).items()}
 
 
 def total_dimension(decomp: Decomposition) -> int:

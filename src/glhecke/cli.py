@@ -209,7 +209,7 @@ def cmd_module(args) -> int:
     ms = _load_multisegment(args)
     module = _or_exit(heckemod.build_standard_module, ms)
     payload = _or_exit(heckemod.module_to_json, module)
-    payload["central_character"] = [scalar_str(c) for c in module.weight()]
+    payload["central_character"] = [scalar_str(c) for c in module.chi]
     if args.quotient:
         dominant = multisegments.dominant_representative(ms)
         q = _or_exit(heckemod.irreducible_quotient, dominant, errors=RuntimeError)

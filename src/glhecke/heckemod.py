@@ -157,9 +157,6 @@ class StandardModule:
     pos: np.ndarray
     nilpotent: tuple
 
-    def weight(self) -> tuple[Scalar, ...]:
-        return self.chi
-
     @property
     def gen_s(self) -> list[list[list[Scalar]]]:
         s_ops, _, _, g = _compact_operators(self, 0, 1)

@@ -18,13 +18,16 @@ signed by the value's parity: even '+', odd '-'), joins, for each segment of
 length >= 2 in weakly decreasing length order, a fresh cell in the column of
 its maximum to a fresh cell in the column of its minimum, flips one fresh
 cell in every strictly intermediate column when the endpoint parities agree,
-and finally flattens the columns left to right.  Cells that were used or
-flipped are never fresh again.  The flattening is ambiguous, but all choices
-land in one orbit class; :func:`verify_psi_wellposed` checks every choice.
-The fresh cells of a column are equal, so a choice of cells only reorders
-the columns of the diagram built on the topmost fresh cells for the same
-segment order: the check walks each segment order once and flattens every
-distinct ordering of every column.
+and finally flattens the columns left to right.  A cell is stored as what
+the flattening reads: ``(sign, None)`` for a fixed point, ``(0, arc)`` for
+an arc endpoint.  A cell is fresh while it is a fixed point with its
+column's parity sign; a used cell has sign 0 and a flipped one the opposite
+sign, so neither is fresh again.  The flattening is ambiguous, but all
+choices land in one orbit class; :func:`verify_psi_wellposed` checks every
+choice.  The fresh cells of a column are equal, so a choice of cells only
+reorders the columns of the diagram built on the topmost fresh cells for
+the same segment order: the check walks each segment order once and
+flattens every distinct ordering of every column.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ __all__ = [
     "OrbitClass",
     "StructuralError",
     "make_involution",
-    "column_blocks",
     "s_action",
     "orbit_class",
     "ColumnDiagram",
@@ -154,11 +156,6 @@ class BlockStructure:
         return 0 <= i < len(blocks) - 1 and blocks[i] == blocks[i + 1]
 
 
-def column_blocks(lam: Sequence[int]) -> BlockStructure:
-    """Column multiplicities of the distinct values of ``lam``."""
-    return initial_diagram(lam).blocks()
-
-
 def _moves(pairing: tuple, signs: tuple, i: int) -> tuple[tuple[tuple, tuple], ...]:
     """The ``(pairing, signs)`` codes one move of (i, i+1) links to: the
     three-case image first, then, when i and i+1 form an arc, the two
@@ -195,21 +192,11 @@ def s_action(sigma: SignedInvolution, i: int, bs: BlockStructure) -> SignedInvol
 @dataclass(frozen=True)
 class OrbitClass:
     blocks: BlockStructure
-    members: frozenset
+    members: frozenset = field(compare=False)
     canonical: SignedInvolution
 
     def __contains__(self, sigma: SignedInvolution) -> bool:
         return sigma in self.members
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrbitClass)
-            and self.blocks == other.blocks
-            and self.canonical == other.canonical
-        )
-
-    def __hash__(self):
-        return hash((self.blocks, self.canonical.encode()))
 
 
 def orbit_class(sigma: SignedInvolution, bs: BlockStructure) -> OrbitClass:
@@ -242,8 +229,8 @@ class ColumnDiagram:
     """Final state of the column construction, ready to flatten or render."""
 
     values: tuple[int, ...]  # distinct support values, decreasing
-    # a cell is (sign, fresh, arc); sign is +1/-1, arc is an arc id or None
-    columns: tuple[tuple[tuple[int, bool, Optional[int]], ...], ...]
+    # a cell is (+1/-1, None) for a fixed point, (0, arc id) for an arc end
+    columns: tuple[tuple[tuple[int, Optional[int]], ...], ...]
 
     @property
     def n(self) -> int:
@@ -258,7 +245,7 @@ def initial_diagram(lam: Sequence[int]) -> ColumnDiagram:
     lam = _validate_integral_lambda(lam)
     values = tuple(sorted(set(lam), reverse=True))
     cols = tuple(
-        tuple((1 if v % 2 == 0 else -1, True, None) for _ in range(lam.count(v)))
+        tuple(((-1) ** (v % 2), None) for _ in range(lam.count(v)))
         for v in values
     )
     return ColumnDiagram(values=values, columns=cols)
@@ -289,18 +276,18 @@ def _touched_columns(values: tuple[int, ...], x: int, y: int) -> tuple[int, ...]
     return (top, bottom, *(range(top + 1, bottom) if (y - x) % 2 == 0 else ()))
 
 
-def _apply_segment(columns, touched: Sequence[int], arc_id: int):
+def _apply_segment(values: tuple[int, ...], columns, touched: Sequence[int], arc_id: int):
     """Join the topmost fresh cells of the two end columns ``touched[:2]`` by
     arc ``arc_id`` and flip the topmost fresh cell of every other touched
-    column."""
+    column; a fresh cell is a fixed point with the parity sign of its
+    column's value."""
     new_cols = list(columns)
     for i, c in enumerate(touched):
         col = list(new_cols[c])
-        t = next((t for t, (_, fresh, _) in enumerate(col) if fresh), None)
-        if t is None:
+        parity = (-1) ** (values[c] % 2)
+        if (parity, None) not in col:
             raise StructuralError(f"no fresh cell left in column {c}")
-        sign = col[t][0]
-        col[t] = (sign, False, arc_id) if i < 2 else (-sign, False, None)
+        col[col.index((parity, None))] = (0, arc_id) if i < 2 else (-parity, None)
         new_cols[c] = tuple(col)
     return tuple(new_cols)
 
@@ -308,7 +295,7 @@ def _apply_segment(columns, touched: Sequence[int], arc_id: int):
 def _walk(values: tuple[int, ...], columns, segs: Iterable[tuple[int, int]]) -> ColumnDiagram:
     """Apply the segments ``segs`` in order, arc ids from 1."""
     for arc_id, (x, y) in enumerate(segs, start=1):
-        columns = _apply_segment(columns, _touched_columns(values, x, y), arc_id)
+        columns = _apply_segment(values, columns, _touched_columns(values, x, y), arc_id)
     return ColumnDiagram(values=values, columns=columns)
 
 
@@ -320,16 +307,8 @@ def build_diagram(ms: Multisegment, lam: Sequence[int]) -> ColumnDiagram:
     return _walk(base.values, base.columns, _segments_by_length(ms, lam))
 
 
-def _symbol(cell) -> tuple[int, Optional[int]]:
-    """The part of a cell that :func:`_flat_code` reads: ``(sign, None)`` for
-    a fixed point, ``(0, arc)`` for an arc endpoint."""
-    sign, _, arc = cell
-    return (sign, None) if arc is None else (0, arc)
-
-
 def _flat_code(columns) -> tuple[tuple[int, ...], tuple[Optional[str], ...]]:
-    """``(pairing, signs)`` of the :func:`_symbol` cells of ``columns`` read
-    left to right."""
+    """``(pairing, signs)`` of the cells of ``columns`` read left to right."""
     pairing: list[int] = []
     signs: list[Optional[str]] = []
     first_end: dict[int, int] = {}  # -1 once the arc is closed
@@ -360,7 +339,7 @@ def flatten_diagram(
         if any(sorted(order) != list(range(len(col))) for col, order in zip(columns, orders)):
             raise ValueError("orders must permute each column's cells")
         columns = [[col[t] for t in order] for col, order in zip(columns, orders)]
-    pairing, signs = _flat_code([map(_symbol, col) for col in columns])
+    pairing, signs = _flat_code(columns)
     # an arc with one endpoint leaves an unsigned fixed point, which is rejected
     return SignedInvolution(diagram.n, pairing, signs)
 
@@ -410,17 +389,16 @@ def verify_psi_wellposed(lam: Sequence[int]) -> WellPosedReport:
     under every choice path and every flattening and check all outputs land
     in a single orbit class.
 
-    A flattening's code reads only each cell's :func:`_symbol`, and two cells
-    of one column with the same symbol are equal.  Every choice path ends in
-    a per-column reordering of a diagram of :func:`_all_final_diagrams`, so
-    its flattenings are the products of the distinct symbol orderings of
-    that diagram's columns.  Per diagram the check runs
-    :func:`flatten_diagram` once for the arc endpoints, whose counts do not
-    depend on the order, and looks up the code of every such product among
-    the target codes.  ``outputs`` counts the flattenings of every choice
-    path: each of the d distinct orderings of a column of length l is the
-    column of some final diagram and flattens in l! ways, so the column adds
-    the factor l!·d.
+    A cell is what a flattening reads, so two equal cells of one column give
+    the same flattenings.  Every choice path ends in a per-column reordering
+    of a diagram of :func:`_all_final_diagrams`, so its flattenings are the
+    products of the distinct cell orderings of that diagram's columns.  Per
+    diagram the check runs :func:`flatten_diagram` once for the arc
+    endpoints, whose counts do not depend on the order, and looks up the
+    code of every such product among the target codes.  ``outputs`` counts
+    the flattenings of every choice path: each of the d distinct orderings
+    of a column of length l is the column of some final diagram and
+    flattens in l! ways, so the column adds the factor l!·d.
     """
     lam = _validate_integral_lambda(lam)
     report = WellPosedReport(lam=lam)
@@ -429,7 +407,7 @@ def verify_psi_wellposed(lam: Sequence[int]) -> WellPosedReport:
         ok, outputs = True, 0
         for diagram in _all_final_diagrams(ms, lam):
             flatten_diagram(diagram)
-            orderings = [set(itertools.permutations(map(_symbol, col))) for col in diagram.columns]
+            orderings = [set(itertools.permutations(col)) for col in diagram.columns]
             outputs += math.prod(
                 math.factorial(len(col)) * len(o) for col, o in zip(diagram.columns, orderings)
             )
@@ -504,7 +482,7 @@ def render_diagram(diagram: ColumnDiagram) -> str:
     the sign or the arc label."""
     width = max(
         [len(str(v)) for v in diagram.values]
-        + [len(str(arc)) for col in diagram.columns for (_, _, arc) in col if arc]
+        + [len(str(arc)) for col in diagram.columns for (_, arc) in col if arc]
         + [1]
     )
     rows = max(len(col) for col in diagram.columns)
@@ -513,7 +491,7 @@ def render_diagram(diagram: ColumnDiagram) -> str:
         cells = []
         for col in diagram.columns:
             if r < len(col):
-                sign, fresh, arc = col[r]
+                sign, arc = col[r]
                 cells.append((str(arc) if arc else ("+" if sign > 0 else "-")).rjust(width))
             else:
                 cells.append(" " * width)
@@ -533,6 +511,11 @@ def involution_to_json(sigma: SignedInvolution) -> dict:
 
 
 def involution_from_json(obj: dict) -> SignedInvolution:
-    arcs = [(i - 1, j - 1) for i, j in obj["arcs"]]
-    signs = {int(pos) - 1: s for pos, s in obj["signs"].items()}
-    return make_involution(_json_field(obj, "n", int), arcs, signs)
+    """Inverse of :func:`involution_to_json`; a field of the wrong JSON shape
+    raises ``ValueError`` naming it."""
+    n, arcs = _json_field(obj, "n", int), _json_field(obj, "arcs", list)
+    # a bool is not an integer
+    if not all(type(a) is list and len(a) == 2 and all(type(e) is int for e in a) for a in arcs):
+        raise ValueError(f"'arcs' must be a JSON array of integer pairs, got {arcs!r}")
+    signs = {int(pos) - 1: s for pos, s in _json_field(obj, "signs", dict).items()}
+    return make_involution(n, [(i - 1, j - 1) for i, j in arcs], signs)

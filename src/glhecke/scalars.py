@@ -207,12 +207,12 @@ def scalar_to_json(s: Scalar) -> dict:
     return {"re": rat_str(s.re), "im": rat_str(s.im)}
 
 
-_JSON_TYPES = {str: "string", int: "integer", dict: "object"}
+_JSON_TYPES = {str: "string", int: "integer", dict: "object", list: "array"}
 
 
 def _json_field(obj: dict, key: str, kind: type):
-    """``obj[key]``, checked to be a JSON string, integer or object of the
-    given ``kind`` (a boolean is not an integer)."""
+    """``obj[key]``, checked to be a JSON string, integer, object or array
+    of the given ``kind`` (a boolean is not an integer)."""
     value = obj[key]
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")

@@ -496,7 +496,7 @@ def _ref_intertwiners(m1, m2):
     for i, g in enumerate(m2.gen_s):
         if m1.s_sign[i, 0] == -1:  # s_i lies inside a block of the source
             rows.extend([x + e for x, e in zip(gr, er)] for gr, er in zip(g, eye))
-    for c, g in zip(m1.weight(), m2.gen_eps):
+    for c, g in zip(m1.chi, m2.gen_eps):
         rows.extend([x - c * e for x, e in zip(gr, er)] for gr, er in zip(g, eye))
 
     # e_b = s_i e_b2 with b2 < b for some i, so column b is s_i of column b2

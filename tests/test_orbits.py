@@ -15,7 +15,6 @@ from glhecke.orbits import (
     _apply_segment,
     _touched_columns,
     build_diagram,
-    column_blocks,
     flatten_diagram,
     initial_diagram,
     involution_from_json,
@@ -62,13 +61,26 @@ def test_make_involution_rejects_malformed_arcs():
             involution_from_json({"n": 2, "arcs": arcs, "signs": signs})
 
 
+def test_involution_from_json_rejects_malformed_fields():
+    # non-integer, bool and wrongly sized arc ends, arcs that are not an
+    # array of arrays, and signs that are not an object
+    obj = {"n": 2, "arcs": [], "signs": {"1": "+", "2": "-"}}
+    bad_arcs = [[[1.0, 2.0]], [[1.5, 2]], [[True, 2]], [[1, 2, 3]], [[1]], [(1, 2)], [12], "12"]
+    for arcs in bad_arcs:
+        with pytest.raises(ValueError, match="'arcs' must be a JSON array"):
+            involution_from_json(dict(obj, arcs=arcs, signs={}))
+    for signs in ([], "12", None):
+        with pytest.raises(ValueError, match="'signs' must be a JSON object"):
+            involution_from_json(dict(obj, signs=signs))
+
+
 def test_block_structure():
     bs = BlockStructure((2, 3))
     assert bs.n == 5
     assert bs.in_same_block(0)
     assert not bs.in_same_block(1)
     assert bs.in_same_block(3)
-    assert column_blocks(WORKED_LAMBDA).sizes == (2, 4, 3, 2, 1)
+    assert initial_diagram(WORKED_LAMBDA).blocks().sizes == (2, 4, 3, 2, 1)
 
 
 def test_s_action_case1_opposite_signs_make_arc():
@@ -173,10 +185,10 @@ def test_structural_error_surfaces():
     d = initial_diagram((2, 1, 0))
     touched = _touched_columns(d.values, 0, 2)
     assert touched == (0, 2, 1)
-    cols = _apply_segment(d.columns, touched, 1)
+    cols = _apply_segment(d.values, d.columns, touched, 1)
     # every cell is now used or flipped; a second long segment finds no fresh cell
     with pytest.raises(StructuralError):
-        _apply_segment(cols, touched, 2)
+        _apply_segment(d.values, cols, touched, 2)
 
 
 def test_worked_example_flattenings_are_equivalent():
@@ -233,12 +245,12 @@ def test_flatten_rejects_malformed_input():
             flatten_diagram(diagram, orders)
     with pytest.raises(ValueError, match="permute each column"):
         flatten_diagram(diagram, [(0, 0), (0, 1)])
-    arc = (1, False, 1)
-    for cells in ((arc, arc, arc, arc), (arc, arc, arc, (1, True, None))):
+    arc = (0, 1)
+    for cells in ((arc, arc, arc, arc), (arc, arc, arc, (1, None))):
         with pytest.raises(ValueError, match="more than two endpoints"):
             flatten_diagram(ColumnDiagram((1, 0), (cells[:2], cells[2:])))
     with pytest.raises(ValueError):  # one endpoint
-        flatten_diagram(ColumnDiagram((0,), ((arc, (1, True, None)),)))
+        flatten_diagram(ColumnDiagram((0,), ((arc, (1, None)),)))
 
 
 def test_wellposed_and_injective_small():
@@ -350,13 +362,18 @@ def _ref_orbit_class(sigma, bs):
     return OrbitClass(bs, frozenset(seen), min(seen, key=SignedInvolution.encode))
 
 
-def _ref_apply_picks(columns, touched, picks, arc_id):
+def _ref_fresh(value):
+    """The cell of a fixed point that still has the parity sign of ``value``."""
+    return (1 if value % 2 == 0 else -1, None)
+
+
+def _ref_apply_picks(values, columns, touched, picks, arc_id):
     new_cols = list(columns)
     for i, (c, t) in enumerate(zip(touched, picks)):
         col = list(new_cols[c])
-        sign, fresh, _ = col[t]
-        assert fresh
-        col[t] = (sign, False, arc_id) if i < 2 else (-sign, False, None)
+        sign, _ = col[t]
+        assert col[t] == _ref_fresh(values[c])
+        col[t] = (0, arc_id) if i < 2 else (-sign, None)
         new_cols[c] = tuple(col)
     return tuple(new_cols)
 
@@ -367,16 +384,17 @@ def _ref_all_final_diagrams(ms, lam):
     base = initial_diagram(lam)
     segs = orbits._segments_by_length(ms, tuple(lam))
     groups = [list(g) for _, g in itertools.groupby(segs, key=lambda ab: ab[1] - ab[0])]
+    fresh = [_ref_fresh(v) for v in base.values]
     finals = set()
     for perms in itertools.product(*(set(itertools.permutations(g)) for g in groups)):
         states = {base.columns}
         for arc_id, (x, y) in enumerate(itertools.chain(*perms), start=1):
             touched = _touched_columns(base.values, x, y)
             states = {
-                _ref_apply_picks(columns, touched, picks, arc_id)
+                _ref_apply_picks(base.values, columns, touched, picks, arc_id)
                 for columns in states
                 for picks in itertools.product(
-                    *([t for t, cell in enumerate(columns[c]) if cell[1]] for c in touched)
+                    *([t for t, cell in enumerate(columns[c]) if cell == fresh[c]] for c in touched)
                 )
             }
         finals.update(ColumnDiagram(base.values, columns) for columns in states)
@@ -420,7 +438,7 @@ def test_code_routes_match_reference_routes():
 
 
 def _sorted_keys(diagrams):
-    return [tuple(tuple(sorted(map(orbits._symbol, col))) for col in d.columns) for d in diagrams]
+    return [tuple(tuple(sorted(col)) for col in d.columns) for d in diagrams]
 
 
 def test_walked_diagrams_reach_every_pick_by_pick_key():
@@ -476,7 +494,7 @@ def test_wellposed_checks_every_ordering_of_a_column(monkeypatch):
     columns = list(walked.columns)
     columns[1] = columns[1][::-1]
     diagram = ColumnDiagram(walked.values, tuple(columns))
-    assert [cell[2] for cell in diagram.columns[1]] == [None, 1]
+    assert [cell[1] for cell in diagram.columns[1]] == [None, 1]
     swapped = flatten_diagram(diagram, [(0,), (1, 0), (0,)])
     assert swapped != flatten_diagram(diagram)
 
@@ -506,7 +524,7 @@ def test_wellposed_checks_every_ordering_of_a_column(monkeypatch):
 
 def test_flipped_fixed_point_sign_fails_the_entry(monkeypatch):
     honest = verify_psi_wellposed(DOCTOR_LAMBDA).to_json()
-    flip = lambda d: _edit_cell(d, lambda x: x[2] is None, lambda x: (-x[0], x[1], None))
+    flip = lambda d: _edit_cell(d, lambda x: x[1] is None, lambda x: (-x[0], None))
     _doctor_first_diagram(monkeypatch, DOCTOR_TAU, flip)
     entries = verify_psi_wellposed(DOCTOR_LAMBDA).to_json()["entries"]
     expected = [
@@ -519,11 +537,11 @@ def test_flipped_fixed_point_sign_fails_the_entry(monkeypatch):
 @pytest.mark.parametrize(
     "edit, match",
     [
-        # an arc cell moved to a fresh arc id: two arcs with one endpoint each
-        (lambda d: _edit_cell(d, lambda x: x[2], lambda x: (x[0], False, 99)), "fixed points"),
+        # an arc cell moved to a new arc id: two arcs with one endpoint each
+        (lambda d: _edit_cell(d, lambda x: x[1], lambda x: (0, 99)), "fixed points"),
         # a fixed point joined to arc 1: three endpoints
         (
-            lambda d: _edit_cell(d, lambda x: x[2] is None, lambda x: (x[0], False, 1)),
+            lambda d: _edit_cell(d, lambda x: x[1] is None, lambda x: (0, 1)),
             "more than two endpoints",
         ),
     ],
