@@ -188,9 +188,9 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
 # -- exact integer arithmetic -------------------------------------------------
 #
 # Every identity is checked, and every intertwiner and quotient solved, on
-# integer numpy arrays and Python ints.  Scalar is a boundary type: the weight
-# is read through its Fraction parts, Scalars are built only where a caller
-# asks for gen_s / gen_eps, and no Scalar arithmetic runs here
+# integer numpy arrays and Python ints.  Scalar is a boundary type with no
+# arithmetic: the weight is read through its Fraction parts, and Scalars are
+# built only where a caller asks for gen_s / gen_eps
 # (tests/test_scalars.py::test_hot_paths_do_no_scalar_arithmetic).  Entries
 # are rescaled by the common denominator of all real and imaginary parts; if
 # any entry is non-real, each Gaussian integer a+bi becomes the 2x2 block
@@ -475,7 +475,10 @@ def _intertwiners(m1: StandardModule, ops1, ops2):
     for i in range(m1.k - 1):
         if m1.s_sign[i, 0] == -1:  # s_i lies inside a block of the source
             # (s_i + 1) u = 0: u[t] + sign * u[b] = 0 for t = target[b]
-            for b, (t, sg) in enumerate(zip(*(x.tolist() for x in s2[i]))):
+            target, sign = (x.tolist() for x in s2[i])
+            for b, (t, sg) in enumerate(zip(target, sign)):
+                if t < b and sign[t] == sg:
+                    continue  # t's row, times sg; a doctored sign keeps both
                 rows.append({t: 1, b: sg} if t != b else {b: 1 + sg})
     for (diagonal, layers), a, b in zip(eps2, re, im):
         # scale * (eps_j - chi_j), with chi_j = a + bi as [[a, -b], [b, a]]

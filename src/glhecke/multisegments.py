@@ -26,7 +26,6 @@ from .scalars import (
     parse_rat,
     parse_scalar,
     rat_str,
-    scalar,
     scalar_sort_key,
     scalar_str,
 )
@@ -52,7 +51,8 @@ class Segment:
     length: int
 
     def __post_init__(self):
-        object.__setattr__(self, "start", scalar(self.start))
+        if not isinstance(self.start, Scalar):
+            raise TypeError(f"segment start must be a Scalar, got {self.start!r}")
         if not isinstance(self.length, int) or isinstance(self.length, bool) or self.length < 1:
             raise ValueError(f"segment length must be a positive integer, got {self.length!r}")
 
@@ -220,7 +220,7 @@ def multisegment_from_json(obj: dict) -> Multisegment:
     return Multisegment(
         tuple(
             Segment(Scalar(parse_rat(_json_field(so, "start", str))), _json_field(so, "len", int))
-            for so in obj["segments"]
+            for so in _json_field(obj, "segments", list)
         )
     )
 

@@ -511,11 +511,14 @@ def involution_to_json(sigma: SignedInvolution) -> dict:
 
 
 def involution_from_json(obj: dict) -> SignedInvolution:
-    """Inverse of :func:`involution_to_json`; a field of the wrong JSON shape
-    raises ``ValueError`` naming it."""
+    """Inverse of :func:`involution_to_json`; a missing field or one of the
+    wrong JSON shape raises ``ValueError`` naming it."""
     n, arcs = _json_field(obj, "n", int), _json_field(obj, "arcs", list)
     # a bool is not an integer
     if not all(type(a) is list and len(a) == 2 and all(type(e) is int for e in a) for a in arcs):
         raise ValueError(f"'arcs' must be a JSON array of integer pairs, got {arcs!r}")
-    signs = {int(pos) - 1: s for pos, s in _json_field(obj, "signs", dict).items()}
+    signs, positions = _json_field(obj, "signs", dict), {str(i + 1): i for i in range(n)}
+    if not signs.keys() <= positions.keys():  # "01", " 1" and "+1" are not positions
+        raise ValueError(f"'signs' keys must be positions '1'..'{n}', got {sorted(signs)!r}")
+    signs = {positions[pos]: s for pos, s in signs.items()}
     return make_involution(n, [(i - 1, j - 1) for i, j in arcs], signs)

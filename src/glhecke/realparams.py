@@ -23,7 +23,6 @@ from .scalars import (
     _grid,
     _json_field,
     parse_scalar,
-    scalar,
     scalar_from_json,
     scalar_sort_key,
     scalar_str,
@@ -56,7 +55,8 @@ class GL1Factor:
     def __post_init__(self):
         if self.eps not in (TRIV, SGN):
             raise ValueError(f"eps must be 'triv' or 'sgn', got {self.eps!r}")
-        object.__setattr__(self, "nu", scalar(self.nu))
+        if not isinstance(self.nu, Scalar):
+            raise TypeError(f"factor nu must be a Scalar, got {self.nu!r}")
 
     @property
     def size(self) -> int:
@@ -89,7 +89,8 @@ class GL2Factor:
     def __post_init__(self):
         if not isinstance(self.l, int) or self.l < 2:
             raise ValueError(f"GL2 factor needs an integer l >= 2, got {self.l!r}")
-        object.__setattr__(self, "nu", scalar(self.nu))
+        if not isinstance(self.nu, Scalar):
+            raise TypeError(f"factor nu must be a Scalar, got {self.nu!r}")
 
     @property
     def size(self) -> int:
@@ -234,14 +235,14 @@ def real_param_to_json(param: RealParam) -> dict:
 
 def real_param_from_json(obj: dict) -> RealParam:
     factors: list[Factor] = []
-    for fo in obj["factors"]:
-        nu = scalar_from_json(_json_field(fo, "nu", dict))
-        if fo["kind"] == "gl1":
-            factors.append(GL1Factor(fo["eps"], nu))
-        elif fo["kind"] == "gl2":
+    for fo in _json_field(obj, "factors", list):
+        nu, kind = scalar_from_json(_json_field(fo, "nu", dict)), _json_field(fo, "kind", str)
+        if kind == "gl1":
+            factors.append(GL1Factor(_json_field(fo, "eps", str), nu))
+        elif kind == "gl2":
             factors.append(GL2Factor(_json_field(fo, "l", int), nu))
         else:
-            raise ValueError(f"unknown factor kind {fo['kind']!r}")
+            raise ValueError(f"unknown factor kind {kind!r}")
     return RealParam(tuple(factors))
 
 

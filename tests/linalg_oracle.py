@@ -1,10 +1,14 @@
 """Dense exact linear algebra over Gaussian rationals, for test oracles.
 
-Matrices are lists of row lists of :class:`~glhecke.scalars.Scalar`:
-multiplication, row reduction, nullspace and column-space solving.  The
-Scalar intertwiner and quotient oracles in ``test_heckemod.py`` run on it;
-the library solves the same systems on integers.  Everything is exact; no
-pivoting heuristics are required over an exact field.
+:class:`Q` is the field of Gaussian rationals: a
+:class:`~glhecke.scalars.Scalar` with exact arithmetic, which the library's
+Scalar does not have.  An oracle lifts each library value at its boundary
+with ``Q(x.re, x.im)``.  Matrices are lists of row lists of Scalars:
+multiplication, row reduction, nullspace and column-space solving, each
+returning Q entries.  The Scalar intertwiner and quotient oracles in
+``test_heckemod.py`` run on it; the library solves the same systems on
+integers.  Everything is exact; no pivoting heuristics are required over an
+exact field.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ from __future__ import annotations
 from glhecke.scalars import Scalar
 
 __all__ = [
+    "Q",
+    "q",
+    "lift",
     "identity",
     "zeros",
     "mat_mul",
@@ -22,8 +29,68 @@ __all__ = [
 
 Matrix = "list[list[Scalar]]"
 
-_ZERO = Scalar(0)
-_ONE = Scalar(1)
+
+class Q(Scalar):
+    """A Gaussian rational with exact field arithmetic; an int, Fraction or
+    Scalar operand is lifted to Q."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        other = q(other)
+        return Q(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = q(other)
+        return Q(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return q(other) - self
+
+    def __mul__(self, other):
+        other = q(other)
+        return Q(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Q(-self.re, -self.im)
+
+    def __truediv__(self, other):
+        other = q(other)
+        d = other.re * other.re + other.im * other.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero Scalar")
+        return Q(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
+
+    def __rtruediv__(self, other):
+        return q(other) / self
+
+
+def q(x) -> Q:
+    """Lift an int, Fraction or Scalar to Q."""
+    if isinstance(x, Q):
+        return x
+    if isinstance(x, Scalar):
+        return Q(x.re, x.im)
+    return Q(x)
+
+
+def lift(a) -> list[list[Q]]:
+    """The matrix a with every entry lifted to Q."""
+    return [[q(x) for x in row] for row in a]
+
+
+_ZERO = Q(0)
+_ONE = Q(1)
 
 
 def identity(n: int):
@@ -35,6 +102,7 @@ def zeros(rows: int, cols: int):
 
 
 def mat_mul(a, b):
+    a, b = lift(a), lift(b)
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = zeros(rows, cols)
     for i in range(rows):
@@ -52,7 +120,7 @@ def mat_mul(a, b):
 
 def rref(a) -> tuple[list, list[int]]:
     """Reduced row echelon form (a copy) plus the pivot column indices."""
-    m = [list(row) for row in a]
+    m = lift(a)
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
@@ -99,7 +167,7 @@ def solve_columns(a, b):
     rows = len(a)
     cols_a = len(a[0]) if rows else 0
     cols_b = len(b[0]) if b else 0
-    aug = [list(a[i]) + list(b[i]) for i in range(rows)]
+    aug = [list(a[i]) + list(b[i]) for i in range(rows)]  # rref lifts it
     m, pivots = rref(aug)
     if any(p >= cols_a for p in pivots):
         raise ValueError("right-hand side not in the column space")

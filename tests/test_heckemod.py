@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linalg_oracle import identity, mat_mul, nullspace, rref, solve_columns
+from linalg_oracle import Q, identity, mat_mul, nullspace, q, rref, solve_columns
 
 from glhecke import heckemod
 from glhecke.heckemod import (
@@ -62,7 +62,7 @@ class RootDatum:
         return tuple(v)
 
     def rho(self) -> tuple[Scalar, ...]:
-        return tuple(Scalar(Fraction(self.k - 1 - 2 * j, 2)) for j in range(self.k))
+        return tuple(Q(Fraction(self.k - 1 - 2 * j, 2)) for j in range(self.k))
 
     def pairing(self, i: int, j: int) -> int:
         """<alpha_i, e_j> under the dot product."""
@@ -74,7 +74,7 @@ def _ref_build_standard_module(ms):
     form replaced, as (gen_s, gen_eps) row-major lists."""
     blocks = tuple(s.length for s in ms.segments)
     k = sum(blocks)
-    chi = central_character(ms)
+    chi = [q(x) for x in central_character(ms)]
     basis = _coset_reps(blocks)
     dim = len(basis)
     index = {w: b for b, w in enumerate(basis)}
@@ -95,7 +95,7 @@ def _ref_build_standard_module(ms):
                 table.append((index[tuple(u)], 1))
         s_table.append(table)
 
-    zero, one = Scalar(0), Scalar(1)
+    zero, one = Q(0), Q(1)
     # eps columns by induction on length: strip a left descent s_i off w and
     # use  eps_j s_i = s_i eps_{s_i(j)} + <alpha_i, eps_j>.
     cols = [[None] * dim for _ in range(k)]
@@ -209,7 +209,7 @@ def _with_diagonal(M, j, b, delta):
     coordinate, and pos[j, b] pointing at it."""
     pos = M.pos.copy()
     pos[j, b] = len(M.chi)
-    return dataclasses.replace(M, chi=M.chi + (M.chi[M.pos[j, b]] + delta,), pos=pos)
+    return dataclasses.replace(M, chi=M.chi + (q(M.chi[M.pos[j, b]]) + delta,), pos=pos)
 
 
 def _with_entry(M, j, r, c, delta):
@@ -315,7 +315,7 @@ def test_relations_detect_perturbation():
     M = build_standard_module(parse_segments("{1};{0}"))
     assert verify_relations(M)
     gen_eps = M.gen_eps
-    gen_eps[0][0][0] = gen_eps[0][0][0] + 1
+    gen_eps[0][0][0] = q(gen_eps[0][0][0]) + 1
     assert not verify_relations(_explicit_module(M.gen_s, gen_eps))
     # the same perturbation of the compact form, and one of the N_j entry
     assert not verify_relations(_with_diagonal(M, 0, 0, 1))
@@ -354,7 +354,7 @@ def test_relations_object_dtype_path():
     # entries near 2**40 push the conservative int64 bound over the edge,
     # for real entries and for Gaussian ones embedded as 2x2 blocks
     big = 1 << 40
-    for start, dim in ((Scalar(big), 3), (Scalar(big, 1), 6)):
+    for start, dim in ((Q(big), 3), (Q(big, 1), 6)):
         M = build_standard_module(Multisegment((Segment(start, 2), Segment(Scalar(0), 1))))
         explicit = _explicit_module(M.gen_s, M.gen_eps)
         assert explicit.s[0].dtype == object and explicit.s[0].shape == (dim, dim)
@@ -364,13 +364,13 @@ def test_relations_object_dtype_path():
 
 
 def test_complex_module_exact_path():
-    i = Scalar(0, 1)
+    i = Q(0, 1)
     M = build_standard_module(Multisegment((Segment(i, 1), Segment(Scalar(0), 1))))
     assert M.dim == 2
     assert verify_relations(M)
     assert central_character_of_module(M) == (i, Scalar(0))
     gen_eps = M.gen_eps
-    gen_eps[0][1][1] = gen_eps[0][1][1] + 1
+    gen_eps[0][1][1] = q(gen_eps[0][1][1]) + 1
     assert not verify_relations(_explicit_module(M.gen_s, gen_eps))
     assert not verify_relations(_with_diagonal(M, 0, 1, 1))
     assert not verify_relations(_with_entry(M, 0, 0, 1, 1))
@@ -378,7 +378,7 @@ def test_complex_module_exact_path():
     M = build_standard_module(parse_segments("{1+1i};{0}"))
     assert verify_relations(M)
     gen_eps = M.gen_eps
-    gen_eps[0][0][0] = gen_eps[0][0][0] + i
+    gen_eps[0][0][0] = q(gen_eps[0][0][0]) + i
     assert not verify_relations(_explicit_module(M.gen_s, gen_eps))
     assert not verify_relations(_with_diagonal(M, 0, 0, i))
     assert not verify_relations(_with_entry(M, 1, 0, 1, 1))
@@ -413,7 +413,7 @@ def test_central_character_of_module():
     assert central_character_of_module(M) == (Scalar(1), Scalar(0), Scalar(-1))
     # e_1 acts by the sum of the weight coordinates
     M2 = build_standard_module(parse_segments("{3};{1}"))
-    e1 = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(M2.gen_eps[0], M2.gen_eps[1])]
+    e1 = [[q(a) + b for a, b in zip(ra, rb)] for ra, rb in zip(M2.gen_eps[0], M2.gen_eps[1])]
     assert e1 == [[Scalar(4 if r == c else 0) for c in range(M2.dim)] for r in range(M2.dim)]
     # multiset equals the support for every constructed module
     for spec_text in ["{0,1};{-1,0}", "{2};{1,2};{0}"]:
@@ -458,7 +458,7 @@ def _nullspace_intertwiners(ms_from, ms_to):
     for A, B in zip(m1.gen_s + m1.gen_eps, m2.gen_s + m2.gen_eps):
         for i in range(d2):
             for j in range(d1):
-                row = [Scalar(0)] * (d1 * d2)
+                row = [Q(0)] * (d1 * d2)
                 for c in range(d1):
                     row[i * d1 + c] += A[c][j]
                 for r in range(d2):
@@ -588,17 +588,22 @@ def test_quotient_matches_scalar_reference():
 def test_conflicting_young_orbit_is_forced_to_zero():
     # in a genuine module both Young subgroups act through the sign, so no
     # orbit conflicts; a doctored sign makes the Young rows of an orbit
-    # conflict, and the Scalar nullspace agrees that those coordinates vanish
+    # conflict, and the Scalar nullspace agrees that those coordinates vanish.
+    # In the module itself the eps rows already force them to zero; a target
+    # whose eps_j act by chi_j alone leaves the Young rows as the only check
     m1 = build_standard_module(parse_segments("{0,1};{5}"))
+    pos = np.repeat(np.arange(m1.k)[:, None], m1.dim, axis=1)
+    flat = dataclasses.replace(m1, pos=pos, nilpotent=((),) * m1.k)
     kept = 0
-    for b in range(m1.dim):
-        sign = m1.s_sign.copy()
-        sign[0, b] = -sign[0, b]
-        bad = dataclasses.replace(m1, s_sign=sign)
-        mats = _intertwiners(m1, _compact_operators(m1, 0, 3), _compact_operators(bad, 0, 3))
-        _, ref = _ref_intertwiners(m1, bad)
-        assert [_scalar_matrix(T, den, False) for T, den in mats] == ref
-        kept += len(ref)
+    for target in (m1, flat):
+        for b in range(m1.dim):
+            sign = m1.s_sign.copy()
+            sign[0, b] = -sign[0, b]
+            bad = dataclasses.replace(target, s_sign=sign)
+            mats = _intertwiners(m1, _compact_operators(m1, 0, 3), _compact_operators(bad, 0, 3))
+            _, ref = _ref_intertwiners(m1, bad)
+            assert [_scalar_matrix(T, den, False) for T, den in mats] == ref
+            kept += len(ref)
     assert kept > 0
 
 
@@ -709,7 +714,7 @@ def test_quotients():
 def _linked(a, b):
     """Zelevinsky's relation: the union of the segments is a segment that
     contains neither of them."""
-    shift = b.start - a.start
+    shift = q(b.start) - a.start
     if not shift.is_integer:
         return False
     s1, e1, s2, e2 = 0, a.length - 1, int(shift.re), int(shift.re) + b.length - 1

@@ -37,6 +37,7 @@ from glhecke.realparams import (
 )
 from glhecke.scalars import Scalar
 from glhecke.sweeps import consecutive_lambda, lambda_window
+from linalg_oracle import q
 
 
 def _ref_position_eigenvalues(param, k):
@@ -45,7 +46,7 @@ def _ref_position_eigenvalues(param, k):
     out = []
     for f in param.factors:
         half = Scalar(Fraction(f.level - 1, 2))
-        out.extend(f.nu - half + j for j in range(f.level))
+        out.extend(q(f.nu) - half + j for j in range(f.level))
     return tuple(out)
 
 
@@ -204,7 +205,7 @@ def test_eigenvalue_identity_reads_the_image(monkeypatch, shift):
     def moved(param):
         segs = list(original(param).segments)
         last = segs[-1]
-        segs[-1] = Segment(last.start + shift, last.length)
+        segs[-1] = Segment(q(last.start) + shift, last.length)
         return Multisegment(tuple(segs))
 
     monkeypatch.setattr(levelmap, "factor_order_image", moved)
@@ -261,7 +262,7 @@ def test_image_support_is_endpoints_plus_interiors():
             for f in p.factors:
                 if isinstance(f, GL2Factor):
                     half = Scalar(Fraction(f.l - 1, 2))
-                    expected.extend(f.nu - half + j for j in range(f.l))
+                    expected.extend(q(f.nu) - half + j for j in range(f.l))
                 elif f.eps == "triv":
                     expected.append(f.nu)
             assert sorted(img.support(), key=lambda s: s.re) == sorted(

@@ -1,13 +1,10 @@
-from fractions import Fraction
-
 import pytest
 
 import linalg_oracle as linalg
 from glhecke.scalars import Scalar
+from linalg_oracle import Q
 
-
-def M(rows):
-    return [[Scalar(Fraction(x)) if not isinstance(x, Scalar) else x for x in row] for row in rows]
+M = linalg.lift
 
 
 def test_mat_mul_and_identity():
@@ -33,8 +30,8 @@ def test_nullspace_is_exact():
 
 
 def test_nullspace_gaussian_entries():
-    i = Scalar(0, 1)
-    a = [[Scalar(1), i]]
+    i = Q(0, 1)
+    a = [[Q(1), i]]
     (v,) = linalg.nullspace(a)
     assert v[0] + i * v[1] == Scalar(0)
     assert any(v)

@@ -22,6 +22,7 @@ from glhecke.multisegments import (
 )
 from glhecke.scalars import Scalar
 from glhecke.sweeps import lambda_window
+from linalg_oracle import q
 
 starts = st.builds(Scalar, st.fractions(max_denominator=4), st.fractions(max_denominator=4))
 segments = st.builds(Segment, starts, st.integers(min_value=1, max_value=5))
@@ -46,7 +47,7 @@ def test_segment_rejects_bool_length():
 
 def _ref_segment_key(s):
     # the Scalar-center order the doubled integer center replaced
-    center = s.start + Scalar(Fraction(s.length - 1, 2))
+    center = q(s.start) + Fraction(s.length - 1, 2)
     return (-center.re, -s.length, -s.start.re, center.im)
 
 
@@ -141,6 +142,9 @@ def test_json_round_trip_matches_schema():
     obj = multisegment_to_json(ms)
     assert obj == {"segments": [{"start": "1/2", "len": 2}, {"start": "-1", "len": 1}]}
     assert multisegment_from_json(json.loads(json.dumps(obj))) == ms
+    for bad, field in (({}, "segments"), ({"segments": [{"len": 1}]}, "start")):
+        with pytest.raises(ValueError, match=f"^missing field '{field}'$"):
+            multisegment_from_json(bad)
 
 
 def test_parse_segments_forms():

@@ -74,6 +74,19 @@ def test_involution_from_json_rejects_malformed_fields():
             involution_from_json(dict(obj, signs=signs))
 
 
+def test_involution_from_json_reads_canonical_positions_and_names_missing_fields():
+    obj = {"n": 2, "arcs": [], "signs": {"1": "+", "2": "-"}}
+    assert involution_from_json(obj) == make_involution(2, [], {0: "+", 1: "-"})
+    # a key is str(i) for a position 1 <= i <= n, nothing that int() also reads
+    for key in ("01", " 1", "+1", "1 ", "x", "0", "3", "-1"):
+        with pytest.raises(ValueError, match="'signs' keys must be positions '1'..'2'"):
+            involution_from_json(dict(obj, signs={key: "+", "2": "-"}))
+    for field in ("n", "arcs", "signs"):
+        partial = {key: value for key, value in obj.items() if key != field}
+        with pytest.raises(ValueError, match=f"^missing field '{field}'$"):
+            involution_from_json(partial)
+
+
 def test_block_structure():
     bs = BlockStructure((2, 3))
     assert bs.n == 5

@@ -156,6 +156,14 @@ def test_json_round_trip_matches_schema():
         ]
     }
     assert real_param_from_json(json.loads(json.dumps(obj))) == p
+    # every missing field is named the same way
+    gl1, gl2 = obj["factors"]
+    cases = [{}] + [{"factors": [{k: v for k, v in gl1.items() if k != drop}]} for drop in gl1]
+    cases += [{"factors": [{k: v for k, v in gl2.items() if k != "l"}]}]
+    cases += [{"factors": [dict(gl1, nu={"im": "0"})]}]
+    for bad, field in zip(cases, ["factors", "kind", "eps", "nu", "l", "re"]):
+        with pytest.raises(ValueError, match=f"^missing field '{field}'$"):
+            real_param_from_json(bad)
 
 
 @given(params)
