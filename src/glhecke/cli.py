@@ -70,10 +70,10 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-# what a malformed spec raises: bad values and missing keys, JSON of the
-# wrong shape (a list or a number where an object or a string belongs), and
-# an unreadable file
-_SPEC_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OSError)
+# what a malformed spec raises: ValueError for a bad value, a missing field
+# or JSON of the wrong shape (every *_from_json reads its fields through
+# scalars._json_field), and OSError for an unreadable file
+_SPEC_ERRORS = (ValueError, OSError)
 
 
 def _load_real_param(args) -> realparams.RealParam:

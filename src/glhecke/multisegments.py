@@ -27,7 +27,6 @@ from .scalars import (
     parse_scalar,
     rat_str,
     scalar_sort_key,
-    scalar_str,
 )
 
 __all__ = [
@@ -64,7 +63,9 @@ class Segment:
         return _grid(self.start)
 
     def __str__(self):
-        return "{" + ",".join(scalar_str(e) for e in self.entries()) + "}"
+        re, im = self.start.re, self.start.im
+        tail = "" if im == 0 else f"{'+' if im > 0 else '-'}{rat_str(abs(im))}i"
+        return "{" + ",".join(f"{rat_str(re + j)}{tail}" for j in range(self.length)) + "}"
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,10 @@ _JSON_TYPES = {str: "string", int: "integer", dict: "object", list: "array"}
 
 def _json_field(obj: dict, key: str, kind: type):
     """``obj[key]``, checked to be present and a JSON string, integer,
-    object or array of the given ``kind`` (a boolean is not an integer)."""
+    object or array of the given ``kind`` (a boolean is not an integer);
+    ``obj`` itself must be a JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object with field {key!r}, got {obj!r}")
     if key not in obj:
         raise ValueError(f"missing field {key!r}")
     value = obj[key]

@@ -250,6 +250,20 @@ def test_module_rejects_malformed_spec(tmp_path):
         assert proc.stderr == "error: cannot build a module from an empty multisegment\n"
 
 
+def test_json_spec_that_is_no_object_gives_one_message():
+    # JSON of another shape where an object belongs, at the top or inside an
+    # array: one message naming the field the object should hold
+    for argv, kind, field, got in (
+        (["module", "--param", "[]"], "multisegment", "segments", "[]"),
+        (["module", "--param", '"segments"'], "multisegment", "segments", "'segments'"),
+        (["gamma", "--param", "5", "--k", "1"], "parameter", "factors", "5"),
+        (["quotient", "--param", '{"segments": [5]}'], "multisegment", "start", "5"),
+        (["dim", "--param", '{"factors": ["x"]}', "--k", "1"], "parameter", "nu", "'x'"),
+    ):
+        message = f"error: bad {kind} spec: expected a JSON object with field '{field}', got {got}"
+        assert run_in_process(argv) == (message, "", ""), argv
+
+
 def test_psi_rejects_non_integral_or_mismatched_support():
     for segments, message in (
         ("{1/2};{-1/2}", "error: the orbit map needs an integral multisegment\n"),

@@ -15,16 +15,20 @@ from glhecke import heckemod
 from glhecke.heckemod import (
     QuotientModule,
     StandardModule,
+    _BLOCK_ENTRIES,
+    _apply_eps,
+    _apply_s,
     _column_basis,
     _compact_operators,
     _coset_reps,
     _echelon,
-    _embed,
     _int_dtype,
     _intertwiners,
     _quotient_action,
     _scalar_matrix,
     _scaled,
+    _scalar_identity,
+    _sk_relations_hold,
     build_standard_module,
     central_character_of_module,
     intertwiner_space,
@@ -44,7 +48,7 @@ from glhecke.multisegments import (
     steinberg_param,
 )
 from glhecke.realparams import enumerate_real_params
-from glhecke.scalars import Scalar
+from glhecke.scalars import Scalar, scalar_sort_key
 from glhecke.sweeps import lambda_window
 
 
@@ -190,6 +194,11 @@ def rank(m) -> int:
     return len(rref(m)[1])
 
 
+def _embed(re, im):
+    """The integer matrix re + i*im with each entry a+bi as [[a, -b], [b, a]]."""
+    return np.kron(re, np.eye(2, dtype=int)) + np.kron(im, np.array([[0, -1], [1, 0]]))
+
+
 def _explicit_module(gen_s, gen_eps):
     """Explicit Scalar generator matrices as a QuotientModule, which
     verify_relations checks by dense products: integer images over their
@@ -219,6 +228,85 @@ def _with_entry(M, j, r, c, delta):
     nilpotent = list(M.nilpotent)
     nilpotent[j] = nilpotent[j] + (layer,)
     return dataclasses.replace(M, nilpotent=tuple(nilpotent))
+
+
+def _ref_verify_compact(M):
+    """The per-pair route the batched check replaced: every relation as one
+    product per generator pair, on dense s_i and eps_j built from the
+    compact operators, after a check that each table is a permutation."""
+    s_ops, eps_ops, scale, _ = _compact_operators(M, 0, max_chain=3)
+    one = np.eye(len(eps_ops[0][0]), dtype=eps_ops[0][0].dtype)
+    if any(not np.array_equal(np.sort(t), np.arange(len(one))) for t, _ in s_ops):
+        return False
+
+    def s_left(i, X):
+        return _apply_s(*s_ops[i], X)
+
+    def eps_left(j, X):
+        return _apply_eps(*eps_ops[j], X)
+
+    k = M.k
+    s = [s_left(i, one) for i in range(k - 1)]
+    eps = [eps_left(j, one) for j in range(k)]
+    swap = [{i: i + 1, i + 1: i} for i in range(k - 1)]
+    identities = itertools.chain(
+        ((s_left(i, s[i]), one) for i in range(k - 1)),
+        (
+            (s_left(i, s_left(i + 1, s[i])), s_left(i + 1, s_left(i, s[i + 1])))
+            for i in range(k - 2)
+        ),
+        ((s_left(i, s[j]), s_left(j, s[i])) for i in range(k - 1) for j in range(i + 2, k - 1)),
+        ((eps_left(a, eps[b]), eps_left(b, eps[a])) for a in range(k) for b in range(a + 1, k)),
+        (
+            # s_i eps_j - eps_{s_i(j)} s_i = <alpha_i, e_j>, at scale
+            (
+                s_left(i, eps[j]) - eps[swap[i].get(j, j)][:, s_ops[i][0]] * s_ops[i][1],
+                ((j == i) - (j == i + 1)) * scale * one,
+            )
+            for i in range(k - 1)
+            for j in range(k)
+        ),
+    )
+    return all(np.array_equal(x, y) for x, y in identities)
+
+
+def _ref_central_character(M):
+    """The per-product route the batched check replaced: E[d] gains
+    eps_t @ E[d - 1] one d at a time; raises ValueError at the smallest d
+    whose e_d is not the expected scalar."""
+    k = M.k
+    re, im, scale, _ = _scaled(M.chi)
+    shift = (min(re) + max(re)) // (2 * scale)
+    _, eps_ops, _, gaussian = _compact_operators(M, shift, max_chain=k)
+    e_chi = [(1, 0)] + [(0, 0)] * k
+    for t, (a, b) in enumerate(zip(re, im)):
+        a -= shift * scale
+        for d in range(t + 1, 0, -1):
+            (x, y), (u, v) = e_chi[d], e_chi[d - 1]
+            e_chi[d] = (x + u * a - v * b, y + u * b + v * a)
+    like = eps_ops[0][0]
+    E = [_scalar_identity(1, 0, like, gaussian)] + [0] * k
+    for t in reversed(range(k)):
+        for d in range(k - t, 0, -1):
+            E[d] = E[d] + _apply_eps(*eps_ops[t], E[d - 1])
+    for d in range(1, k + 1):
+        if not np.array_equal(E[d], _scalar_identity(*e_chi[d], like, gaussian)):
+            raise ValueError(f"elementary symmetric polynomial {d} is not the expected scalar")
+    return tuple(sorted(M.chi, key=scalar_sort_key, reverse=True))
+
+
+def _rejected(M) -> bool:
+    """Whether the batched check and the per-pair reference both reject M."""
+    return not verify_relations(M) and not _ref_verify_compact(M)
+
+
+def _with_table(M, i, target=None, sign=None):
+    """A copy of M whose signed table of s_i is replaced."""
+    tables = [M.s_target.copy(), M.s_sign.copy()]
+    for table, row in zip(tables, (target, sign)):
+        if row is not None:
+            table[i] = row
+    return dataclasses.replace(M, s_target=tables[0], s_sign=tables[1])
 
 
 def test_root_datum():
@@ -297,6 +385,63 @@ def test_compact_module_matches_scalar_reference():
         assert (M.gen_s, M.gen_eps) == _ref_build_standard_module(ms), ms
 
 
+def test_batched_checks_match_per_pair_reference():
+    cases = [
+        ms
+        for k in range(1, 5)
+        for lam in lambda_window(k, 5)
+        for ms in enumerate_multisegments(lam)
+    ]
+    # operands over several blocks, 2x2 blocks, and object arrays
+    wide = parse_segments("{4};{3};{2};{1};{0}")
+    gaussian = parse_segments("{1+1i};{0};{2}")
+    huge = Multisegment((Segment(Scalar(1 << 40), 2), Segment(Scalar(0), 1)))
+    for ms in cases + [wide, gaussian, huge]:
+        M = build_standard_module(ms)
+        assert verify_relations(M) == _ref_verify_compact(M), ms
+        assert central_character_of_module(M) == _ref_central_character(M), ms
+    assert len(cases) == 239
+    M = build_standard_module(wide)
+    assert M.dim**2 * 2 > _BLOCK_ENTRIES
+    assert _compact_operators(build_standard_module(gaussian), 0, 3)[3]
+    assert _compact_operators(build_standard_module(huge), 0, 3)[1][0][0].dtype == object
+
+
+def test_sk_relations_on_signed_tables():
+    # the tables of test_relations_braid_and_far_commutation_exits: k = 3
+    # with s_0 s_1 s_0 = -1 but s_1 s_0 s_1 = s_0, and k = 4 with both braid
+    # relations but s_0 s_2 != s_2 s_0; every s_i * s_i = 1
+    swap, minus = ([1, 0], [1, 1]), ([0, 1], [-1, -1])
+    p12, p23, p13 = ([1, 0, 2], [1] * 3), ([0, 2, 1], [1] * 3), ([2, 1, 0], [1] * 3)
+    for tables in ((swap, minus), (p12, p23, p13)):
+        target, sign = (np.array(x) for x in zip(*tables))
+        for i in range(len(target)):
+            assert _sk_relations_hold(target[i : i + 1], sign[i : i + 1])
+        assert not _sk_relations_hold(target, sign)
+    # s_i * s_i != 1: a 3-cycle, and a swap with one sign flipped
+    assert not _sk_relations_hold(np.array([[1, 2, 0]]), np.ones((1, 3), dtype=int))
+    assert not _sk_relations_hold(np.array([[1, 0]]), np.array([[1, -1]]))
+    M = build_standard_module(parse_segments("{3};{2};{0,1}"))
+    assert _sk_relations_hold(M.s_target, M.s_sign)
+
+
+def test_commutation_is_checked_on_its_own():
+    # S_3 permutes the basis of {2};{1};{0} with sign +1, so the all-ones
+    # matrix J commutes with every s_i: adding J to every eps_j keeps the
+    # relations between s_i and eps_j but breaks eps_0 eps_1 = eps_1 eps_0
+    M = build_standard_module(parse_segments("{2};{1};{0}"))
+    n = np.arange(M.dim)
+    ones = tuple((n, (n + t) % M.dim, np.ones(M.dim, dtype=int)) for t in range(M.dim))
+    bad = dataclasses.replace(M, nilpotent=tuple(layers + ones for layers in M.nilpotent))
+    s = [np.array([[int(x.re) for x in row] for row in m]) for m in bad.gen_s]
+    eps = [np.array([[int(x.re) for x in row] for row in m]) for m in bad.gen_eps]
+    for i, j in itertools.product(range(M.k - 1), range(M.k)):
+        jj = {i: i + 1, i + 1: i}.get(j, j)
+        assert (s[i] @ eps[j] - eps[jj] @ s[i] == ((j == i) - (j == i + 1)) * np.eye(M.dim)).all()
+    assert (eps[0] @ eps[1] != eps[1] @ eps[0]).any()
+    assert _rejected(bad)
+
+
 def test_composition_data_is_shared_read_only():
     M = build_standard_module(parse_segments("{2};{0,1}"))
     N = build_standard_module(parse_segments("{5};{-1,0}"))
@@ -318,13 +463,34 @@ def test_relations_detect_perturbation():
     gen_eps[0][0][0] = q(gen_eps[0][0][0]) + 1
     assert not verify_relations(_explicit_module(M.gen_s, gen_eps))
     # the same perturbation of the compact form, and one of the N_j entry
-    assert not verify_relations(_with_diagonal(M, 0, 0, 1))
-    assert not verify_relations(_with_entry(M, 0, 0, 1, 1))
+    assert _rejected(_with_diagonal(M, 0, 0, 1))
+    assert _rejected(_with_entry(M, 0, 0, 1, 1))
     # a signed table that is no permutation, even one that sorts like s_0's
     for bad in ((1, 1), (2, 0)):
-        target = M.s_target.copy()
-        target[0] = bad
-        assert not verify_relations(dataclasses.replace(M, s_target=target))
+        assert _rejected(_with_table(M, 0, target=bad))
+    # on a one-dimensional module the eps_j commute and each s_i is -1, so
+    # only the relations between s_i and eps_j see a moved weight
+    M = build_standard_module(steinberg_param(3))
+    assert M.dim == 1 and _rejected(_with_diagonal(M, 1, 0, 1))
+    # a permutation that is no involution: a 3-cycle
+    M = build_standard_module(parse_segments("{2};{1};{0}"))
+    assert M.dim >= 3 and verify_relations(M)
+    assert _rejected(_with_table(M, 0, target=[1, 2, 0, *range(3, M.dim)]))
+    # a flipped sign of s_{k-2}: on a moved basis vector s_{k-2}^2 != 1; on
+    # a fixed one s_{k-2}^2 = 1 still holds and the eps relations fail
+    M = build_standard_module(parse_segments("{2};{0,1}"))
+    fixed = M.s_target[M.k - 2] == np.arange(M.dim)
+    assert fixed.any() and not fixed.all()
+    for b in (np.flatnonzero(~fixed)[0], np.flatnonzero(fixed)[0]):
+        sign = M.s_sign[M.k - 2].copy()
+        sign[b] *= -1
+        assert _rejected(_with_table(M, M.k - 2, sign=sign)), b
+    # an entry of eps_{k-1} of a module whose side-by-side operands span
+    # several blocks, so the last block is checked too
+    M = build_standard_module(parse_segments("{4};{3};{2};{1};{0}"))
+    assert M.dim**2 * 2 > _BLOCK_ENTRIES and verify_relations(M)
+    for r, c in ((0, 0), (0, M.dim - 1), (M.dim - 2, M.dim - 1)):
+        assert _rejected(_with_entry(M, M.k - 1, r, c, 1)), (r, c)
 
 
 def _integer_s_module(s):
@@ -372,16 +538,25 @@ def test_complex_module_exact_path():
     gen_eps = M.gen_eps
     gen_eps[0][1][1] = q(gen_eps[0][1][1]) + 1
     assert not verify_relations(_explicit_module(M.gen_s, gen_eps))
-    assert not verify_relations(_with_diagonal(M, 0, 1, 1))
-    assert not verify_relations(_with_entry(M, 0, 0, 1, 1))
+    assert _rejected(_with_diagonal(M, 0, 1, 1))
+    assert _rejected(_with_entry(M, 0, 0, 1, 1))
     # a perturbation of an imaginary part alone is caught too
     M = build_standard_module(parse_segments("{1+1i};{0}"))
     assert verify_relations(M)
     gen_eps = M.gen_eps
     gen_eps[0][0][0] = q(gen_eps[0][0][0]) + i
     assert not verify_relations(_explicit_module(M.gen_s, gen_eps))
-    assert not verify_relations(_with_diagonal(M, 0, 0, i))
-    assert not verify_relations(_with_entry(M, 1, 0, 1, 1))
+    assert _rejected(_with_diagonal(M, 0, 0, i))
+    assert _rejected(_with_entry(M, 1, 0, 1, 1))
+    # tables checked before the 2x2 blocks double them: a 3-cycle, a flipped
+    # sign of s_{k-2}, and an entry of eps_{k-1}
+    M = build_standard_module(parse_segments("{1+1i};{0};{2}"))
+    assert M.dim >= 3 and verify_relations(M)
+    assert _rejected(_with_table(M, 0, target=[1, 2, 0, *range(3, M.dim)]))
+    sign = M.s_sign[M.k - 2].copy()
+    sign[0] *= -1
+    assert _rejected(_with_table(M, M.k - 2, sign=sign))
+    assert _rejected(_with_entry(M, M.k - 1, 0, M.dim - 1, 1))
     # denominators in both parts share one scale
     nu = Scalar(Fraction(1, 2), Fraction(1, 3))
     M = build_standard_module(parse_segments("{1/2+1/3i};{0}"))
@@ -398,14 +573,17 @@ def test_shifted_central_character_catches_corrupted_e_d():
     assert _compact_operators(M, big, 3)[1][0][0].dtype == np.int64
     assert _compact_operators(M, 0, 3)[1][0][0].dtype == object
     assert central_character_of_module(M) == (Scalar(big + 1), Scalar(big), Scalar(big))
-    for text in ("{1001};{1000}", "{1};{0}", "{1000,1001,1002}", "{1+1i};{0}", str(M.ms)):
+    texts = ("{1001};{1000}", "{1};{0}", "{1000,1001,1002}", "{1+1i};{0}", str(M.ms))
+    # the last one's E[:, d] span several blocks
+    for text in texts + ("{4};{3};{2};{1};{0}",):
         M = build_standard_module(parse_segments(text))
         central_character_of_module(M)
         # move eps_0[0, 0] up and eps_{k-1}[0, 0] down by one: e_1 is
         # unchanged and e_2 is not
         bad = _with_entry(_with_entry(M, 0, 0, 0, 1), M.k - 1, 0, 0, -1)
-        with pytest.raises(ValueError, match="polynomial 2 is not"):
-            central_character_of_module(bad)
+        for route in (central_character_of_module, _ref_central_character):
+            with pytest.raises(ValueError, match="polynomial 2 is not"):
+                route(bad)
 
 
 def test_central_character_of_module():
