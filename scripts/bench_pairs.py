@@ -5,9 +5,12 @@
         --pairs modules=10 quotients=5 weights=5 --tier1-pairs 3 --out BENCH.json
 
 ``--parent`` and ``--change`` (default: this checkout) are two source trees.
-For every workload, pair p runs ``bench/run.py --workload W --seed S+p
---seconds T`` once in each tree, the parent first in even pairs and the
-change first in odd ones, and keeps the end-to-end metrics of both runs.
+For every base seed S and workload, pair p runs ``bench/run.py --workload
+W --seed S+p --seconds T`` once in each tree, the parent first in even pairs
+and the change first in odd ones, and keeps the end-to-end metrics of both
+runs.  ``--seed`` takes one or more base seeds: with one, the record holds
+its ``workloads``; with several (say a claim's seed and an unused one), it
+holds one ``{"workloads": ...}`` block per base seed under ``seeds``.
 ``--tier1-pairs`` runs ``tests/test_acceptance.py`` in each tree the same way
 and times every acceptance criterion as the set-up plus call time pytest
 reports for its test (a module-scoped fixture counts towards the first test
@@ -139,7 +142,7 @@ def main() -> None:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", default=ROOT)
     parser.add_argument("--pairs", nargs="+", default=["modules=10", "quotients=5", "weights=5"])
-    parser.add_argument("--seed", type=int, default=101)
+    parser.add_argument("--seed", type=int, nargs="+", default=[101])
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--tier1-pairs", type=int, default=3)
     parser.add_argument("--out", required=True)
@@ -148,21 +151,28 @@ def main() -> None:
 
     command = (
         f"python3 scripts/bench_pairs.py --parent <parent checkout> --pairs {' '.join(args.pairs)}"
-        f" --seed {args.seed} --seconds {args.seconds} --tier1-pairs {args.tier1_pairs}"
+        f" --seed {' '.join(map(str, args.seed))} --seconds {args.seconds}"
+        f" --tier1-pairs {args.tier1_pairs}"
     )
     record = {"command": command, "machine": _machine(), "seconds": args.seconds}
     record["src_lines"] = {side: _src_lines(tree) for side, tree in trees.items()}
-    record["workloads"] = {}
     end_to_end = _end_to_end()
-    for spec in args.pairs:
-        workload, count = spec.split("=")
-        pairs = []
-        for p in range(int(count)):
-            seed = args.seed + p
-            pair = _alternate(p, lambda side: _bench(trees[side], workload, seed, args.seconds))
-            pairs.append({"seed": seed, **pair})
-            print(f"{workload} pair {p}: {pair}", file=sys.stderr)
-        record["workloads"][workload] = {"pairs": pairs, "summary": _summary(pairs, end_to_end)}
+    blocks = {}
+    for base in args.seed:
+        workloads = blocks[str(base)] = {}
+        for spec in args.pairs:
+            workload, count = spec.split("=")
+            pairs = []
+            for p in range(int(count)):
+                seed = base + p
+                pair = _alternate(p, lambda side: _bench(trees[side], workload, seed, args.seconds))
+                pairs.append({"seed": seed, **pair})
+                print(f"{workload} pair {p} (seed {seed}): {pair}", file=sys.stderr)
+            workloads[workload] = {"pairs": pairs, "summary": _summary(pairs, end_to_end)}
+    if len(blocks) == 1:
+        record["workloads"] = blocks[str(args.seed[0])]
+    else:
+        record["seeds"] = {base: {"workloads": block} for base, block in blocks.items()}
 
     acceptance = []
     for p in range(args.tier1_pairs):

@@ -32,7 +32,6 @@ from .levelmap import (
     eigenvalue_identity,
     factor_order_image,
     gamma,
-    position_eigenvalues,
     verify_bijection_level_n,
     w_structure,
 )
@@ -55,7 +54,6 @@ from .orbits import (
     flatten_diagram,
     orbit_class,
     psi_g,
-    s_action,
     verify_injectivity,
     verify_psi_wellposed,
 )

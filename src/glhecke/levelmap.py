@@ -9,7 +9,9 @@ level > k maps to zero, level = k maps to the multisegment class above.
 On the level = k locus the induced module has dimension k!/prod(level_i!),
 its restriction to the symmetric group is induced-from-sign over the Young
 subgroup of the nonzero levels, and the weight of the generating vector is
-given position by position by a closed form reproduced here.
+given position by position by a closed form, which
+:func:`eigenvalue_identity` checks against the central character of the
+image.
 
 The bijection check stays on the integer keys of both enumerations: each
 factor key maps straight to its image's segment key, and parameters and
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .multisegments import (
@@ -39,14 +40,12 @@ from .realparams import (
     _level_bound,
     real_param_to_json,
 )
-from .scalars import Scalar
 
 __all__ = [
     "gamma",
     "factor_order_image",
     "dimension_std",
     "w_structure",
-    "position_eigenvalues",
     "eigenvalue_identity",
     "BijectionReport",
     "verify_bijection_level_n",
@@ -111,10 +110,15 @@ def w_structure(param: RealParam, k: int) -> tuple[int, ...]:
 
 
 def _scaled_eigenvalues(param: RealParam, k: int) -> tuple[int, list[tuple[int, int]]]:
-    """D and the closed form of :func:`position_eigenvalues` as integer
-    pairs (D*re, D*im), with D = lcm(2, every denominator of every factor's
-    nu).  This is the one implementation of the formula; each factor's
-    ``nu`` is read as integers once, through its cached ``_nu_grid``."""
+    """Closed-form weight of the generating vector, one entry per position,
+    as D and the integer pairs (D*re, D*im), with D = lcm(2, every
+    denominator of every factor's nu).
+
+    Position ``ell`` (1-based) inside the block of the p-th nonzero-level
+    factor carries nu'_p - (level_p - 1)/2 + (ell - prec(ell) - 1), where
+    prec(ell) is the number of positions in earlier blocks.  This is the one
+    implementation of the formula; each factor's ``nu`` is read as integers
+    once, through its cached ``_nu_grid``."""
     lev = param.level
     if lev != k:
         raise ValueError(f"eigenvalues need level == k, got level {lev} and k={k}")
@@ -129,17 +133,6 @@ def _scaled_eigenvalues(param: RealParam, k: int) -> tuple[int, list[tuple[int, 
         # ell = prec + j + 1, so ell - prec - 1 = j
         out += [(re + j * scale, im) for j in range(level)]
     return scale, out
-
-
-def position_eigenvalues(param: RealParam, k: int) -> tuple[Scalar, ...]:
-    """Closed-form weight of the generating vector, one entry per position.
-
-    Position ``ell`` (1-based) inside the block of the p-th nonzero-level
-    factor carries nu'_p - (level_p - 1)/2 + (ell - prec(ell) - 1), where
-    prec(ell) is the number of positions in earlier blocks.
-    """
-    scale, coords = _scaled_eigenvalues(param, k)
-    return tuple(Scalar(Fraction(re, scale), Fraction(im, scale)) for re, im in coords)
 
 
 def eigenvalue_identity(param: RealParam, k: int) -> bool:

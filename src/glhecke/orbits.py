@@ -44,7 +44,6 @@ from .multisegments import (
     enumerate_multisegments,
     segments_str,
 )
-from .scalars import _json_field
 
 __all__ = [
     "SignedInvolution",
@@ -52,7 +51,6 @@ __all__ = [
     "OrbitClass",
     "StructuralError",
     "make_involution",
-    "s_action",
     "orbit_class",
     "ColumnDiagram",
     "build_diagram",
@@ -64,7 +62,6 @@ __all__ = [
     "render_diagram",
     "render_involution",
     "involution_to_json",
-    "involution_from_json",
 ]
 
 
@@ -178,15 +175,6 @@ def _moves(pairing: tuple, signs: tuple, i: int) -> tuple[tuple[tuple, tuple], .
     p = [swap.get(j, j) for j in pairing]
     p[a], p[b] = p[b], p[a]
     return ((tuple(p), before + (signs[b], signs[a]) + after),)
-
-
-def s_action(sigma: SignedInvolution, i: int, bs: BlockStructure) -> SignedInvolution:
-    """Apply the three-case move of the transposition (i, i+1); ``i`` must
-    be an in-block index."""
-    if not bs.in_same_block(i):
-        raise ValueError(f"positions {i},{i+1} are not in the same block")
-    pairing, signs = _moves(tuple(sigma.pairing), tuple(sigma.signs), i)[0]
-    return SignedInvolution(sigma.n, pairing, signs)
 
 
 @dataclass(frozen=True)
@@ -327,19 +315,9 @@ def _flat_code(columns) -> tuple[tuple[int, ...], tuple[Optional[str], ...]]:
     return tuple(pairing), tuple(signs)
 
 
-def flatten_diagram(
-    diagram: ColumnDiagram, orders: Optional[Sequence[Sequence[int]]] = None
-) -> SignedInvolution:
-    """Concatenate columns left to right; ``orders`` optionally permutes the
-    cells inside each column (default: stored order)."""
-    columns = diagram.columns
-    if orders is not None:
-        if len(orders) != len(columns):
-            raise ValueError("orders must give one permutation per column")
-        if any(sorted(order) != list(range(len(col))) for col, order in zip(columns, orders)):
-            raise ValueError("orders must permute each column's cells")
-        columns = [[col[t] for t in order] for col, order in zip(columns, orders)]
-    pairing, signs = _flat_code(columns)
+def flatten_diagram(diagram: ColumnDiagram) -> SignedInvolution:
+    """Concatenate the columns left to right, each in its stored order."""
+    pairing, signs = _flat_code(diagram.columns)
     # an arc with one endpoint leaves an unsigned fixed point, which is rejected
     return SignedInvolution(diagram.n, pairing, signs)
 
@@ -509,16 +487,3 @@ def involution_to_json(sigma: SignedInvolution) -> dict:
         },
     }
 
-
-def involution_from_json(obj: dict) -> SignedInvolution:
-    """Inverse of :func:`involution_to_json`; a missing field or one of the
-    wrong JSON shape raises ``ValueError`` naming it."""
-    n, arcs = _json_field(obj, "n", int), _json_field(obj, "arcs", list)
-    # a bool is not an integer
-    if not all(type(a) is list and len(a) == 2 and all(type(e) is int for e in a) for a in arcs):
-        raise ValueError(f"'arcs' must be a JSON array of integer pairs, got {arcs!r}")
-    signs, positions = _json_field(obj, "signs", dict), {str(i + 1): i for i in range(n)}
-    if not signs.keys() <= positions.keys():  # "01", " 1" and "+1" are not positions
-        raise ValueError(f"'signs' keys must be positions '1'..'{n}', got {sorted(signs)!r}")
-    signs = {positions[pos]: s for pos, s in signs.items()}
-    return make_involution(n, [(i - 1, j - 1) for i, j in arcs], signs)

@@ -74,7 +74,7 @@ class GL1Factor:
         return Segment(self.nu, 1) if self.eps == TRIV else None
 
     @cached_property
-    def _nu_grid(self) -> tuple[int, int, int]:  # see levelmap.position_eigenvalues
+    def _nu_grid(self) -> tuple[int, int, int]:  # see levelmap._scaled_eigenvalues
         return _grid(self.nu)
 
     def __str__(self):
@@ -109,7 +109,7 @@ class GL2Factor:
         return Segment(Scalar(self.nu.re - Fraction(self.l - 1, 2), self.nu.im), self.l)
 
     @cached_property
-    def _nu_grid(self) -> tuple[int, int, int]:  # see levelmap.position_eigenvalues
+    def _nu_grid(self) -> tuple[int, int, int]:  # see levelmap._scaled_eigenvalues
         return _grid(self.nu)
 
     def __str__(self):

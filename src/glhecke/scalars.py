@@ -21,6 +21,7 @@ String forms (used in JSON and CSV):
 
 from __future__ import annotations
 
+import json
 import math
 import re as _re
 from fractions import Fraction
@@ -177,12 +178,12 @@ def _json_field(obj: dict, key: str, kind: type):
     object or array of the given ``kind`` (a boolean is not an integer);
     ``obj`` itself must be a JSON object."""
     if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object with field {key!r}, got {obj!r}")
+        raise ValueError(f"expected a JSON object with field {key!r}, got {json.dumps(obj)}")
     if key not in obj:
         raise ValueError(f"missing field {key!r}")
     value = obj[key]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+        raise ValueError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}, got {json.dumps(value)}")
     return value
 
 

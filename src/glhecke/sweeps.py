@@ -18,7 +18,6 @@ from . import branching, heckemod, levelmap, multisegments, orbits, realparams
 
 __all__ = [
     "lambda_window",
-    "consecutive_lambda",
     "sweep_dimensions",
     "sweep_relations",
     "sweep_bijection",
@@ -32,11 +31,6 @@ def lambda_window(n: int, width: int) -> Iterator[tuple[int, ...]]:
     """Weakly decreasing n-vectors with entries in {0, ..., width-1}."""
     for combo in itertools.combinations_with_replacement(range(width), n):
         yield tuple(sorted(combo, reverse=True))
-
-
-def consecutive_lambda(n: int) -> tuple[int, ...]:
-    """n distinct consecutive integers (n-1, ..., 1, 0)."""
-    return tuple(range(n - 1, -1, -1))
 
 
 def _windows(max_n: int) -> Iterator[tuple[int, ...]]:

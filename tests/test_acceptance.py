@@ -33,7 +33,6 @@ from glhecke.orbits import (
     render_involution,
 )
 from glhecke.sweeps import (
-    consecutive_lambda,
     lambda_window,
     sweep_dimensions,
     sweep_eigenvalues,
@@ -45,6 +44,11 @@ DATA = __file__.rsplit("/", 1)[0] + "/data"
 
 WORKED_LAMBDA = (4, 4, 3, 3, 3, 3, 2, 2, 2, 1, 1, 0)
 WORKED_TAU = "{0,1,2,3,4};{1,2,3};{2};{3};{3};{4}"
+
+
+def _rho(n: int) -> tuple[int, ...]:
+    """n distinct consecutive integers (n-1, ..., 1, 0)."""
+    return tuple(range(n - 1, -1, -1))
 
 
 def _report(number: int, ok: bool, detail: str = ""):
@@ -90,7 +94,7 @@ def bijection_reports():
 
 @pytest.fixture(scope="module")
 def rho_reports():
-    return {n: verify_bijection_level_n(consecutive_lambda(n)) for n in range(1, 11)}
+    return {n: verify_bijection_level_n(_rho(n)) for n in range(1, 11)}
 
 
 def test_criterion_5_bijection_as_stated(bijection_reports, rho_reports):
@@ -98,7 +102,7 @@ def test_criterion_5_bijection_as_stated(bijection_reports, rho_reports):
     checked = len(bijection_reports)
     counts_ok = True
     for n in range(1, 11):
-        lam = consecutive_lambda(n)
+        lam = _rho(n)
         hecke = len(enumerate_multisegments(lam))
         real = len(rho_reports[n].pairs)  # the level-n classes at lam
         if not (hecke == 2 ** (n - 1) == real):
@@ -125,7 +129,7 @@ def test_criterion_5_companion_support_matching_bijection(bijection_reports, rho
             if tuple(int(c.re) for c in image.support()) == lam:
                 ok = False  # off-support list must be exactly the strays
     for n in range(1, 11):
-        lam = consecutive_lambda(n)
+        lam = _rho(n)
         report = rho_reports[n]
         if len(report.pairs) - len(report.off_support) != 2 ** (n - 1):
             ok = False

@@ -252,16 +252,22 @@ def test_module_rejects_malformed_spec(tmp_path):
 
 def test_json_spec_that_is_no_object_gives_one_message():
     # JSON of another shape where an object belongs, at the top or inside an
-    # array: one message naming the field the object should hold
+    # array: one message naming the field the object should hold, and the
+    # value it got written as JSON
     for argv, kind, field, got in (
         (["module", "--param", "[]"], "multisegment", "segments", "[]"),
-        (["module", "--param", '"segments"'], "multisegment", "segments", "'segments'"),
+        (["module", "--param", '"segments"'], "multisegment", "segments", '"segments"'),
         (["gamma", "--param", "5", "--k", "1"], "parameter", "factors", "5"),
         (["quotient", "--param", '{"segments": [5]}'], "multisegment", "start", "5"),
-        (["dim", "--param", '{"factors": ["x"]}', "--k", "1"], "parameter", "nu", "'x'"),
+        (["dim", "--param", '{"factors": ["x"]}', "--k", "1"], "parameter", "nu", '"x"'),
+        (["psi", "--lambda", "1,0", "--param", "null"], "multisegment", "segments", "null"),
+        (["psi", "--lambda", "1,0", "--param", '"x"'], "multisegment", "segments", '"x"'),
     ):
         message = f"error: bad {kind} spec: expected a JSON object with field '{field}', got {got}"
         assert run_in_process(argv) == (message, "", ""), argv
+    spec = '{"segments": [{"start": true, "len": 1}]}'
+    message = "error: bad multisegment spec: 'start' must be a JSON string, got true"
+    assert run_in_process(["psi", "--lambda", "1,0", "--param", spec]) == (message, "", "")
 
 
 def test_psi_rejects_non_integral_or_mismatched_support():

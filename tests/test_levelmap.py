@@ -10,7 +10,6 @@ from glhecke.levelmap import (
     eigenvalue_identity,
     factor_order_image,
     gamma,
-    position_eigenvalues,
     verify_bijection_level_n,
     w_structure,
 )
@@ -36,8 +35,14 @@ from glhecke.realparams import (
     parse_factors,
 )
 from glhecke.scalars import Scalar
-from glhecke.sweeps import consecutive_lambda, lambda_window
+from glhecke.sweeps import lambda_window
 from linalg_oracle import q
+
+
+def _position_eigenvalues(param, k):
+    """The integer closed form, lifted to Scalars with Fraction parts."""
+    scale, coords = levelmap._scaled_eigenvalues(param, k)
+    return tuple(Scalar(Fraction(re, scale), Fraction(im, scale)) for re, im in coords)
 
 
 def _ref_position_eigenvalues(param, k):
@@ -135,7 +140,7 @@ def test_w_structure():
 
 def test_eigenvalues_single_block():
     p = RealParam((GL2Factor(4, Scalar(0)),))
-    assert position_eigenvalues(p, 4) == tuple(
+    assert _position_eigenvalues(p, 4) == tuple(
         Scalar(Fraction(2 * j - 3, 2)) for j in range(4)
     )
     assert eigenvalue_identity(p, 4)
@@ -143,13 +148,13 @@ def test_eigenvalues_single_block():
 
 def test_eigenvalues_singletons():
     p = parse_factors("gl1(triv,5);gl1(triv,-2)")
-    assert position_eigenvalues(p, 2) == (Scalar(5), Scalar(-2))
+    assert _position_eigenvalues(p, 2) == (Scalar(5), Scalar(-2))
     assert eigenvalue_identity(p, 2)
 
 
 def test_eigenvalues_speh():
     speh = parse_factors("gl2(2,1/2);gl2(2,-1/2)")
-    assert position_eigenvalues(speh, 4) == (Scalar(0), Scalar(1), Scalar(-1), Scalar(0))
+    assert _position_eigenvalues(speh, 4) == (Scalar(0), Scalar(1), Scalar(-1), Scalar(0))
     assert eigenvalue_identity(speh, 4)
 
 
@@ -158,7 +163,7 @@ def test_eigenvalue_identity_uses_factor_order():
     p = parse_factors("gl1(triv,2);gl2(2,3)")
     assert eigenvalue_identity(p, 3)
     img = factor_order_image(p)
-    assert position_eigenvalues(p, 3) == central_character(img)
+    assert _position_eigenvalues(p, 3) == central_character(img)
     # the dominant representative permutes the blocks here
     assert central_character(dominant_representative(img)) != central_character(img)
 
@@ -191,7 +196,7 @@ def test_eigenvalue_identity_matches_scalar_reference():
     params += [parse_factors(text) for text in EXTRA_EIGEN_PARAMS]
     for p in params:
         k = p.level
-        assert position_eigenvalues(p, k) == _ref_position_eigenvalues(p, k), p
+        assert _position_eigenvalues(p, k) == _ref_position_eigenvalues(p, k), p
         assert eigenvalue_identity(p, k) == _ref_eigenvalue_identity(p, k) is True, p
         with pytest.raises(ValueError):
             eigenvalue_identity(p, k + 1)
@@ -300,7 +305,7 @@ def _ref_verify_bijection_level_n(lam):
 
 REF_BIJECTION_WEIGHTS = (
     [lam for n in range(1, 6) for lam in lambda_window(n, n)]
-    + [consecutive_lambda(n) for n in range(1, 9)]
+    + [tuple(range(n - 1, -1, -1)) for n in range(1, 9)]
     + [(2, 0, 0)]
 )
 
