@@ -8,8 +8,11 @@
 For every base seed S and workload, pair p runs ``bench/run.py --workload
 W --seed S+p --seconds T`` once in each tree, the parent first in even pairs
 and the change first in odd ones, and keeps the end-to-end metrics of both
-runs.  ``--seed`` takes one or more base seeds: with one, the record holds
-its ``workloads``; with several (say a claim's seed and an unused one), it
+runs.  After the pairs, one ``--trace 1`` run in each tree at seed S keeps
+the workload's per-layer busy times and exact work counts under
+``traced``, so the record shows which layer a change comes from.
+``--seed`` takes one or more base seeds: with one, the record holds its
+``workloads``; with several (say a claim's seed and an unused one), it
 holds one ``{"workloads": ...}`` block per base seed under ``seeds``.
 ``--tier1-pairs`` runs ``tests/test_acceptance.py`` in each tree the same way
 and times every acceptance criterion as the set-up plus call time pytest
@@ -45,9 +48,9 @@ BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 ACCEPTANCE = "tests/test_acceptance.py"
 
 
-def _bench(tree: str, workload: str, seed: int, seconds: int) -> dict:
+def _bench(tree: str, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         tail = "\n".join(proc.stderr.strip().splitlines()[-15:])
@@ -168,7 +171,15 @@ def main() -> None:
                 pair = _alternate(p, lambda side: _bench(trees[side], workload, seed, args.seconds))
                 pairs.append({"seed": seed, **pair})
                 print(f"{workload} pair {p} (seed {seed}): {pair}", file=sys.stderr)
-            workloads[workload] = {"pairs": pairs, "summary": _summary(pairs, end_to_end)}
+            traced = {"seed": base}
+            for side in ("parent", "change"):
+                traced[side] = _bench(trees[side], workload, base, args.seconds, trace=1)
+            print(f"{workload} traced (seed {base}): {traced}", file=sys.stderr)
+            workloads[workload] = {
+                "pairs": pairs,
+                "summary": _summary(pairs, end_to_end),
+                "traced": traced,
+            }
     if len(blocks) == 1:
         record["workloads"] = blocks[str(args.seed[0])]
     else:

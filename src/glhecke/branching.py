@@ -16,12 +16,12 @@ formula it is used to cross-check.
 
 The expansion runs on small-int label codes, 0 = triv, 1 = sgn and
 j + 1 = V(j), in the canonical slot order: the s o2 slots first, then the
-m o1 slots.  It is done once per key (s, m, k) and kept in ``_table``, a
-``functools.lru_cache`` of at most ``MEMO_SIZE`` = 128 keys; a sweep over
-every weight with n <= 7 needs 62.  :func:`tensor_power_standard` translates
-the codes back to :class:`O2Label` tuples, and :func:`hom_multiplicity`
-moves the o2 slots of its target first (keeping their order) before the
-lookup.
+m o1 slots.  It is done once per key (s, m, k), one tensoring step from
+(s, m, k - 1), in ``_table``, a ``functools.lru_cache`` of at most
+``MEMO_SIZE`` = 128 keys; every weight with n <= 7 needs the 109 keys of the
+chains k = 0..n.  :func:`tensor_power_standard` translates the codes back to
+:class:`O2Label` tuples, and :func:`hom_multiplicity` moves the o2 slots of
+its target first (keeping their order) before the lookup.
 """
 
 from __future__ import annotations
@@ -117,20 +117,28 @@ def _o2_step(code: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _table(s: int, m: int, k: int) -> Mapping[tuple[int, ...], int]:
-    """k-th tensor power of the standard representation over s o2 slots
-    followed by m o1 slots, keyed by tuples of label codes (read-only)."""
+    """k-th tensor power of the standard representation over s o2 slots then
+    m o1 slots, by label code tuples (read-only), one step from the (k-1)-th."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    state: dict[tuple[int, ...], int] = {(0,) * (s + m): 1}
-    for _ in range(k):
-        nxt: dict[tuple[int, ...], int] = {}
-        for codes, mult in state.items():
-            for i, code in enumerate(codes):
-                for new in _o2_step(code) if i < s else (1 - code,):
-                    key = codes[:i] + (new,) + codes[i + 1 :]
-                    nxt[key] = nxt.get(key, 0) + mult
-        state = nxt
+    if k == 0:
+        return MappingProxyType({(0,) * (s + m): 1})
+    state: dict[tuple[int, ...], int] = {}
+    for codes, mult in _table(s, m, k - 1).items():
+        for i, code in enumerate(codes):
+            for new in _o2_step(code) if i < s else (1 - code,):
+                key = codes[:i] + (new,) + codes[i + 1 :]
+                state[key] = state.get(key, 0) + mult
     return MappingProxyType(state)
+
+
+def _power(s: int, m: int, k: int) -> Mapping[tuple[int, ...], int]:
+    """``_table(s, m, k)``; a chain longer than the memo is first filled from
+    the bottom up, so that no call recurses more than one level."""
+    if k >= MEMO_SIZE:
+        for j in range(k):
+            _table(s, m, j)
+    return _table(s, m, k)
 
 
 def tensor_power_standard(s: int, m: int, k: int) -> Decomposition:
@@ -144,7 +152,7 @@ def tensor_power_standard(s: int, m: int, k: int) -> Decomposition:
     if s < 0 or m < 0:
         raise ValueError("s and m must be >= 0")
     labels = [TRIV, SGN] + [V(j) for j in range(1, k + 1)]
-    return {tuple(labels[c] for c in codes): mult for codes, mult in _table(s, m, k).items()}
+    return {tuple(labels[c] for c in codes): mult for codes, mult in _power(s, m, k).items()}
 
 
 def total_dimension(decomp: Decomposition) -> int:
@@ -178,4 +186,4 @@ def hom_multiplicity(param: RealParam, k: int) -> int:
             o2.append(f.l + 1)  # V(l)
         else:
             o1.append(1 if f.eps == "triv" else 0)  # sgn for triv, triv for sgn
-    return _table(len(o2), len(o1), k).get(tuple(o2 + o1), 0)
+    return _power(len(o2), len(o1), k).get(tuple(o2 + o1), 0)

@@ -63,9 +63,10 @@ class Segment:
         return _grid(self.start)
 
     def __str__(self):
-        re, im = self.start.re, self.start.im
+        (p, q), im = self.start.re.as_integer_ratio(), self.start.im
         tail = "" if im == 0 else f"{'+' if im > 0 else '-'}{rat_str(abs(im))}i"
-        return "{" + ",".join(f"{rat_str(re + j)}{tail}" for j in range(self.length)) + "}"
+        den = "" if q == 1 else f"/{q}"  # (p + j*q)/q is reduced, as p/q is
+        return "{" + ",".join(f"{p + j * q}{den}{tail}" for j in range(self.length)) + "}"
 
 
 @dataclass(frozen=True)
@@ -144,35 +145,36 @@ def _cover(lam: Sequence[int], pieces, need: int = 0, bound=None, exact=False) -
     copy of.  Every copy of the current maximum is covered at once by a
     weakly increasing choice of pieces, so each multiset comes out exactly
     once.  A branch stops as soon as ``bound(counts) < need``, or, when
-    ``exact``, once its levels pass ``need``.  The chosen keys sit on one
-    stack, and each finished class goes straight into one output list."""
-    out: list[tuple] = []
-    head: list = []
+    ``exact``, once its levels pass ``need``.  A state's completions depend
+    only on the remaining counts and the level still needed (at least 0
+    unless ``exact``), so each state is solved once per call and its
+    completions are prefixed onto every branch that reaches it."""
+    memo: dict[tuple, list[tuple]] = {}
 
-    def walk(counts: dict[int, int], need: int) -> None:
-        if not counts:
-            if need == 0 or (need < 0 and not exact):
-                out.append(tuple(sorted(head)))
-            return
-        if (need < 0 and exact) or (need > 0 and bound is not None and bound(counts) < need):
-            return
-        a = max(counts)
-        mult = counts.pop(a)
-        options = pieces(a, sorted(counts, reverse=True))
-        for combo in itertools.combinations_with_replacement(options, mult):
-            rest, left = dict(counts), need
+    def walk(counts: tuple, need: int) -> list[tuple]:
+        if not exact:
+            need = max(need, 0)
+        if (counts, need) in memo:
+            return memo[counts, need]
+        found = memo[counts, need] = [()] if not counts and need == 0 else []
+        if not counts or need < 0 or (need > 0 and bound is not None and bound(dict(counts)) < need):
+            return found
+        (a, mult), lower = counts[0], dict(counts[1:])
+        for combo in itertools.combinations_with_replacement(pieces(a, list(lower)), mult):
+            rest, left = dict(lower), need
             for _, used, level in combo:
                 left -= level
                 for v in used:
                     rest[v] = rest.get(v, 0) - 1
             if any(c < 0 for c in rest.values()):
                 continue
-            head.extend(key for key, _, _ in combo)
-            walk({v: c for v, c in rest.items() if c}, left)
-            del head[-mult:]
+            keys = tuple(key for key, _, _ in combo)
+            found += [keys + tail for tail in walk(tuple((v, c) for v, c in rest.items() if c), left)]
+        return found
 
-    walk(Counter(_validate_integral_lambda(lam)), need)
-    return sorted(out)
+    classes = walk(tuple(sorted(Counter(_validate_integral_lambda(lam)).items(), reverse=True)), need)
+    memo.clear()  # walk refers to itself, so the memo would wait for the cycle collector
+    return sorted(tuple(sorted(keys)) for keys in classes)
 
 
 def _built(classes: list, build, wrap) -> list:

@@ -12,7 +12,7 @@ measure the lowest compact-group type of the induced module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
@@ -126,20 +126,19 @@ def _slope(f: Factor) -> Fraction:
 
 @dataclass(frozen=True)
 class RealParam:
-    """An ordered list of factors; ``n`` is the sum of the factor sizes."""
+    """An ordered list of factors; ``n`` is the sum of the factor sizes and
+    ``level``, set once at construction, the sum of their levels."""
 
     factors: tuple[Factor, ...]
+    level: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+        object.__setattr__(self, "level", sum([f.level for f in self.factors]))
 
     @property
     def n(self) -> int:
         return sum(f.size for f in self.factors)
-
-    @cached_property
-    def level(self) -> int:
-        return sum(f.level for f in self.factors)
 
     def infinitesimal_character(self) -> tuple[Scalar, ...]:
         """Multiset of n weight coordinates, sorted weakly decreasing."""

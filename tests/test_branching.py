@@ -146,16 +146,52 @@ def test_hom_multiplicity_matches_label_reference():
                     assert hom_multiplicity(p, k) == ref[kinds, k].get(target, 0), (p, k)
 
 
+def _rho(n):
+    return tuple(range(n - 1, -1, -1))
+
+
 def test_table_memo_is_bounded_and_canonical():
-    assert branching._table.cache_parameters()["maxsize"] == branching.MEMO_SIZE >= 62
+    # the weights sweep calls hom_multiplicity(p, p.level) for 1 <= level <= n;
+    # a class with s GL(2) and m GL(1) factors (2s + m = n) has level at least
+    # 2s, and rho_n has a class of each such shape at each level, so the chains
+    # k = 0..n of rho_1..rho_7 are all the tables any weight with n <= 7 needs
+    keys = {
+        (n, sum(isinstance(f, GL2Factor) for f in p.factors), p.level)
+        for n in range(1, 8)
+        for p in enumerate_real_params(_rho(n), 1)
+        if p.level <= n
+    }
+    assert len(keys) == 62
     branching._table.cache_clear()
+    for n in range(1, 8):
+        for p in enumerate_real_params(_rho(n), 1):
+            if p.level <= n:
+                hom_multiplicity(p, p.level)
+    info = branching._table.cache_info()
+    chain = sum(n + 1 for n, _ in {(n, s) for n, s, _ in keys})
+    assert info.currsize == info.misses == chain == 109
+    assert branching._table.cache_parameters()["maxsize"] == branching.MEMO_SIZE >= chain
+
+    # one table fills its chain k = 0..3 and nothing else; repeat calls hit
+    branching._table.cache_clear()
+    branching._table(1, 2, 3)
+    assert branching._table.cache_info()[:4] == (0, 4, 128, 4)
+    for k in range(4):
+        branching._table(1, 2, k)
     tensor_power_standard(1, 2, 3)
     assert hom_multiplicity(parse_factors("gl1(triv,5);gl2(2,0);gl1(sgn,3)"), 3) == 3
     info = branching._table.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    assert (info.currsize, info.misses, info.hits) == (4, 4, 6)
     with pytest.raises(TypeError):
         branching._table(1, 2, 3)[(0, 0, 0)] = 1  # the cached table is read-only
     # the public result is the caller's own dict
     key = (V(1), SGN, SGN)
     tensor_power_standard(1, 2, 3)[key] = 99
     assert tensor_power_standard(1, 2, 3)[key] == 6
+
+
+def test_long_chain_is_filled_without_deep_recursion():
+    # one tensoring step per level: a chain far past the memo and the
+    # recursion limit is filled from the bottom up
+    assert hom_multiplicity(parse_factors("gl2(1500,0)"), 1500) == 1
+    assert branching._table.cache_info().currsize == branching.MEMO_SIZE

@@ -143,6 +143,12 @@ def test_dim_and_oracle():
     assert out["multiplicity"] == 6
 
 
+def test_oracle_answers_a_chain_past_the_recursion_limit():
+    proc = run_cli("oracle", "--factors", "gl2(1500,0)", "--k", "1500", check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"k": 1500, "level": 1500, "multiplicity": 1}
+
+
 def test_negative_k_is_rejected():
     for args in (
         ("dim", "--factors", "gl2(3,0)", "--k", "-1"),

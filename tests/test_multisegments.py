@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from glhecke.multisegments import (
     Multisegment,
     Segment,
+    _cover,
     _segment_key,
+    _segment_pieces,
     central_character,
     dominant_representative,
     enumerate_multisegments,
@@ -20,7 +23,8 @@ from glhecke.multisegments import (
     segments_str,
     steinberg_param,
 )
-from glhecke.scalars import Scalar
+from glhecke.realparams import _factor_pieces, _level_bound
+from glhecke.scalars import Scalar, rat_str
 from glhecke.sweeps import lambda_window
 from linalg_oracle import q
 
@@ -36,6 +40,17 @@ def test_segment_derived_fields():
     assert s.entries() == (Scalar(3), Scalar(4))
     with pytest.raises(ValueError):
         Segment(Scalar(0), 0)
+
+
+def test_segment_str_matches_fraction_entries():
+    # each entry is formatted from the start's numerator and denominator
+    for den in (2, 3):
+        for num in range(-7, 8):
+            for im in (Fraction(0), Fraction(2), Fraction(-1, 3)):
+                seg = Segment(Scalar(Fraction(num, den), im), 4)
+                tail = "" if im == 0 else f"{'+' if im > 0 else '-'}{rat_str(abs(im))}i"
+                entries = [rat_str(seg.start.re + j) + tail for j in range(4)]
+                assert str(seg) == "{" + ",".join(entries) + "}", seg
 
 
 def test_segment_rejects_bool_length():
@@ -202,3 +217,54 @@ def test_enumerate_matches_fraction_keyed_reference():
         got = enumerate_multisegments(lam)
         assert [segments_str(m) for m in got] == [segments_str(m) for m in ref], lam
         assert got == ref
+
+
+def _ref_cover(lam, pieces, need=0, bound=None, exact=False):
+    """The covering walk before its memo: the chosen keys sit on one stack,
+    and each finished class goes straight into one output list."""
+    out, head = [], []
+
+    def walk(counts, need):
+        if not counts:
+            if need == 0 or (need < 0 and not exact):
+                out.append(tuple(sorted(head)))
+            return
+        if (need < 0 and exact) or (need > 0 and bound is not None and bound(counts) < need):
+            return
+        a = max(counts)
+        mult = counts.pop(a)
+        options = pieces(a, sorted(counts, reverse=True))
+        for combo in itertools.combinations_with_replacement(options, mult):
+            rest, left = dict(counts), need
+            for _, used, level in combo:
+                left -= level
+                for v in used:
+                    rest[v] = rest.get(v, 0) - 1
+            if any(c < 0 for c in rest.values()):
+                continue
+            head.extend(key for key, _, _ in combo)
+            walk({v: c for v, c in rest.items() if c}, left)
+            del head[-mult:]
+
+    walk(Counter(lam), need)
+    return sorted(out)
+
+
+def test_memoised_cover_matches_reference_walk():
+    # segment pieces; factor pieces at every level floor up to one past the
+    # top level, pruned by the level bound; and the exact level-n mode.  For
+    # the level floors the reference lists every factor class once and is
+    # filtered on level (its bound only prunes); a factor key's second entry
+    # is minus the factor's level.
+    lams = [lam for n in range(1, 7) for lam in lambda_window(n, n)]
+    lams += [(6, 0), (5, 5, 0), (7, 3, 3, 0), (4, 4, 4, 1, 1), tuple(range(8, -1, -1))]
+    for lam in lams:
+        assert _cover(lam, _segment_pieces) == _ref_cover(lam, _segment_pieces), lam
+        graded = [(-sum(key[1] for key in keys), keys) for keys in _ref_cover(lam, _factor_pieces)]
+        for need in range(max(level for level, _ in graded) + 2):
+            expected = [keys for level, keys in graded if level >= need]
+            assert _cover(lam, _factor_pieces, need, _level_bound) == expected, (lam, need)
+        n = len(lam)
+        expected = _ref_cover(lam, _factor_pieces, n, _level_bound, exact=True)
+        assert expected == [keys for level, keys in graded if level == n], lam
+        assert _cover(lam, _factor_pieces, n, _level_bound, exact=True) == expected, lam

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -244,17 +245,36 @@ def test_enumerate_matches_fraction_keyed_reference():
 
 
 def test_min_level_prunes_the_search(monkeypatch):
-    # the level bound must cut branches, not filter the finished classes
+    # the level bound must cut branches, not filter the finished classes: at
+    # the same need, the walk with the bound asks for fewer pieces than
+    # without it
     calls, pieces = [], realparams._factor_pieces
 
     def counted(a, lower):
         calls.append(a)
         return pieces(a, lower)
 
-    monkeypatch.setattr(realparams, "_factor_pieces", counted)
     rho = tuple(range(5, -1, -1))
     everything = enumerate_real_params(rho, 0)
-    unpruned = len(calls)
-    calls.clear()
+    monkeypatch.setattr(realparams, "_factor_pieces", counted)
     assert enumerate_real_params(rho, 6) == [p for p in everything if p.level >= 6]
-    assert 0 < len(calls) < unpruned
+    pruned = len(calls)
+    calls.clear()
+    unpruned = realparams._cover(rho, counted, 6, None)
+    assert unpruned == realparams._cover(rho, pieces, 6, realparams._level_bound)
+    assert 0 < pruned < len(calls)
+
+
+def test_level_is_the_sum_of_factor_levels():
+    for n in range(1, 6):
+        for lam in lambda_window(n, n):
+            for p in enumerate_real_params(lam):
+                assert p.level == sum(f.level for f in p.factors), p
+    # a field computed once: not an argument, not compared, not shown
+    p = parse_factors("gl2(3,1/2);gl1(triv,0)")
+    assert "level" not in repr(p) and p.level == 4
+    q = dataclasses.replace(p, factors=p.factors[:1])
+    assert q.level == 3 and q == parse_factors("gl2(3,1/2)")
+    assert hash(q) == hash(RealParam(p.factors[:1]))
+    with pytest.raises(TypeError):
+        RealParam(p.factors, level=4)
