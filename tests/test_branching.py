@@ -146,36 +146,28 @@ def test_hom_multiplicity_matches_label_reference():
                     assert hom_multiplicity(p, k) == ref[kinds, k].get(target, 0), (p, k)
 
 
-def _rho(n):
-    return tuple(range(n - 1, -1, -1))
-
-
 def test_table_memo_is_bounded_and_canonical():
     # the weights sweep calls hom_multiplicity(p, p.level) for 1 <= level <= n;
     # a class with s GL(2) and m GL(1) factors (2s + m = n) has level at least
-    # 2s, and rho_n has a class of each such shape at each level, so the chains
-    # k = 0..n of rho_1..rho_7 are all the tables any weight with n <= 7 needs
-    keys = {
-        (n, sum(isinstance(f, GL2Factor) for f in p.factors), p.level)
-        for n in range(1, 8)
-        for p in enumerate_real_params(_rho(n), 1)
-        if p.level <= n
-    }
-    assert len(keys) == 62
+    # 2s, and rho_n has a class of each such shape at each level, so rho_1..rho_7
+    # need every table that any weight with n <= 7 needs
     branching._table.cache_clear()
+    keys = set()
     for n in range(1, 8):
-        for p in enumerate_real_params(_rho(n), 1):
+        for p in enumerate_real_params(tuple(range(n - 1, -1, -1)), 1):
             if p.level <= n:
                 hom_multiplicity(p, p.level)
+                keys.add((n, sum(isinstance(f, GL2Factor) for f in p.factors), p.level))
+    chain = sum(n + 1 for n, _ in {key[:2] for key in keys})  # k = 0..n per (s, m)
     info = branching._table.cache_info()
-    chain = sum(n + 1 for n, _ in {(n, s) for n, s, _ in keys})
-    assert info.currsize == info.misses == chain == 109
+    assert len(keys) == 62 and info.currsize == info.misses == chain == 109
     assert branching._table.cache_parameters()["maxsize"] == branching.MEMO_SIZE >= chain
 
     # one table fills its chain k = 0..3 and nothing else; repeat calls hit
     branching._table.cache_clear()
     branching._table(1, 2, 3)
-    assert branching._table.cache_info()[:4] == (0, 4, 128, 4)
+    info = branching._table.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (4, 4, 0)
     for k in range(4):
         branching._table(1, 2, k)
     tensor_power_standard(1, 2, 3)
