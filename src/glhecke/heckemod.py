@@ -85,8 +85,8 @@ def _frozen(values, shape) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _composition(blocks: tuple[int, ...]):
-    """Basis, signed place-permutation tables, diagonal index and the layers
-    of every N_j for one block composition (see :class:`StandardModule`)."""
+    """Dimension, signed place-permutation tables, diagonal index and the
+    layers of every N_j of one block composition (:class:`StandardModule`)."""
     k = sum(blocks)
     basis = tuple(_coset_reps(blocks))
     dim = len(basis)
@@ -130,27 +130,27 @@ def _composition(blocks: tuple[int, ...]):
                 seen[r] += 1
         nilpotent.append(tuple(tuple(_frozen(a, -1) for a in zip(*t)) for t in layers.values()))
     tables = (_frozen(target, (k - 1, dim)), _frozen(sign, (k - 1, dim)), _frozen(pos, (k, dim)))
-    return basis, *tables, tuple(nilpotent)
+    return dim, *tables, tuple(nilpotent)
 
 
 @dataclass(frozen=True, eq=False)
 class StandardModule:
     """Induced module in the compact form ``eps_j = D_j + N_j``.
 
-    ``basis`` lists the block-increasing permutations ``w_b``, identity
-    first, and ``chi`` is the inducing weight.  ``s_i e_b = s_sign[i, b] *
-    e_{s_target[i, b]}``; ``D_j[b, b] = chi[pos[j, b]]``, ``pos[j, b] =
-    w_b.index(j)``; ``nilpotent[j]`` holds N_j as sparse (COO) layers
-    ``(rows, cols, vals)``, each with distinct rows.  These int64 arrays
-    depend only on ``blocks`` and are shared, read-only.  ``gen_s[i]`` and
-    ``gen_eps[j]`` are the dense row-major Scalar matrices, built on access.
+    Basis vector ``e_b`` stands for the block-increasing permutation
+    ``w_b`` (identity first), kept only as ``pos[j, b] = w_b.index(j)``,
+    and ``chi`` is the inducing weight.  ``s_i e_b = s_sign[i, b] *
+    e_{s_target[i, b]}``; ``D_j[b, b] = chi[pos[j, b]]``; ``nilpotent[j]``
+    holds N_j as sparse (COO) layers ``(rows, cols, vals)``, each with
+    distinct rows.  These int64 arrays depend only on ``blocks`` and are
+    shared, read-only.  ``gen_s[i]`` and ``gen_eps[j]`` are the dense
+    row-major Scalar matrices, built on access.
     """
 
     ms: Multisegment
     k: int
     blocks: tuple[int, ...]
     dim: int
-    basis: tuple[tuple[int, ...], ...]
     chi: tuple[Scalar, ...]
     s_target: np.ndarray
     s_sign: np.ndarray
@@ -181,8 +181,8 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
     k = sum(blocks)
     if k == 0:
         raise ValueError("cannot build a module from an empty multisegment")
-    basis, *tables = _composition(blocks)
-    return StandardModule(ms, k, blocks, len(basis), basis, central_character(ms), *tables)
+    dim, *tables = _composition(blocks)
+    return StandardModule(ms, k, blocks, dim, central_character(ms), *tables)
 
 
 # -- exact integer arithmetic -------------------------------------------------

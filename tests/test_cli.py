@@ -400,6 +400,137 @@ def test_verify_report_digests(args):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_DIGESTS[args]
 
 
+# (exit code, sha256 of stdout) of in-process `glhecke` for every subcommand
+# and --format, recorded before the commands returned their text to `main`
+OUTPUT_DIGESTS = {
+    "enumerate --lambda 2,1,0 --side real --format json": (
+        0, "643461d1bb4e3e8adf67d55ede82666a739f209922cd0f057d74caac4b3cabff"
+    ),
+    "enumerate --lambda 2,1,0 --side real --format csv": (
+        0, "ab7dcd1a0ec625503b25795e57562530cfb7827fb176357f8cf1769d90a0bc45"
+    ),
+    "enumerate --lambda 2,1,0 --side real --format text": (
+        0, "d92b65888cd5547dda403db8524a3afdb92ad1fc3d0fdefe72a737a49fde5d11"
+    ),
+    "enumerate --lambda 2,1,0 --side hecke --format json": (
+        0, "773b6d445e6bbefb0431ce0e6137c1d249c105d6f27612eb8180917924faa8d4"
+    ),
+    "enumerate --lambda 2,1,0 --side hecke --format csv": (
+        0, "e66c08629c49f26489dfced0283e963e90d608dc61cc1d3a067ed3f024a1e32a"
+    ),
+    "enumerate --lambda 2,1,0 --side hecke --format text": (
+        0, "613319cb17ef1810bd027188910015e206e2eb50211ddad8ea3d0be63bf02b0d"
+    ),
+    "enumerate --lambda 2,1,1,0 --side real --min-level 4 --format csv": (
+        0, "f451e760972e0ab86db96cfbaa0134d1544137ad8fc0cddc166d1bc5a672edd2"
+    ),
+    "gamma --factors gl2(2,1/2);gl2(2,-1/2) --k 4": (
+        0, "2c21dac849a8954c2496f385cecc65ec0cc8cf17d8e5830a6e15abc968af5926"
+    ),
+    "gamma --factors gl2(4,0) --k 3": (
+        0, "b261f8facdaf29b1e22fb129924f92da03121d5801d795e4201cf6f0d5d98868"
+    ),
+    "dim --factors gl2(2,1/2);gl2(2,-1/2) --k 4": (
+        0, "025bd1f99dcd33ced406d189ab4c888ca3b5238f6f32bc7bb4ece55f93d230c6"
+    ),
+    "dim --factors gl2(2,1/2);gl2(2,-1/2) --k 4 --format text": (
+        0, "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7"
+    ),
+    "oracle --factors gl2(3,0) --k 3": (
+        0, "29056411a6c2c469defa14cd840f1cf419fc13aec9584ea46801d31b446862ef"
+    ),
+    "oracle --s 1 --m 1 --k 3": (
+        0, "823ff6678eb9c5a99724677b1981fb0317d001cd95563d0b31230cb154b92c0a"
+    ),
+    "module --segments {1/2};{-1/2}": (
+        0, "b81a6403578e935264b63fd98681d06d91dfa1b6fb4ac205cab7a56347e41be0"
+    ),
+    "module --segments {0};{1} --quotient": (
+        0, "b088875b1d5907f1e81574a71fe1b540869a781eb6af3b88b082ae7d83af0da6"
+    ),
+    "quotient --segments {0,1};{2};{1}": (
+        0, "cafa83c91d054d5cd79780344e7be51a1991b0fdd1d6c05cbc41f67ce413dd40"
+    ),
+    "psi --lambda 2,1,1,0 --segments {1,2};{0,1}": (
+        0, "485af803a9fd2eb5eeb3e0400d5103b7ccefefd13508d022e48e81d99c4759db"
+    ),
+    "psi --lambda 2,1,1,0 --segments {1,2};{0,1} --format text": (
+        0, "a45c03b0ab8a8336c60692d525fd7c79a55bfc0a172fcedd30710669287d0f26"
+    ),
+    "verify --suite psi --max-n 3": (
+        0, "37fe70b0d43b6c1df6d309eb7d95b1bc517bce160c5d3db40b2bf457655ccf5e"
+    ),
+    "verify --suite bijection --lambda 2,0,0": (
+        1, "469768d76eb53053ae5bf27b13e412b259590fc9fb4d913d46febebc5545618f"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", OUTPUT_DIGESTS)
+def test_output_digests(args, tmp_path):
+    code, out, err = run_in_process(args.split())
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == OUTPUT_DIGESTS[args]
+    # --out writes the same bytes to the file, and nothing to stdout
+    target = tmp_path / "out.txt"
+    assert run_in_process([*args.split(), "--out", str(target)]) == (code, "", "")
+    assert target.read_bytes() == out.encode()
+    assert list(tmp_path.iterdir()) == [target]
+
+
+# the library function each subcommand calls, keyed by an argv that reaches it
+LIBRARY_CALLS = {
+    "enumerate --lambda 1,0 --side real": "realparams.enumerate_real_params",
+    "enumerate --lambda 1,0 --side hecke": "multisegments.enumerate_multisegments",
+    "gamma --factors gl2(2,0) --k 2": "levelmap.gamma",
+    "dim --factors gl2(2,0) --k 2": "levelmap.dimension_std",
+    "oracle --factors gl2(2,0) --k 2": "branching.hom_multiplicity",
+    "oracle --s 1 --m 0 --k 2": "branching.tensor_power_standard",
+    "module --steinberg 2": "heckemod.build_standard_module",
+    "module --steinberg 2 --quotient": "heckemod.irreducible_quotient",
+    "quotient --steinberg 2": "heckemod.irreducible_quotient",
+    "psi --lambda 1,0 --segments {0,1}": "orbits.build_diagram",
+    "psi --lambda 1,0 --segments {0,1} --format text": "orbits.orbit_class",
+    "verify --suite psi --max-n 2": "sweeps.run_suite",
+}
+
+
+def _raising(error):
+    def call(*args, **kwargs):
+        raise error("boom")
+
+    return call
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+@pytest.mark.parametrize("args", LIBRARY_CALLS)
+def test_library_error_is_one_line_and_writes_nothing(args, error, monkeypatch, tmp_path):
+    module, name = LIBRARY_CALLS[args].split(".")
+    monkeypatch.setattr(getattr(cli, module), name, _raising(error))
+    assert run_in_process(args.split()) == ("error: boom", "", "")
+    # no target file and no temporary file is left behind
+    out = str(tmp_path / "out.txt")
+    assert run_in_process([*args.split(), "--out", out]) == ("error: boom", "", "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_library_error_exits_with_one_stderr_line():
+    script = (
+        "import sys\n"
+        "from glhecke import cli, sweeps\n"
+        "def boom(*args):\n"
+        "    raise RuntimeError('boom')\n"
+        "sweeps.run_suite = boom\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--suite", "psi"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: boom\n")
+
+
 # malformed spec text: at most 4 weight entries, segment points or factors,
 # so no draw starts exponential work
 _NUMBER = st.one_of(
