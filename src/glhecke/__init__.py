@@ -7,7 +7,7 @@ The package computes, over exact Gaussian-rational arithmetic:
 * segments, multisegments, dominant orderings, and central characters
   (:mod:`.multisegments`);
 * the level-k map from real parameters to multisegments, the dimension
-  formula, and the position-by-position weight identity (:mod:`.levelmap`);
+  formula, and the block-by-block weight identity (:mod:`.levelmap`);
 * a brute-force O(2)/O(1) branching oracle for the dimension formula
   (:mod:`.branching`);
 * explicit induced modules for the graded Hecke algebra of gl(k), relation

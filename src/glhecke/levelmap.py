@@ -9,9 +9,11 @@ level > k maps to zero, level = k maps to the multisegment class above.
 On the level = k locus the induced module has dimension k!/prod(level_i!),
 its restriction to the symmetric group is induced-from-sign over the Young
 subgroup of the nonzero levels, and the weight of the generating vector is
-given position by position by a closed form, which
-:func:`eigenvalue_identity` checks against the central character of the
-image.
+given by a closed form: in the block of each nonzero-level factor, in factor
+order, the run nu - (level - 1)/2 + j for j < level.  Since each image
+segment is also a run of step 1, :func:`eigenvalue_identity` checks the
+closed form against the central character of the image block by block, on
+each block's length and start.
 
 The bijection check stays on the integer keys of both enumerations: each
 factor key maps straight to its image's segment key, and parameters and
@@ -104,59 +106,39 @@ def w_structure(param: RealParam, k: int) -> tuple[int, ...]:
     lev = param.level
     if lev != k:
         raise ValueError(f"w_structure needs level == k, got level {lev} and k={k}")
-    comp = tuple(f.level for f in param.factors if f.level > 0)
-    assert sum(comp) == k
-    return comp
-
-
-def _scaled_eigenvalues(param: RealParam, k: int) -> tuple[int, list[tuple[int, int]]]:
-    """Closed-form weight of the generating vector, one entry per position,
-    as D and the integer pairs (D*re, D*im), with D = lcm(2, every
-    denominator of every factor's nu).
-
-    Position ``ell`` (1-based) inside the block of the p-th nonzero-level
-    factor carries nu'_p - (level_p - 1)/2 + (ell - prec(ell) - 1), where
-    prec(ell) is the number of positions in earlier blocks.  This is the one
-    implementation of the formula; each factor's ``nu`` is read as integers
-    once, through its cached ``_nu_grid``."""
-    lev = param.level
-    if lev != k:
-        raise ValueError(f"eigenvalues need level == k, got level {lev} and k={k}")
-    grids = [f._nu_grid for f in param.factors]
-    scale = math.lcm(2, *(d for d, _, _ in grids))
-    out: list[tuple[int, int]] = []
-    for f, (d, re, im) in zip(param.factors, grids):
-        level = f.level
-        if level == 0:
-            continue
-        re, im = re * (scale // d) - (level - 1) * (scale // 2), im * (scale // d)
-        # ell = prec + j + 1, so ell - prec - 1 = j
-        out += [(re + j * scale, im) for j in range(level)]
-    return scale, out
+    return tuple(f.level for f in param.factors if f.level > 0)
 
 
 def eigenvalue_identity(param: RealParam, k: int) -> bool:
     """Check the closed-form weight against the central character of the
-    factor-order image, coordinate by coordinate.
+    factor-order image, block by block.
 
-    Both sides are compared as integer pairs (D*re, D*im), where D is
-    lcm(2, every denominator of every factor's nu); no Scalar arithmetic is
-    done on the coordinates.  The two routes stay independent: the closed
-    form reads each factor's ``nu`` and ``level``; the other side reads the
-    segment starts and lengths that :func:`factor_order_image` builds (each
-    start as integers once, through the segment's cached ``_start_grid``)
-    and adds j*D for the j-th entry of each segment.  A start off the 1/D
-    grid, where every closed-form coordinate lies, fails the identity.
+    Inside the block of a nonzero-level factor both routes step by 1: the
+    closed form gives nu - (level - 1)/2 + j and the image segment start + j.
+    So the identity holds exactly when the image has one segment per
+    nonzero-level factor, in factor order, each as long as the factor's
+    level and starting where the closed form does.  The starts are compared
+    as rationals by cross-multiplying the integer grids ``(d, d*re, d*im)``
+    of the factor's cached ``_block_start`` and the segment's cached
+    ``_start_grid``; no Scalar arithmetic is done.  The two routes stay
+    independent: the closed form reads each factor's ``nu`` and ``level``,
+    the other side the segments that :func:`factor_order_image` builds.
     """
-    scale, eig = _scaled_eigenvalues(param, k)
-    image: list[tuple[int, int]] = []
-    for seg in factor_order_image(param).segments:
-        d, re, im = seg._start_grid
-        if scale % d:
+    lev = param.level
+    if lev != k:
+        raise ValueError(f"eigenvalues need level == k, got level {lev} and k={k}")
+    blocks = [f for f in param.factors if f.level]
+    segments = factor_order_image(param).segments
+    if len(segments) != len(blocks):
+        return False
+    for f, seg in zip(blocks, segments):
+        if seg.length != f.level:
             return False
-        re, im = re * (scale // d), im * (scale // d)
-        image += [(re + j * scale, im) for j in range(seg.length)]
-    return image == eig
+        d, re, im = f._block_start
+        e, seg_re, seg_im = seg._start_grid
+        if re * e != seg_re * d or im * e != seg_im * d:
+            return False
+    return True
 
 
 @dataclass

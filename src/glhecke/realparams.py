@@ -51,20 +51,18 @@ SGN = "sgn"
 class GL1Factor:
     eps: str  # 'triv' or 'sgn'
     nu: Scalar
+    level: int = field(init=False, compare=False, repr=False)  # 1 for triv, 0 for sgn
 
     def __post_init__(self):
         if self.eps not in (TRIV, SGN):
             raise ValueError(f"eps must be 'triv' or 'sgn', got {self.eps!r}")
         if not isinstance(self.nu, Scalar):
             raise TypeError(f"factor nu must be a Scalar, got {self.nu!r}")
+        object.__setattr__(self, "level", 1 if self.eps == TRIV else 0)
 
     @property
     def size(self) -> int:
         return 1
-
-    @property
-    def level(self) -> int:
-        return 1 if self.eps == TRIV else 0
 
     def inf_char(self) -> tuple[Scalar, ...]:
         return (self.nu,)
@@ -74,8 +72,8 @@ class GL1Factor:
         return Segment(self.nu, 1) if self.eps == TRIV else None
 
     @cached_property
-    def _nu_grid(self) -> tuple[int, int, int]:  # see levelmap._scaled_eigenvalues
-        return _grid(self.nu)
+    def _block_start(self) -> tuple[int, int, int]:  # see levelmap.eigenvalue_identity
+        return _grid(self.nu)  # the block of a triv factor is {nu}
 
     def __str__(self):
         return f"gl1({self.eps},{scalar_str(self.nu)})"
@@ -85,20 +83,18 @@ class GL1Factor:
 class GL2Factor:
     l: int  # lowest O(2)-type, l >= 2
     nu: Scalar
+    level: int = field(init=False, compare=False, repr=False)  # l
 
     def __post_init__(self):
         if not isinstance(self.l, int) or self.l < 2:
             raise ValueError(f"GL2 factor needs an integer l >= 2, got {self.l!r}")
         if not isinstance(self.nu, Scalar):
             raise TypeError(f"factor nu must be a Scalar, got {self.nu!r}")
+        object.__setattr__(self, "level", self.l)
 
     @property
     def size(self) -> int:
         return 2
-
-    @property
-    def level(self) -> int:
-        return self.l
 
     def inf_char(self) -> tuple[Scalar, ...]:
         re, im, half = self.nu.re, self.nu.im, Fraction(self.l - 1, 2)
@@ -109,8 +105,9 @@ class GL2Factor:
         return Segment(Scalar(self.nu.re - Fraction(self.l - 1, 2), self.nu.im), self.l)
 
     @cached_property
-    def _nu_grid(self) -> tuple[int, int, int]:  # see levelmap._scaled_eigenvalues
-        return _grid(self.nu)
+    def _block_start(self) -> tuple[int, int, int]:  # see levelmap.eigenvalue_identity
+        d, re, im = _grid(self.nu)  # nu - (l - 1)/2 on the grid of 1/(2d)
+        return 2 * d, 2 * re - (self.l - 1) * d, 2 * im
 
     def __str__(self):
         return f"gl2({self.l},{scalar_str(self.nu)})"

@@ -34,15 +34,21 @@ from glhecke.realparams import (
     enumerate_real_params,
     parse_factors,
 )
-from glhecke.scalars import Scalar
+from glhecke.scalars import Scalar, _grid
 from glhecke.sweeps import lambda_window
 from linalg_oracle import q
 
 
 def _position_eigenvalues(param, k):
-    """The integer closed form, lifted to Scalars with Fraction parts."""
-    scale, coords = levelmap._scaled_eigenvalues(param, k)
-    return tuple(Scalar(Fraction(re, scale), Fraction(im, scale)) for re, im in coords)
+    """Each nonzero-level factor's cached closed-form block start, expanded
+    to its run start + j and lifted to Scalars with Fraction parts."""
+    assert param.level == k
+    out = []
+    for f in param.factors:
+        if f.level:
+            d, re, im = f._block_start
+            out.extend(Scalar(Fraction(re + j * d, d), Fraction(im, d)) for j in range(f.level))
+    return tuple(out)
 
 
 def _ref_position_eigenvalues(param, k):
@@ -60,6 +66,46 @@ def _ref_eigenvalue_identity(param, k):
     factor-order image (looked up on the module, so a patch reaches it)."""
     image = levelmap.factor_order_image(param)
     return _ref_position_eigenvalues(param, k) == central_character(image)
+
+
+def _ref_scaled_eigenvalues(param, k):
+    """Closed-form weight of the generating vector, one entry per position,
+    as D and the integer pairs (D*re, D*im), with D = lcm(2, every
+    denominator of every factor's nu).
+
+    Position ``ell`` (1-based) inside the block of the p-th nonzero-level
+    factor carries nu'_p - (level_p - 1)/2 + (ell - prec(ell) - 1), where
+    prec(ell) is the number of positions in earlier blocks."""
+    lev = param.level
+    if lev != k:
+        raise ValueError(f"eigenvalues need level == k, got level {lev} and k={k}")
+    grids = [_grid(f.nu) for f in param.factors]
+    scale = math.lcm(2, *(d for d, _, _ in grids))
+    out = []
+    for f, (d, re, im) in zip(param.factors, grids):
+        level = f.level
+        if level == 0:
+            continue
+        re, im = re * (scale // d) - (level - 1) * (scale // 2), im * (scale // d)
+        # ell = prec + j + 1, so ell - prec - 1 = j
+        out += [(re + j * scale, im) for j in range(level)]
+    return scale, out
+
+
+def _ref_integer_eigenvalue_identity(param, k):
+    """The position-by-position integer identity the block comparison
+    replaced: both sides as pairs (D*re, D*im), the image side read from
+    the segments of ``levelmap.factor_order_image`` (so a patch reaches it)
+    with j*D added for the j-th entry of each segment."""
+    scale, eig = _ref_scaled_eigenvalues(param, k)
+    image = []
+    for seg in levelmap.factor_order_image(param).segments:
+        d, re, im = seg._start_grid
+        if scale % d:
+            return False
+        re, im = re * (scale // d), im * (scale // d)
+        image += [(re + j * scale, im) for j in range(seg.length)]
+    return image == eig
 
 
 def steinberg_real_param(n: int) -> RealParam:
@@ -197,9 +243,11 @@ def test_eigenvalue_identity_matches_scalar_reference():
     for p in params:
         k = p.level
         assert _position_eigenvalues(p, k) == _ref_position_eigenvalues(p, k), p
-        assert eigenvalue_identity(p, k) == _ref_eigenvalue_identity(p, k) is True, p
-        with pytest.raises(ValueError):
-            eigenvalue_identity(p, k + 1)
+        assert eigenvalue_identity(p, k) is _ref_integer_eigenvalue_identity(p, k) is True, p
+        assert _ref_eigenvalue_identity(p, k) is True, p
+        for wrong in (k - 1, k + 1):
+            with pytest.raises(ValueError):
+                eigenvalue_identity(p, wrong)
 
 
 @pytest.mark.parametrize("shift", [Scalar(1), Scalar(0, 1), Scalar(Fraction(1, 7))])
@@ -217,7 +265,46 @@ def test_eigenvalue_identity_reads_the_image(monkeypatch, shift):
     for text in ["gl2(2,1/2);gl2(2,-1/2)", "gl1(triv,1/3)"] + EXTRA_EIGEN_PARAMS:
         p = parse_factors(text)
         assert not eigenvalue_identity(p, p.level), text
+        assert not _ref_integer_eigenvalue_identity(p, p.level), text
         assert not _ref_eigenvalue_identity(p, p.level), text
+
+
+def _lengthened(segs):
+    return segs[:-1] + [Segment(segs[-1].start, segs[-1].length + 1)]
+
+
+def _repeated(segs):
+    return segs + segs[-1:]
+
+
+def _split(segs):
+    # the first length-2 segment {a, a+1} becomes {a};{a+1}: same coordinates
+    i = next(i for i, seg in enumerate(segs) if seg.length == 2)
+    a = segs[i].start
+    return segs[:i] + [Segment(a, 1), Segment(q(a) + 1, 1)] + segs[i + 1 :]
+
+
+@pytest.mark.parametrize("fault", [_lengthened, _repeated, _split])
+def test_eigenvalue_identity_rejects_a_misaligned_image(monkeypatch, fault):
+    # each image segment must be exactly one factor's block: a segment one
+    # too long, or one segment too many, fails every route; a length-2
+    # segment split into singletons keeps the coordinate list, so only the
+    # block comparison rejects it
+    original = levelmap.factor_order_image
+    monkeypatch.setattr(
+        levelmap,
+        "factor_order_image",
+        lambda param: Multisegment(tuple(fault(list(original(param).segments)))),
+    )
+    texts = ["gl2(2,1/2);gl2(2,-1/2)", "gl1(triv,1/3)"] + EXTRA_EIGEN_PARAMS
+    if fault is _split:  # the three with a length-2 segment
+        texts = [text for text in texts if "gl2(2," in text]
+    for text in texts:
+        p = parse_factors(text)
+        assert not eigenvalue_identity(p, p.level), text
+        same_coordinates = fault is _split
+        assert _ref_integer_eigenvalue_identity(p, p.level) is same_coordinates, text
+        assert _ref_eigenvalue_identity(p, p.level) is same_coordinates, text
 
 
 def test_bijection_trivial_weight():

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,31 @@ def test_level_cases():
     # spherical minimal principal series: n trivial characters
     sph = RealParam(tuple(GL1Factor("triv", Scalar(3 - i)) for i in range(4)))
     assert sph.level == sph.n == 4
+
+
+def test_factor_level_is_a_field_computed_once():
+    x = Scalar(Fraction(1, 3), 2)
+    cases = [
+        (GL1Factor("triv", x), 1, "GL1Factor(eps='triv', nu=Scalar('1/3+2i'))"),
+        (GL1Factor("sgn", x), 0, "GL1Factor(eps='sgn', nu=Scalar('1/3+2i'))"),
+        (GL2Factor(3, x), 3, "GL2Factor(l=3, nu=Scalar('1/3+2i'))"),
+    ]
+    for f, level, shown in cases:
+        fields = (f.eps,) if isinstance(f, GL1Factor) else (f.l,)
+        assert f.level == level and repr(f) == shown, f
+        # not compared, not hashed, not shown: the forms of the two fields
+        assert f == type(f)(*fields, x) and hash(f) == hash((*fields, x))
+        assert f != type(f)(*fields, Scalar(0))
+        assert parse_factors(str(f)).factors == (f,)
+        for twin in (copy.copy(f), pickle.loads(pickle.dumps(f))):
+            assert twin == f and hash(twin) == hash(f) and twin.level == level, f
+    assert str(cases[0][0]) == "gl1(triv,1/3+2i)" and str(cases[2][0]) == "gl2(3,1/3+2i)"
+    assert dataclasses.replace(GL1Factor("triv", x), eps="sgn").level == 0
+    assert dataclasses.replace(GL2Factor(2, x), l=5).level == 5
+    with pytest.raises(TypeError):
+        GL1Factor("triv", x, level=0)
+    with pytest.raises(TypeError):
+        GL2Factor(2, x, level=2)
 
 
 def test_level_additive_over_concatenation():
