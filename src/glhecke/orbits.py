@@ -10,7 +10,9 @@ a block of the column structure acts by the three-case rule:
       are left alone;
   (3) otherwise the transposition conjugates the involution.
 
-Orbit classes are the symmetric-transitive closure of these one-step moves.
+Orbit classes are the symmetric-transitive closure of these one-step moves;
+two signed involutions share one exactly when their count keys agree
+(``DECISIONS.md``), so classes are compared by key.
 
 The map from a multisegment with integral support ``lam`` builds one column
 per distinct value of ``lam`` (decreasing left to right, one cell per copy,
@@ -26,8 +28,8 @@ sign, so neither is fresh again.  The flattening is ambiguous, but all
 choices land in one orbit class; :func:`verify_psi_wellposed` checks every
 choice.  The fresh cells of a column are equal, so a choice of cells only
 reorders the columns of the diagram built on the topmost fresh cells for
-the same segment order: the check walks each segment order once and
-flattens every distinct ordering of every column.
+the same segment order: the check walks each segment order once and compares
+each diagram's key, read off its cells, since no column ordering changes it.
 """
 
 from __future__ import annotations
@@ -177,36 +179,69 @@ def _moves(pairing: tuple, signs: tuple, i: int) -> tuple[tuple[tuple, tuple], .
     return ((tuple(p), before + (signs[b], signs[a]) + after),)
 
 
+def _cell_key(columns) -> tuple:
+    """The count key of cells in blocks: per block its '+' and its '-' fixed
+    points, each plus its inner arcs, and the sorted block pairs of the arcs
+    that join two blocks."""
+    counts, ends = [[0, 0] for _ in columns], {}
+    for c, col in enumerate(columns):
+        for sign, arc in col:
+            if arc is None:
+                counts[c][sign <= 0] += 1
+            else:
+                ends.setdefault(arc, []).append(c)
+    for arc, cs in ends.items():
+        if len(cs) != 2:
+            many = "more than two endpoints" if cs[2:] else "one endpoint; only fixed points stand alone"
+            raise ValueError(f"arc {arc} has {many}")
+        if cs[0] == cs[1]:
+            counts[cs[0]] = [x + 1 for x in counts[cs[0]]]
+    cross = sorted(tuple(cs) for cs in ends.values() if cs[0] != cs[1])
+    return tuple(map(tuple, counts)), tuple(cross)
+
+
 @dataclass(frozen=True)
 class OrbitClass:
+    """The class of the count ``key`` on ``blocks``; ``members`` and
+    ``canonical`` are computed on first read, from the ``cells`` of one member."""
+
     blocks: BlockStructure
-    members: frozenset = field(compare=False)
-    canonical: SignedInvolution
+    key: tuple
+    cells: Sequence = field(compare=False, repr=False)
 
     def __contains__(self, sigma: SignedInvolution) -> bool:
-        return sigma in self.members
+        return sigma.n == self.blocks.n and orbit_class(sigma, self.blocks).key == self.key
+
+    @cached_property
+    def members(self) -> frozenset:
+        # breadth-first closure of the moves, treated as undirected, on codes
+        in_block = [i for i in range(self.blocks.n - 1) if self.blocks.in_same_block(i)]
+        frontier = [_flat_code(self.cells)]
+        seen = set(frontier)
+        while frontier:
+            nxt = []
+            for pairing, signs in frontier:
+                for i in in_block:
+                    for code in _moves(pairing, signs, i):
+                        if code not in seen:
+                            seen.add(code)
+                            nxt.append(code)
+            frontier = nxt
+        return frozenset(SignedInvolution(self.blocks.n, pairing, signs) for pairing, signs in seen)
+
+    @cached_property
+    def canonical(self) -> SignedInvolution:
+        return min(self.members, key=SignedInvolution.encode)
 
 
 def orbit_class(sigma: SignedInvolution, bs: BlockStructure) -> OrbitClass:
-    """Breadth-first closure of the one-step moves, treated as undirected,
-    on ``(pairing, signs)`` codes; the members are built once at the end."""
+    """The class of ``sigma`` under the moves inside the blocks of ``bs``."""
     if bs.n != sigma.n:
         raise ValueError("block structure size does not match the involution")
-    in_block = [i for i in range(sigma.n - 1) if bs.in_same_block(i)]
-    frontier = [(tuple(sigma.pairing), tuple(sigma.signs))]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for pairing, signs in frontier:
-            for i in in_block:
-                for code in _moves(pairing, signs, i):
-                    if code not in seen:
-                        seen.add(code)
-                        nxt.append(code)
-        frontier = nxt
-    members = frozenset(SignedInvolution(sigma.n, pairing, signs) for pairing, signs in seen)
-    canonical = min(members, key=SignedInvolution.encode)
-    return OrbitClass(blocks=bs, members=members, canonical=canonical)
+    cols: list[list] = [[] for _ in bs.sizes]
+    for i, (j, s) in enumerate(zip(sigma.pairing, sigma.signs)):  # an arc is named by its left end
+        cols[bs.block_of[i]].append((0, min(i, j)) if i != j else (1 if s == "+" else -1, None))
+    return OrbitClass(bs, _cell_key(cols), cols)
 
 
 # -- the column/arc/flip/flatten construction ---------------------------------
@@ -230,13 +265,7 @@ class ColumnDiagram:
 
 def initial_diagram(lam: Sequence[int]) -> ColumnDiagram:
     """Columns of parity signs before any segment is processed."""
-    lam = _validate_integral_lambda(lam)
-    values = tuple(sorted(set(lam), reverse=True))
-    cols = tuple(
-        tuple(((-1) ** (v % 2), None) for _ in range(lam.count(v)))
-        for v in values
-    )
-    return ColumnDiagram(values=values, columns=cols)
+    return _walk(_validate_integral_lambda(lam), ())
 
 
 def _segments_by_length(ms: Multisegment, lam: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -280,8 +309,11 @@ def _apply_segment(values: tuple[int, ...], columns, touched: Sequence[int], arc
     return tuple(new_cols)
 
 
-def _walk(values: tuple[int, ...], columns, segs: Iterable[tuple[int, int]]) -> ColumnDiagram:
-    """Apply the segments ``segs`` in order, arc ids from 1."""
+def _walk(lam: tuple[int, ...], segs: Iterable[tuple[int, int]]) -> ColumnDiagram:
+    """Apply the segments ``segs`` in order, arc ids from 1, to the columns
+    of parity signs of the validated weight ``lam``."""
+    values = tuple(sorted(set(lam), reverse=True))
+    columns = tuple((((-1) ** (v % 2), None),) * lam.count(v) for v in values)
     for arc_id, (x, y) in enumerate(segs, start=1):
         columns = _apply_segment(values, columns, _touched_columns(values, x, y), arc_id)
     return ColumnDiagram(values=values, columns=columns)
@@ -291,41 +323,31 @@ def build_diagram(ms: Multisegment, lam: Sequence[int]) -> ColumnDiagram:
     """Run the construction with the fixed default choices (longest segment
     first, dominant order inside a length tie, topmost fresh cell)."""
     lam = _validate_integral_lambda(lam)
-    base = initial_diagram(lam)
-    return _walk(base.values, base.columns, _segments_by_length(ms, lam))
+    return _walk(lam, _segments_by_length(ms, lam))
 
 
 def _flat_code(columns) -> tuple[tuple[int, ...], tuple[Optional[str], ...]]:
-    """``(pairing, signs)`` of the cells of ``columns`` read left to right."""
-    pairing: list[int] = []
-    signs: list[Optional[str]] = []
-    first_end: dict[int, int] = {}  # -1 once the arc is closed
-    pos = 0
-    for col in columns:
-        for sign, arc in col:
-            pairing.append(pos)
-            signs.append(None if arc is not None else "+" if sign > 0 else "-")
-            other = pos if arc is None else first_end.setdefault(arc, pos)
-            if other < 0:
-                raise ValueError(f"arc {arc} has more than two endpoints")
-            if other != pos:
-                pairing[pos], pairing[other] = other, pos
-                first_end[arc] = -1
-            pos += 1
-    return tuple(pairing), tuple(signs)
+    """``(pairing, signs)`` of well-formed cells, read column by column."""
+    cells = [cell for col in columns for cell in col]
+    pairing, first_end = list(range(len(cells))), {}
+    for pos, (_, arc) in enumerate(cells):
+        if arc is not None:
+            other = first_end.setdefault(arc, pos)
+            pairing[pos], pairing[other] = other, pos
+    signs = tuple(None if arc is not None else "+" if sign > 0 else "-" for sign, arc in cells)
+    return tuple(pairing), signs
 
 
 def flatten_diagram(diagram: ColumnDiagram) -> SignedInvolution:
     """Concatenate the columns left to right, each in its stored order."""
-    pairing, signs = _flat_code(diagram.columns)
-    # an arc with one endpoint leaves an unsigned fixed point, which is rejected
-    return SignedInvolution(diagram.n, pairing, signs)
+    _cell_key(diagram.columns)  # refuses an arc without exactly two endpoints
+    return SignedInvolution(diagram.n, *_flat_code(diagram.columns))
 
 
 def psi_g(ms: Multisegment, lam: Sequence[int]) -> OrbitClass:
     """Orbit class of the flattened diagram of ``ms`` at support ``lam``."""
     diagram = build_diagram(ms, lam)
-    return orbit_class(flatten_diagram(diagram), diagram.blocks())
+    return OrbitClass(diagram.blocks(), _cell_key(diagram.columns), diagram.columns)
 
 
 # -- exhaustive choice sweeps --------------------------------------------------
@@ -339,12 +361,11 @@ def _all_final_diagrams(ms: Multisegment, lam: tuple[int, ...]) -> set[ColumnDia
     only swaps two cells of its column: every other choice of endpoint and
     flip cells gives a per-column reordering of one of these diagrams.
     """
-    base = initial_diagram(lam)
     segs = _segments_by_length(ms, lam)
     # every ordering of each tie group of lengths, longest group first
     groups = [list(g) for _, g in itertools.groupby(segs, key=lambda ab: ab[1] - ab[0])]
     return {
-        _walk(base.values, base.columns, itertools.chain(*perms))
+        _walk(lam, itertools.chain(*perms))
         for perms in itertools.product(*(set(itertools.permutations(g)) for g in groups))
     }
 
@@ -367,29 +388,24 @@ def verify_psi_wellposed(lam: Sequence[int]) -> WellPosedReport:
     under every choice path and every flattening and check all outputs land
     in a single orbit class.
 
-    A cell is what a flattening reads, so two equal cells of one column give
-    the same flattenings.  Every choice path ends in a per-column reordering
-    of a diagram of :func:`_all_final_diagrams`, so its flattenings are the
-    products of the distinct cell orderings of that diagram's columns.  Per
-    diagram the check runs :func:`flatten_diagram` once for the arc
-    endpoints, whose counts do not depend on the order, and looks up the
-    code of every such product among the target codes.  ``outputs`` counts
-    the flattenings of every choice path: each of the d distinct orderings
-    of a column of length l is the column of some final diagram and
-    flattens in l! ways, so the column adds the factor l!·d.
+    Every choice path ends in a per-column reordering of a diagram of
+    :func:`_all_final_diagrams`, which leaves its count key as it is, so the
+    check compares each walked diagram's key with that of ``psi_g``; the key
+    also refuses an arc without exactly two endpoints.  ``outputs`` counts
+    the flattenings of every choice path: each of the d = l!/∏(multiplicity)!
+    distinct orderings of a column of length l is the column of some final
+    diagram and flattens in l! ways, so the column adds the factor l!·d.
     """
     lam = _validate_integral_lambda(lam)
     report = WellPosedReport(lam=lam)
     for ms in enumerate_multisegments(lam):
-        codes = {(m.pairing, m.signs) for m in psi_g(ms, lam).members}
-        ok, outputs = True, 0
+        target, ok, outputs = psi_g(ms, lam).key, True, 0
         for diagram in _all_final_diagrams(ms, lam):
-            flatten_diagram(diagram)
-            orderings = [set(itertools.permutations(col)) for col in diagram.columns]
+            ok = _cell_key(diagram.columns) == target and ok
             outputs += math.prod(
-                math.factorial(len(col)) * len(o) for col, o in zip(diagram.columns, orderings)
+                math.factorial(len(col)) ** 2 // math.prod(math.factorial(col.count(c)) for c in set(col))
+                for col in diagram.columns
             )
-            ok = ok and all(_flat_code(cols) in codes for cols in itertools.product(*orderings))
         report.entries.append({"tau": segments_str(ms), "outputs": outputs, "ok": ok})
     return report
 
@@ -414,7 +430,7 @@ class InjectivityReport:
 
 
 def verify_injectivity(lam: Sequence[int]) -> InjectivityReport:
-    """Check the orbit map separates multisegment classes at support ``lam``."""
+    """Check the orbit map separates the multisegment classes at ``lam``, by key."""
     lam = _validate_integral_lambda(lam)
     report = InjectivityReport(lam=lam)
     by_class: dict[OrbitClass, list[Multisegment]] = {}

@@ -9,7 +9,6 @@ from glhecke.multisegments import enumerate_multisegments, parse_segments, segme
 from glhecke.orbits import (
     BlockStructure,
     ColumnDiagram,
-    OrbitClass,
     SignedInvolution,
     StructuralError,
     _apply_segment,
@@ -122,6 +121,9 @@ def test_orbit_class_constant_on_members():
     cls = orbit_class(sigma, BlockStructure((2, 2)))
     for member in cls.members:
         assert orbit_class(member, cls.blocks) == cls
+    # classes hash on their blocks and key, not on the member they came from
+    assert len({orbit_class(member, cls.blocks) for member in cls.members}) == 1
+    assert orbit_class(sigma, BlockStructure((1, 3))) != cls
 
 
 def test_initial_diagram_parities():
@@ -243,6 +245,16 @@ def test_wellposed_and_injective_small():
     assert verify_injectivity((2, 1, 0)).classes == 4
 
 
+def test_verifiers_compare_keys_without_a_closure(monkeypatch):
+    def no_moves(*args):
+        raise AssertionError("a verifier ran the closure")
+
+    monkeypatch.setattr(orbits, "_moves", no_moves)
+    for lam in [(2, 1, 1, 0), (2, 2, 1, 1, 0), (1, 1, 1, 0, 0, 0)]:
+        assert verify_psi_wellposed(lam).ok
+        assert verify_injectivity(lam).ok
+
+
 def test_injectivity_reports_a_collision(monkeypatch):
     # an orbit map sending every class at (1, 0) to the class of the first
     real = orbits.psi_g
@@ -273,14 +285,14 @@ WEIGHTS_POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "weight
 
 def test_orbit_counts_match_weights_pool():
     # the flattening count, the class count and both verdicts of every
-    # weight with n <= 5 in the weights benchmark pool, as recorded there
+    # weight with n <= 6 in the weights benchmark pool, as recorded there
     items = json.loads(WEIGHTS_POOL.read_text())["items"]
     lams = {
         tuple(int(x) for x in item["input"].split(",")): item["expect"]
         for item in items
-        if item["input"].count(",") < 5
+        if item["input"].count(",") < 6
     }
-    assert len(lams) == 175
+    assert len(lams) == 175 + 462
     for lam, expect in lams.items():
         wellposed, injective = verify_psi_wellposed(lam), verify_injectivity(lam)
         assert (
@@ -330,6 +342,7 @@ def _ref_neighbors(sigma, i):
 
 
 def _ref_orbit_class(sigma, bs):
+    """The members of the class of ``sigma``, by breadth-first closure."""
     in_block = [i for i in range(sigma.n - 1) if bs.in_same_block(i)]
     seen, frontier = {sigma}, [sigma]
     while frontier:
@@ -341,7 +354,82 @@ def _ref_orbit_class(sigma, bs):
                         seen.add(other)
                         nxt.append(other)
         frontier = nxt
-    return OrbitClass(bs, frozenset(seen), min(seen, key=SignedInvolution.encode))
+    return frozenset(seen)
+
+
+def _signed_involutions(n):
+    """Every involution of range(n) with signed fixed points."""
+
+    def pairings(free):
+        if not free:
+            yield {}
+            return
+        i, rest = free[0], free[1:]
+        yield from ({i: i, **p} for p in pairings(rest))
+        for k, j in enumerate(rest):
+            yield from ({i: j, j: i, **p} for p in pairings(rest[:k] + rest[k + 1 :]))
+
+    for p in pairings(tuple(range(n))):
+        fixed = [i for i in range(n) if p[i] == i]
+        for chosen in itertools.product("+-", repeat=len(fixed)):
+            signs = dict(zip(fixed, chosen))
+            yield SignedInvolution(n, tuple(p[i] for i in range(n)), tuple(map(signs.get, range(n))))
+
+
+def _block_structures(n):
+    """Every composition of n, as a block structure."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        ends = [i + 1 for i, cut in enumerate(cuts) if cut] + [n]
+        yield BlockStructure(tuple(b - a for a, b in zip([0] + ends, ends)))
+
+
+def _key_partition_mismatch(key, max_n):
+    """The first ``(n, sizes)`` whose grouping of the signed involutions by
+    ``key(sigma, blocks)`` is not the partition into closure classes."""
+    for n in range(1, max_n + 1):
+        sigmas = list(_signed_involutions(n))
+        for bs in _block_structures(n):
+            groups = {}
+            for sigma in sigmas:
+                groups.setdefault(key(sigma, bs), set()).add(sigma)
+            seen, classes = set(), set()
+            for sigma in sigmas:
+                if sigma not in seen:
+                    cls = _ref_orbit_class(sigma, bs)
+                    seen |= cls
+                    classes.add(cls)
+            if classes != {frozenset(g) for g in groups.values()}:
+                return n, bs.sizes
+    return None
+
+
+def test_signed_involutions_are_all_enumerated():
+    # a(n) = 2 a(n-1) + (n-1) a(n-2): one point is a signed fixed point or is
+    # joined to one of the n-1 others
+    assert [len(set(_signed_involutions(n))) for n in range(1, 8)] == [2, 5, 14, 43, 142, 499, 1850]
+    assert [len(list(_block_structures(n))) for n in range(1, 8)] == [1, 2, 4, 8, 16, 32, 64]
+
+
+def test_count_key_partition_is_the_closure_partition():
+    # every signed involution and every block structure with n <= 7
+    assert _key_partition_mismatch(lambda sigma, bs: orbit_class(sigma, bs).key, 7) is None
+
+
+def _without_in_block_arcs(sigma, bs):
+    counts, cross = orbit_class(sigma, bs).key
+    block = bs.block_of
+    inner = [sum(1 for i, j in sigma.arcs() if block[i] == block[j] == b) for b in range(len(counts))]
+    return tuple((p - a, q - a) for (p, q), a in zip(counts, inner)), cross
+
+
+def _unsigned(sigma, bs):
+    counts, cross = orbit_class(sigma, bs).key
+    return tuple(p + q for p, q in counts), cross
+
+
+@pytest.mark.parametrize("key", [_without_in_block_arcs, _unsigned])
+def test_count_key_needs_inner_arcs_and_signs(key):
+    assert _key_partition_mismatch(key, 4) is not None
 
 
 def _ref_fresh(value):
@@ -411,7 +499,8 @@ def test_code_routes_match_reference_routes():
             diagram = build_diagram(ms, lam)
             sigma, bs = flatten_diagram(diagram), diagram.blocks()
             cls, ref = orbit_class(sigma, bs), _ref_orbit_class(sigma, bs)
-            assert (cls.members, cls.canonical) == (ref.members, ref.canonical), (lam, ms)
+            assert cls.members == ref, (lam, ms)
+            assert cls.canonical == min(ref, key=SignedInvolution.encode), (lam, ms)
             for member, i in itertools.product(cls.members, range(len(lam) - 1)):
                 if bs.in_same_block(i):
                     assert _move(member, i) == _ref_s_action(member, i)
@@ -466,40 +555,38 @@ DOCTOR_LAMBDA, DOCTOR_TAU = (2, 1, 1, 0), "{1,2};{1};{0}"
 
 
 def test_wellposed_checks_every_ordering_of_a_column(monkeypatch):
-    # one final diagram, whose column of 1 stores a fixed point above the arc
-    # cell (its sorted order too), and a target missing the flattening with
-    # those two cells swapped: only the loop over each column's orderings
-    # can see that gap
+    # every ordering of the columns keeps the walked diagram's key and
+    # flattens into its closure class, so one key per walked diagram covers
+    # them all; a final diagram whose cross arc moved to another column has
+    # another key, and fails its entry with the same flattening count
     ms = parse_segments(DOCTOR_TAU)
-    real_finals, real_psi = orbits._all_final_diagrams, orbits.psi_g
+    real_finals = orbits._all_final_diagrams
     (walked,) = real_finals(ms, DOCTOR_LAMBDA)
-    columns = list(walked.columns)
-    columns[1] = columns[1][::-1]
-    diagram = ColumnDiagram(walked.values, tuple(columns))
-    assert [cell[1] for cell in diagram.columns[1]] == [None, 1]
-    swapped = flatten_diagram(_reordered(diagram, [(0,), (1, 0), (0,)]))
-    assert swapped != flatten_diagram(diagram)
+    target = psi_g(ms, DOCTOR_LAMBDA)
+    closure = _ref_orbit_class(flatten_diagram(walked), walked.blocks())
+    for orders in itertools.product(*(itertools.permutations(range(len(c))) for c in walked.columns)):
+        reordered = _reordered(walked, orders)
+        assert orbits._cell_key(reordered.columns) == target.key
+        assert flatten_diagram(reordered) in closure
+    # the arc end in the column of 1 trades places with the '+' of the column of 0
+    columns = [list(col) for col in walked.columns]
+    assert columns[1][0][1] == 1 and columns[2] == [(1, None)]
+    columns[1][0], columns[2][0] = columns[2][0], columns[1][0]
+    moved = ColumnDiagram(walked.values, tuple(map(tuple, columns)))
+    assert orbits._cell_key(moved.columns) != target.key
 
     def one_final(m, lam):
-        return {diagram} if segments_str(m) == DOCTOR_TAU else real_finals(m, lam)
+        return {moved} if segments_str(m) == DOCTOR_TAU else real_finals(m, lam)
 
-    def without_swapped(m, lam):
-        cls = real_psi(m, lam)
-        if segments_str(m) != DOCTOR_TAU:
-            return cls
-        assert swapped in cls
-        return OrbitClass(cls.blocks, cls.members - {swapped}, cls.canonical)
-
-    monkeypatch.setattr(orbits, "_all_final_diagrams", one_final)
     honest = verify_psi_wellposed(DOCTOR_LAMBDA).to_json()
     assert honest["ok"]
-    monkeypatch.setattr(orbits, "psi_g", without_swapped)
+    monkeypatch.setattr(orbits, "_all_final_diagrams", one_final)
     entries = verify_psi_wellposed(DOCTOR_LAMBDA).to_json()["entries"]
     expected = [
         dict(e, ok=False) if e["tau"] == DOCTOR_TAU else e for e in honest["entries"]
     ]
     assert entries == expected
-    # one final diagram stands for the 2 orderings of its column of 1, each
+    # the walked diagram stands for the 2 orderings of its column of 1, each
     # flattened in 2! ways
     assert {"tau": DOCTOR_TAU, "outputs": 4, "ok": False} in entries
 
