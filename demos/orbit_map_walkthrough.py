@@ -39,7 +39,7 @@ if __name__ == "__main__":
     print("signature (p, q) =", sigma.signature())
 
     cls = orbit_class(sigma, diagram.blocks())
-    print(f"\nits block-move class has {len(cls.members)} members;"
+    print(f"\nits block-move class has {cls.size} members;"
           f" canonical representative:")
     print("  ", render_involution(cls.canonical))
 

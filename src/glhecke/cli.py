@@ -224,7 +224,7 @@ def cmd_psi(args) -> tuple[str, int]:
             orbits.render_diagram(diagram)
             + "\n\nflattening: "
             + orbits.render_involution(sigma)
-            + f"\nclass size: {len(cls.members)}\ncanonical:  "
+            + f"\nclass size: {cls.size}\ncanonical:  "
             + orbits.render_involution(cls.canonical)
             + "\n"
         ), 0
@@ -234,7 +234,7 @@ def cmd_psi(args) -> tuple[str, int]:
             "blocks": list(diagram.blocks().sizes),
             "flattening": orbits.involution_to_json(sigma),
             "canonical": orbits.involution_to_json(cls.canonical),
-            "class_size": len(cls.members),
+            "class_size": cls.size,
         }
     ), 0
 

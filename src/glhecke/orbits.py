@@ -12,7 +12,8 @@ a block of the column structure acts by the three-case rule:
 
 Orbit classes are the symmetric-transitive closure of these one-step moves;
 two signed involutions share one exactly when their count keys agree
-(``DECISIONS.md``), so classes are compared by key.
+(``DECISIONS.md``), so a class is its key: classes are compared by key, and
+a class's size and least member are read off the key in closed form.
 
 The map from a multisegment with integral support ``lam`` builds one column
 per distinct value of ``lam`` (decreasing left to right, one cell per copy,
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -84,6 +86,8 @@ class SignedInvolution:
     signs: tuple[Optional[str], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "pairing", tuple(self.pairing))
+        object.__setattr__(self, "signs", tuple(self.signs))
         if len(self.pairing) != self.n or len(self.signs) != self.n:
             raise ValueError("pairing and signs must have length n")
         for i, j in enumerate(self.pairing):
@@ -104,10 +108,6 @@ class SignedInvolution:
         plus = sum(1 for s in self.signs if s == "+")
         minus = sum(1 for s in self.signs if s == "-")
         return (n_arcs + plus, n_arcs + minus)
-
-    def encode(self) -> tuple:
-        code = {None: 0, "+": 1, "-": 2}
-        return tuple((self.pairing[i], code[self.signs[i]]) for i in range(self.n))
 
     def __str__(self):
         return render_involution(self)
@@ -137,8 +137,9 @@ class BlockStructure:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if any(s < 1 for s in self.sizes):
-            raise ValueError("block sizes must be positive")
+        object.__setattr__(self, "sizes", tuple(self.sizes))
+        if any(not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in self.sizes):
+            raise ValueError(f"block sizes must be positive integers, got {self.sizes!r}")
 
     @property
     def n(self) -> int:
@@ -148,35 +149,6 @@ class BlockStructure:
     def block_of(self) -> tuple[int, ...]:
         """The block index of each position."""
         return tuple(b for b, s in enumerate(self.sizes) for _ in range(s))
-
-    def in_same_block(self, i: int) -> bool:
-        """Whether positions i and i+1 lie in one block."""
-        blocks = self.block_of
-        return 0 <= i < len(blocks) - 1 and blocks[i] == blocks[i + 1]
-
-
-def _moves(pairing: tuple, signs: tuple, i: int) -> tuple[tuple[tuple, tuple], ...]:
-    """The ``(pairing, signs)`` codes one move of (i, i+1) links to: the
-    three-case image first, then, when i and i+1 form an arc, the two
-    case-(1) preimages (case (1) loses the two signs, so closure needs them)."""
-    a, b = i, i + 1
-    before, after = signs[:a], signs[b + 1 :]
-    if pairing[a] == a and pairing[b] == b:
-        if signs[a] != signs[b]:
-            return ((pairing[:a] + (b, a) + pairing[b + 1 :], before + (None, None) + after),)
-        return ((pairing, signs),)
-    if pairing[a] == b:
-        fixed = pairing[:a] + (a, b) + pairing[b + 1 :]
-        return (
-            (pairing, signs),
-            (fixed, before + ("+", "-") + after),
-            (fixed, before + ("-", "+") + after),
-        )
-    # conjugate by the transposition: relabel the partners, then swap a and b
-    swap = {a: b, b: a}
-    p = [swap.get(j, j) for j in pairing]
-    p[a], p[b] = p[b], p[a]
-    return ((tuple(p), before + (signs[b], signs[a]) + after),)
 
 
 def _cell_key(columns) -> tuple:
@@ -202,36 +174,56 @@ def _cell_key(columns) -> tuple:
 
 @dataclass(frozen=True)
 class OrbitClass:
-    """The class of the count ``key`` on ``blocks``; ``members`` and
-    ``canonical`` are computed on first read, from the ``cells`` of one member."""
+    """The class of the count ``key`` on ``blocks``: the signed involutions
+    whose key it is.  Its ``size`` and its least member ``canonical`` are
+    read off the key (``DECISIONS.md`` proves both)."""
 
     blocks: BlockStructure
     key: tuple
-    cells: Sequence = field(compare=False, repr=False)
 
     def __contains__(self, sigma: SignedInvolution) -> bool:
         return sigma.n == self.blocks.n and orbit_class(sigma, self.blocks).key == self.key
 
-    @cached_property
-    def members(self) -> frozenset:
-        # breadth-first closure of the moves, treated as undirected, on codes
-        in_block = [i for i in range(self.blocks.n - 1) if self.blocks.in_same_block(i)]
-        frontier = [_flat_code(self.cells)]
-        seen = set(frontier)
-        while frontier:
-            nxt = []
-            for pairing, signs in frontier:
-                for i in in_block:
-                    for code in _moves(pairing, signs, i):
-                        if code not in seen:
-                            seen.add(code)
-                            nxt.append(code)
-            frontier = nxt
-        return frozenset(SignedInvolution(self.blocks.n, pairing, signs) for pairing, signs in seen)
+    @property
+    def size(self) -> int:
+        """Per block of s positions, c of them cross-arc ends, with counts
+        (P, Q): the s!/r! placements of its labelled cross-arc ends times the
+        signed involutions of the other r = s - c positions, over a inner
+        arcs; divided by m! for each multiplicity m of equal cross pairs."""
+        counts, cross = self.key
+        ends = Counter(itertools.chain(*cross))
+        size = 1
+        for b, (s, (p, q)) in enumerate(zip(self.blocks.sizes, counts)):
+            r = s - ends[b]
+            size *= math.perm(s, ends[b]) * sum(
+                math.factorial(r)
+                // (math.factorial(a) * 2**a * math.factorial(p - a) * math.factorial(q - a))
+                for a in range(min(p, q) + 1)
+            )
+        return size // math.prod(map(math.factorial, Counter(cross).values()))
 
-    @cached_property
+    @property
     def canonical(self) -> SignedInvolution:
-        return min(self.members, key=SignedInvolution.encode)
+        """The least member, comparing position by position (partner, then
+        '+' before '-'): each block holds the ends of its arcs from earlier
+        blocks, its P '+' and then its Q '-' fixed points, and the ends of its
+        arcs to later blocks; the sorted cross pairs (a, b) each join the next
+        free outgoing slot of block a to the next free incoming slot of b."""
+        counts, cross = self.key
+        incoming = Counter(b for _, b in cross)
+        starts = itertools.accumulate(self.blocks.sizes, initial=0)
+        into, out, signs = [], [], {}
+        for b, (start, (p, q)) in enumerate(zip(starts, counts)):
+            first = start + incoming[b]
+            into.append(start)
+            out.append(first + p + q)
+            signs.update({i: "+" if i < first + p else "-" for i in range(first, first + p + q)})
+        arcs = []
+        for a, b in cross:
+            arcs.append((out[a], into[b]))
+            out[a] += 1
+            into[b] += 1
+        return make_involution(self.blocks.n, arcs, signs)
 
 
 def orbit_class(sigma: SignedInvolution, bs: BlockStructure) -> OrbitClass:
@@ -241,7 +233,7 @@ def orbit_class(sigma: SignedInvolution, bs: BlockStructure) -> OrbitClass:
     cols: list[list] = [[] for _ in bs.sizes]
     for i, (j, s) in enumerate(zip(sigma.pairing, sigma.signs)):  # an arc is named by its left end
         cols[bs.block_of[i]].append((0, min(i, j)) if i != j else (1 if s == "+" else -1, None))
-    return OrbitClass(bs, _cell_key(cols), cols)
+    return OrbitClass(bs, _cell_key(cols))
 
 
 # -- the column/arc/flip/flatten construction ---------------------------------
@@ -347,7 +339,7 @@ def flatten_diagram(diagram: ColumnDiagram) -> SignedInvolution:
 def psi_g(ms: Multisegment, lam: Sequence[int]) -> OrbitClass:
     """Orbit class of the flattened diagram of ``ms`` at support ``lam``."""
     diagram = build_diagram(ms, lam)
-    return OrbitClass(diagram.blocks(), _cell_key(diagram.columns), diagram.columns)
+    return OrbitClass(diagram.blocks(), _cell_key(diagram.columns))
 
 
 # -- exhaustive choice sweeps --------------------------------------------------

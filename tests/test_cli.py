@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -296,6 +297,20 @@ def test_psi_json():
     assert out["class_size"] == 1
 
 
+def test_psi_class_size_at_20_points():
+    # weight 2^5 1^10 0^5 with {0,1,2} x 5 and {1} x 5: the five cross arcs
+    # join the columns of 2 and 0 and match in 5! ways; the column of 1 holds
+    # five flipped '+' and five '-' cells, which form the signed involutions
+    # of 10 points with P = Q = 5, sum over a inner arcs of
+    # 10!/(a! 2^a (5-a)!^2) = 252 + 3150 + 12600 + 18900 + 9450 + 945 = 45297
+    lam = ",".join(["2"] * 5 + ["1"] * 10 + ["0"] * 5)
+    code, out, err = run_in_process(
+        ["psi", "--lambda", lam, "--segments", ";".join(["{0,1,2}"] * 5 + ["{1}"] * 5)]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["class_size"] == 45297 * math.factorial(5) == 5435640
+
+
 def test_psi_text():
     out = run_cli(
         "psi", "--lambda", "2,1,0", "--segments", "{0,1,2}", "--format", "text"
@@ -456,6 +471,15 @@ OUTPUT_DIGESTS = {
     ),
     "psi --lambda 2,1,1,0 --segments {1,2};{0,1} --format text": (
         0, "a45c03b0ab8a8336c60692d525fd7c79a55bfc0a172fcedd30710669287d0f26"
+    ),
+    # a class of 68 040 members, printed with its size and least member
+    "psi --lambda 2,2,2,2,1,1,1,1,1,1,1,1,0,0,0,0"
+    " --segments {0,1,2};{0,1,2};{0,1,2};{0,1,2};{1};{1};{1};{1}": (
+        0, "d4f3bf43ad95f82df91074405e12975d3612eb9133000f275fbb80dc9cbd714b"
+    ),
+    "psi --lambda 2,2,2,2,1,1,1,1,1,1,1,1,0,0,0,0"
+    " --segments {0,1,2};{0,1,2};{0,1,2};{0,1,2};{1};{1};{1};{1} --format text": (
+        0, "2a6e05490ec12945e5fa1fb77a76614b24fdbf146a5d467a2ac2bc2998d4d3ba"
     ),
     "verify --suite psi --max-n 3": (
         0, "37fe70b0d43b6c1df6d309eb7d95b1bc517bce160c5d3db40b2bf457655ccf5e"

@@ -12,7 +12,6 @@ from glhecke.orbits import (
     SignedInvolution,
     StructuralError,
     _apply_segment,
-    _moves,
     _touched_columns,
     build_diagram,
     flatten_diagram,
@@ -30,11 +29,6 @@ from glhecke.sweeps import lambda_window
 
 WORKED_LAMBDA = (4, 4, 3, 3, 3, 3, 2, 2, 2, 1, 1, 0)
 WORKED_TAU = "{0,1,2,3,4};{1,2,3};{2};{3};{3};{4}"
-
-
-def _move(sigma, i):
-    """The three-case image of ``sigma`` under the move of (i, i+1)."""
-    return SignedInvolution(sigma.n, *_moves(sigma.pairing, sigma.signs, i)[0])
 
 
 def _reordered(diagram, orders):
@@ -72,38 +66,48 @@ def test_make_involution_rejects_malformed_arcs():
 def test_block_structure():
     bs = BlockStructure((2, 3))
     assert bs.n == 5
-    assert bs.in_same_block(0)
-    assert not bs.in_same_block(1)
-    assert bs.in_same_block(3)
+    assert bs.block_of == (0, 0, 1, 1, 1)
     assert initial_diagram(WORKED_LAMBDA).blocks().sizes == (2, 4, 3, 2, 1)
+
+
+def test_sequences_are_stored_as_tuples():
+    sigma = SignedInvolution(2, [0, 1], ["+", "-"])
+    built = make_involution(2, [], {0: "+", 1: "-"})
+    assert sigma == built and hash(sigma) == hash(built)
+    cls = orbit_class(sigma, BlockStructure([1, 1]))
+    assert hash(cls) == hash(orbit_class(built, BlockStructure((1, 1))))
+    for sizes in [(1.5,), (True,), ("2",), (0,)]:
+        with pytest.raises(ValueError, match="positive integers"):
+            BlockStructure(sizes)
 
 
 def test_s_action_case1_opposite_signs_make_arc():
     sigma = make_involution(2, [], {0: "+", 1: "-"})
-    moved = _move(sigma, 0)
+    moved = _ref_s_action(sigma, 0)
     assert moved.arcs() == ((0, 1),)
 
 
 def test_s_action_case2_fixed():
     same = make_involution(2, [], {0: "+", 1: "+"})
-    assert _move(same, 0) == same
+    assert _ref_s_action(same, 0) == same
     arc = make_involution(2, [(0, 1)], {})
-    assert _move(arc, 0) == arc
+    assert _ref_s_action(arc, 0) == arc
 
 
 def test_s_action_case3_conjugation():
     sigma = make_involution(3, [(0, 2)], {1: "-"})
-    moved = _move(sigma, 0)
+    moved = _ref_s_action(sigma, 0)
     assert moved.arcs() == ((1, 2),)
     assert moved.signs[0] == "-"
     # conjugation is an involution
-    assert _move(moved, 0) == sigma
+    assert _ref_s_action(moved, 0) == sigma
 
 
 def test_orbit_class_singleton_blocks():
     sigma = make_involution(3, [(0, 1)], {2: "+"})
-    cls = orbit_class(sigma, BlockStructure((1, 1, 1)))
-    assert cls.members == frozenset({sigma})
+    bs = BlockStructure((1, 1, 1))
+    assert _ref_orbit_class(sigma, bs) == frozenset({sigma})
+    assert orbit_class(sigma, bs).size == 1
 
 
 def test_orbit_class_undirected_closure():
@@ -119,10 +123,12 @@ def test_orbit_class_undirected_closure():
 def test_orbit_class_constant_on_members():
     sigma = make_involution(4, [(0, 3)], {1: "+", 2: "-"})
     cls = orbit_class(sigma, BlockStructure((2, 2)))
-    for member in cls.members:
+    members = _ref_orbit_class(sigma, cls.blocks)
+    assert len(members) == cls.size
+    for member in members:
         assert orbit_class(member, cls.blocks) == cls
     # classes hash on their blocks and key, not on the member they came from
-    assert len({orbit_class(member, cls.blocks) for member in cls.members}) == 1
+    assert len({orbit_class(member, cls.blocks) for member in members}) == 1
     assert orbit_class(sigma, BlockStructure((1, 3))) != cls
 
 
@@ -245,16 +251,6 @@ def test_wellposed_and_injective_small():
     assert verify_injectivity((2, 1, 0)).classes == 4
 
 
-def test_verifiers_compare_keys_without_a_closure(monkeypatch):
-    def no_moves(*args):
-        raise AssertionError("a verifier ran the closure")
-
-    monkeypatch.setattr(orbits, "_moves", no_moves)
-    for lam in [(2, 1, 1, 0), (2, 2, 1, 1, 0), (1, 1, 1, 0, 0, 0)]:
-        assert verify_psi_wellposed(lam).ok
-        assert verify_injectivity(lam).ok
-
-
 def test_injectivity_reports_a_collision(monkeypatch):
     # an orbit map sending every class at (1, 0) to the class of the first
     real = orbits.psi_g
@@ -343,7 +339,7 @@ def _ref_neighbors(sigma, i):
 
 def _ref_orbit_class(sigma, bs):
     """The members of the class of ``sigma``, by breadth-first closure."""
-    in_block = [i for i in range(sigma.n - 1) if bs.in_same_block(i)]
+    in_block = [i for i in range(sigma.n - 1) if bs.block_of[i] == bs.block_of[i + 1]]
     seen, frontier = {sigma}, [sigma]
     while frontier:
         nxt = []
@@ -383,9 +379,17 @@ def _block_structures(n):
         yield BlockStructure(tuple(b - a for a, b in zip([0] + ends, ends)))
 
 
+def _encode(sigma):
+    """Position by position, the partner and then the sign: '+' before '-'."""
+    code = {None: 0, "+": 1, "-": 2}
+    return tuple((j, code[s]) for j, s in zip(sigma.pairing, sigma.signs))
+
+
 def _key_partition_mismatch(key, max_n):
     """The first ``(n, sizes)`` whose grouping of the signed involutions by
-    ``key(sigma, blocks)`` is not the partition into closure classes."""
+    ``key(sigma, blocks)`` is not the partition into closure classes, or
+    with a closure class whose ``orbit_class`` has another size or least
+    member."""
     for n in range(1, max_n + 1):
         sigmas = list(_signed_involutions(n))
         for bs in _block_structures(n):
@@ -400,6 +404,10 @@ def _key_partition_mismatch(key, max_n):
                     classes.add(cls)
             if classes != {frozenset(g) for g in groups.values()}:
                 return n, bs.sizes
+            for ref in classes:
+                cls = orbit_class(next(iter(ref)), bs)
+                if cls.size != len(ref) or cls.canonical != min(ref, key=_encode):
+                    return n, bs.sizes
     return None
 
 
@@ -411,7 +419,8 @@ def test_signed_involutions_are_all_enumerated():
 
 
 def test_count_key_partition_is_the_closure_partition():
-    # every signed involution and every block structure with n <= 7
+    # every signed involution and every block structure with n <= 7, and
+    # the closed-form size and least member of every class
     assert _key_partition_mismatch(lambda sigma, bs: orbit_class(sigma, bs).key, 7) is None
 
 
@@ -499,11 +508,8 @@ def test_code_routes_match_reference_routes():
             diagram = build_diagram(ms, lam)
             sigma, bs = flatten_diagram(diagram), diagram.blocks()
             cls, ref = orbit_class(sigma, bs), _ref_orbit_class(sigma, bs)
-            assert cls.members == ref, (lam, ms)
-            assert cls.canonical == min(ref, key=SignedInvolution.encode), (lam, ms)
-            for member, i in itertools.product(cls.members, range(len(lam) - 1)):
-                if bs.in_same_block(i):
-                    assert _move(member, i) == _ref_s_action(member, i)
+            assert cls.size == len(ref), (lam, ms)
+            assert cls.canonical == min(ref, key=_encode), (lam, ms)
         got, want = verify_psi_wellposed(lam).to_json(), _ref_verify_psi_wellposed(lam).to_json()
         assert got == want, lam
 
