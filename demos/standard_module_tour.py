@@ -12,6 +12,7 @@ from glhecke.heckemod import (
     central_character_of_module,
     intertwiner_space,
     irreducible_quotient,
+    module_to_json,
     reversed_ordering,
     verify_relations,
 )
@@ -19,10 +20,11 @@ from glhecke.multisegments import parse_segments, steinberg_param
 from glhecke.scalars import scalar_str
 
 
-def show_matrix(name, m):
+def show_matrix(name, entries, dim):
+    """Print a row-major list of entry strings, one row per line."""
     print(f"  {name} =")
-    for row in m:
-        print("     [" + "  ".join(scalar_str(x).rjust(4) for x in row) + "]")
+    for r in range(0, len(entries), dim):
+        print("     [" + "  ".join(x.rjust(4) for x in entries[r : r + dim]) + "]")
 
 
 def tour(text):
@@ -30,10 +32,11 @@ def tour(text):
     M = build_standard_module(ms)
     print(f"module for {text}: dimension {M.dim}")
     if M.dim <= 3:
-        for i, s in enumerate(M.gen_s):
-            show_matrix(f"s_{i}", s)
-        for j, eps in enumerate(M.gen_eps):
-            show_matrix(f"eps_{j}", eps)
+        mats = module_to_json(M)
+        for i, s in enumerate(mats["s"]):
+            show_matrix(f"s_{i}", s, M.dim)
+        for j, eps in enumerate(mats["eps"]):
+            show_matrix(f"eps_{j}", eps, M.dim)
     print(f"  relations hold: {verify_relations(M)}")
     chi = central_character_of_module(M)
     print(f"  central character (multiset): {[scalar_str(c) for c in chi]}")

@@ -18,7 +18,8 @@ diagonal with ``D_j[b, b] = chi[w_b.index(j)]`` and ``N_j`` is a strictly
 upper triangular integer matrix that depends only on the block composition.
 Modules are stored in that compact form; the integer data of a composition
 is built once, memoised for the 64 most recently used compositions (every
-composition of k <= 6 fits) and read-only.  All checks are exact.
+composition of k <= 6 fits) and read-only.  All checks are exact, and
+:func:`module_to_json` prints the integer matrices straight as strings.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .multisegments import (
     is_dominant_ms,
     multisegment_to_json,
 )
-from .scalars import Scalar, scalar_sort_key, scalar_str
+from .scalars import Scalar, rat_str, scalar_sort_key
 
 __all__ = [
     "StandardModule",
@@ -143,8 +144,7 @@ class StandardModule:
     e_{s_target[i, b]}``; ``D_j[b, b] = chi[pos[j, b]]``; ``nilpotent[j]``
     holds N_j as sparse (COO) layers ``(rows, cols, vals)``, each with
     distinct rows.  These int64 arrays depend only on ``blocks`` and are
-    shared, read-only.  ``gen_s[i]`` and ``gen_eps[j]`` are the dense
-    row-major Scalar matrices, built on access.
+    shared, read-only; :func:`module_to_json` prints the dense matrices.
     """
 
     ms: Multisegment
@@ -156,19 +156,6 @@ class StandardModule:
     s_sign: np.ndarray
     pos: np.ndarray
     nilpotent: tuple
-
-    @property
-    def gen_s(self) -> list[list[list[Scalar]]]:
-        s_ops, _, _, g = _compact_operators(self, 0, 1)
-        return [_scalar_matrix(np.eye(len(t), dtype=int)[:, t] * sg, 1, g) for t, sg in s_ops]
-
-    @property
-    def gen_eps(self) -> list[list[list[Scalar]]]:
-        _, eps_ops, scale, gaussian = _compact_operators(self, 0, 1)
-        return [
-            _scalar_matrix(_apply_eps(d, layers, np.eye(len(d), dtype=d.dtype)), scale, gaussian)
-            for d, layers in eps_ops
-        ]
 
 
 def build_standard_module(ms: Multisegment) -> StandardModule:
@@ -189,8 +176,8 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
 #
 # Every identity is checked, and every intertwiner and quotient solved, on
 # integer numpy arrays and Python ints.  Scalar is a boundary type with no
-# arithmetic: the weight is read through its Fraction parts, and Scalars are
-# built only where a caller asks for gen_s / gen_eps
+# arithmetic: the weight is read through its Fraction parts, and Scalar
+# matrices are built only for the intertwiner_space basis
 # (tests/test_scalars.py::test_hot_paths_do_no_scalar_arithmetic).  Entries
 # are rescaled by the common denominator of all real and imaginary parts; if
 # any entry is non-real, each Gaussian integer a+bi becomes the 2x2 block
@@ -689,8 +676,7 @@ def _quotient_action(ops1, ops2, image, C, den, piv):
 class QuotientModule:
     """Irreducible quotient as integer generator matrices over one scale:
     s_i acts by ``s[i] / scale`` and eps_j by ``eps[j] / scale``, with
-    entries in 2x2 blocks when ``gaussian``.  ``gen_s`` and ``gen_eps`` are
-    the dense row-major Scalar matrices, built on access."""
+    entries in 2x2 blocks when ``gaussian``."""
 
     ms: Multisegment
     dim: int
@@ -698,14 +684,6 @@ class QuotientModule:
     eps: tuple
     scale: int
     gaussian: bool
-
-    @property
-    def gen_s(self) -> list[list[list[Scalar]]]:
-        return [_scalar_matrix(a, self.scale, self.gaussian) for a in self.s]
-
-    @property
-    def gen_eps(self) -> list[list[list[Scalar]]]:
-        return [_scalar_matrix(a, self.scale, self.gaussian) for a in self.eps]
 
 
 def irreducible_quotient(ms: Multisegment) -> QuotientModule:
@@ -735,15 +713,21 @@ def irreducible_quotient(ms: Multisegment) -> QuotientModule:
     return q
 
 
-def module_to_json(module) -> dict:
-    """Row-major dump of a module's generator matrices as scalar strings."""
+def module_to_json(M: StandardModule) -> dict:
+    """Row-major dump of a standard module's generator matrices as rational
+    strings, formatted from the dense integer operators of its compact form.
+    Raises ValueError for a non-real weight before building any matrix."""
+    param = multisegment_to_json(M.ms)
+    s_ops, eps_ops, scale, _ = _compact_operators(M, 0, 1)
 
-    def mat(m):
-        return [scalar_str(x) for row in m for x in row]
+    def mat(a, den):
+        fmt = str if den == 1 else lambda x: rat_str(Fraction(x, den)) if x else "0"
+        return list(map(fmt, a.ravel().tolist()))
 
+    eye = np.eye(M.dim, dtype=eps_ops[0][0].dtype)
     return {
-        "param": multisegment_to_json(module.ms),
-        "dim": module.dim,
-        "s": [mat(m) for m in module.gen_s],
-        "eps": [mat(m) for m in module.gen_eps],
+        "param": param,
+        "dim": M.dim,
+        "s": [mat(eye[:, t] * sg, 1) for t, sg in s_ops],
+        "eps": [mat(_apply_eps(*op, eye), scale) for op in eps_ops],
     }

@@ -176,10 +176,24 @@ def _cell_key(columns) -> tuple:
 class OrbitClass:
     """The class of the count ``key`` on ``blocks``: the signed involutions
     whose key it is.  Its ``size`` and its least member ``canonical`` are
-    read off the key (``DECISIONS.md`` proves both)."""
+    read off the key (``DECISIONS.md`` proves both); a key that does not
+    fit the blocks raises ValueError."""
 
     blocks: BlockStructure
     key: tuple
+
+    def __post_init__(self):
+        # one (P, Q) per block, cross pairs 0 <= a < b < r, and a block of s
+        # positions with c cross-arc ends has s = P + Q + c (DECISIONS.md)
+        (counts, cross), free = self.key, list(self.blocks.sizes)
+        fits = len(counts) == len(free) and {len(pq) for pq in counts} <= {2}
+        fits = fits and all(0 <= a < b < len(free) for a, b in cross)
+        for a, b in cross if fits else ():
+            free[a], free[b] = free[a] - 1, free[b] - 1
+        if not fits or free != [
+            p + q for p, q in counts if isinstance(p, int) and isinstance(q, int) and p >= 0 <= q
+        ]:
+            raise ValueError(f"count key {self.key} does not fit the blocks {self.blocks.sizes}")
 
     def __contains__(self, sigma: SignedInvolution) -> bool:
         return sigma.n == self.blocks.n and orbit_class(sigma, self.blocks).key == self.key

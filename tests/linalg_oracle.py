@@ -7,12 +7,16 @@ with ``Q(x.re, x.im)``.  Matrices are lists of row lists of Scalars:
 multiplication, row reduction, nullspace and column-space solving, each
 returning Q entries.  The Scalar intertwiner and quotient oracles in
 ``test_heckemod.py`` run on it; the library solves the same systems on
-integers.  Everything is exact; no pivoting heuristics are required over an
-exact field.
+integers, and :func:`scalar_generators` reads a module's integer operators
+back as Scalar matrices for them.  Everything is exact; no pivoting
+heuristics are required over an exact field.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from glhecke.heckemod import StandardModule, _apply_eps, _compact_operators, _scalar_matrix
 from glhecke.scalars import Scalar
 
 __all__ = [
@@ -25,6 +29,7 @@ __all__ = [
     "rref",
     "nullspace",
     "solve_columns",
+    "scalar_generators",
 ]
 
 Matrix = "list[list[Scalar]]"
@@ -176,3 +181,20 @@ def solve_columns(a, b):
         for j in range(cols_b):
             x[pc][j] = m[r][cols_a + j]
     return x
+
+
+def scalar_generators(module):
+    """The dense row-major Scalar matrices ``(gen_s, gen_eps)`` of a module:
+    a StandardModule's :func:`_compact_operators` applied to the identity, or
+    a QuotientModule's ``s``/``eps`` over its ``scale``."""
+    if not isinstance(module, StandardModule):
+        return tuple(
+            [_scalar_matrix(a, module.scale, module.gaussian) for a in gens]
+            for gens in (module.s, module.eps)
+        )
+    s_ops, eps_ops, scale, gaussian = _compact_operators(module, 0, 1)
+    eye = np.eye(len(eps_ops[0][0]), dtype=eps_ops[0][0].dtype)
+    return (
+        [_scalar_matrix(eye[:, t] * sg, 1, gaussian) for t, sg in s_ops],
+        [_scalar_matrix(_apply_eps(*op, eye), scale, gaussian) for op in eps_ops],
+    )

@@ -460,6 +460,12 @@ OUTPUT_DIGESTS = {
     "module --segments {1/2};{-1/2}": (
         0, "b81a6403578e935264b63fd98681d06d91dfa1b6fb4ac205cab7a56347e41be0"
     ),
+    "module --segments {1/2,3/2};{-1/2,1/2};{0}": (
+        0, "069fbfdc77f4428a6b159ea7d3bd3438ae816aaeab353bcc16f64a49ff107e10"
+    ),
+    "module --segments {4};{3};{2};{1};{0}": (
+        0, "22ed2aded52951dcf83615ff4009022cd4076b182719261587785c2960c3e6cd"
+    ),
     "module --segments {0};{1} --quotient": (
         0, "b088875b1d5907f1e81574a71fe1b540869a781eb6af3b88b082ae7d83af0da6"
     ),

@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linalg_oracle import Q, identity, mat_mul, nullspace, q, rref, solve_columns
+from linalg_oracle import (
+    Q,
+    identity,
+    mat_mul,
+    nullspace,
+    q,
+    rref,
+    scalar_generators,
+    solve_columns,
+)
 
 from glhecke import heckemod
 from glhecke.heckemod import (
@@ -48,7 +57,7 @@ from glhecke.multisegments import (
     steinberg_param,
 )
 from glhecke.realparams import enumerate_real_params
-from glhecke.scalars import Scalar, scalar_sort_key
+from glhecke.scalars import Scalar, scalar_sort_key, scalar_str
 from glhecke.sweeps import lambda_window
 
 
@@ -326,10 +335,11 @@ def test_root_datum():
 def test_steinberg_module():
     M = build_standard_module(steinberg_param(4))
     assert M.dim == 1
-    for s in M.gen_s:
+    gen_s, gen_eps = scalar_generators(M)
+    for s in gen_s:
         assert s == [[Scalar(-1)]]
     rho = RootDatum(4).rho()
-    for j, eps in enumerate(M.gen_eps):
+    for j, eps in enumerate(gen_eps):
         assert eps == [[-rho[j]]]
     assert verify_relations(M)
 
@@ -338,7 +348,7 @@ def test_two_singletons_module():
     nu1, nu2 = Scalar(Fraction(1, 2)), Scalar(Fraction(-1, 2))
     M = build_standard_module(parse_segments("{1/2};{-1/2}"))
     assert M.dim == 2
-    assert M.gen_eps[0] == [[nu1, Scalar(1)], [Scalar(0), nu2]]
+    assert scalar_generators(M)[1][0] == [[nu1, Scalar(1)], [Scalar(0), nu2]]
     assert verify_relations(M)
     assert central_character_of_module(M) == (nu1, nu2)
 
@@ -380,9 +390,20 @@ def test_compact_module_matches_scalar_reference():
         Multisegment((Segment(start, 2), Segment(Scalar(0), 1)))
         for start in (Scalar(big), Scalar(big, 1))
     ]
-    for ms in cases:
+    # past int64 at scale 2, so module_to_json formats an object array
+    huge = Multisegment((Segment(Scalar(1 << 70), 2), Segment(Scalar(Fraction(-1, 2)), 1)))
+    assert _compact_operators(build_standard_module(huge), 0, 1)[1][0][0].dtype == object
+    for ms in cases + [huge]:
         M = build_standard_module(ms)
-        assert (M.gen_s, M.gen_eps) == _ref_build_standard_module(ms), ms
+        ref = _ref_build_standard_module(ms)
+        assert scalar_generators(M) == ref, ms
+        if not all(c.is_real for c in M.chi):
+            with pytest.raises(ValueError, match="real starts only"):
+                module_to_json(M)
+            continue
+        obj = module_to_json(M)
+        for name, mats in zip(("s", "eps"), ref):
+            assert obj[name] == [[scalar_str(x) for row in m for x in row] for m in mats], ms
 
 
 def test_batched_checks_match_per_pair_reference():
@@ -433,8 +454,10 @@ def test_commutation_is_checked_on_its_own():
     n = np.arange(M.dim)
     ones = tuple((n, (n + t) % M.dim, np.ones(M.dim, dtype=int)) for t in range(M.dim))
     bad = dataclasses.replace(M, nilpotent=tuple(layers + ones for layers in M.nilpotent))
-    s = [np.array([[int(x.re) for x in row] for row in m]) for m in bad.gen_s]
-    eps = [np.array([[int(x.re) for x in row] for row in m]) for m in bad.gen_eps]
+    s, eps = (
+        [np.array([[int(x.re) for x in row] for row in m]) for m in gens]
+        for gens in scalar_generators(bad)
+    )
     for i, j in itertools.product(range(M.k - 1), range(M.k)):
         jj = {i: i + 1, i + 1: i}.get(j, j)
         assert (s[i] @ eps[j] - eps[jj] @ s[i] == ((j == i) - (j == i + 1)) * np.eye(M.dim)).all()
@@ -451,7 +474,7 @@ def test_composition_data_is_shared_read_only():
         with pytest.raises(ValueError):
             a[0] += 1
     # the compact form: D_j from chi at pos, N_j strictly upper triangular
-    for j, eps in enumerate(M.gen_eps):
+    for j, eps in enumerate(scalar_generators(M)[1]):
         assert [eps[b][b] for b in range(M.dim)] == [M.chi[t] for t in M.pos[j]]
         assert all((rows < cols).all() for rows, cols, _ in M.nilpotent[j])
 
@@ -459,9 +482,9 @@ def test_composition_data_is_shared_read_only():
 def test_relations_detect_perturbation():
     M = build_standard_module(parse_segments("{1};{0}"))
     assert verify_relations(M)
-    gen_eps = M.gen_eps
+    gen_s, gen_eps = scalar_generators(M)
     gen_eps[0][0][0] = q(gen_eps[0][0][0]) + 1
-    assert not verify_relations(_explicit_module(M.gen_s, gen_eps))
+    assert not verify_relations(_explicit_module(gen_s, gen_eps))
     # the same perturbation of the compact form, and one of the N_j entry
     assert _rejected(_with_diagonal(M, 0, 0, 1))
     assert _rejected(_with_entry(M, 0, 0, 1, 1))
@@ -522,7 +545,7 @@ def test_relations_object_dtype_path():
     big = 1 << 40
     for start, dim in ((Q(big), 3), (Q(big, 1), 6)):
         M = build_standard_module(Multisegment((Segment(start, 2), Segment(Scalar(0), 1))))
-        explicit = _explicit_module(M.gen_s, M.gen_eps)
+        explicit = _explicit_module(*scalar_generators(M))
         assert explicit.s[0].dtype == object and explicit.s[0].shape == (dim, dim)
         assert verify_relations(M)
         assert verify_relations(explicit)
@@ -535,17 +558,17 @@ def test_complex_module_exact_path():
     assert M.dim == 2
     assert verify_relations(M)
     assert central_character_of_module(M) == (i, Scalar(0))
-    gen_eps = M.gen_eps
+    gen_s, gen_eps = scalar_generators(M)
     gen_eps[0][1][1] = q(gen_eps[0][1][1]) + 1
-    assert not verify_relations(_explicit_module(M.gen_s, gen_eps))
+    assert not verify_relations(_explicit_module(gen_s, gen_eps))
     assert _rejected(_with_diagonal(M, 0, 1, 1))
     assert _rejected(_with_entry(M, 0, 0, 1, 1))
     # a perturbation of an imaginary part alone is caught too
     M = build_standard_module(parse_segments("{1+1i};{0}"))
     assert verify_relations(M)
-    gen_eps = M.gen_eps
+    gen_s, gen_eps = scalar_generators(M)
     gen_eps[0][0][0] = q(gen_eps[0][0][0]) + i
-    assert not verify_relations(_explicit_module(M.gen_s, gen_eps))
+    assert not verify_relations(_explicit_module(gen_s, gen_eps))
     assert _rejected(_with_diagonal(M, 0, 0, i))
     assert _rejected(_with_entry(M, 1, 0, 1, 1))
     # tables checked before the 2x2 blocks double them: a 3-cycle, a flipped
@@ -561,7 +584,7 @@ def test_complex_module_exact_path():
     nu = Scalar(Fraction(1, 2), Fraction(1, 3))
     M = build_standard_module(parse_segments("{1/2+1/3i};{0}"))
     assert verify_relations(M)
-    assert verify_relations(_explicit_module(M.gen_s, M.gen_eps))
+    assert verify_relations(_explicit_module(*scalar_generators(M)))
     assert central_character_of_module(M) == (nu, Scalar(0))
 
 
@@ -591,7 +614,8 @@ def test_central_character_of_module():
     assert central_character_of_module(M) == (Scalar(1), Scalar(0), Scalar(-1))
     # e_1 acts by the sum of the weight coordinates
     M2 = build_standard_module(parse_segments("{3};{1}"))
-    e1 = [[q(a) + b for a, b in zip(ra, rb)] for ra, rb in zip(M2.gen_eps[0], M2.gen_eps[1])]
+    eps = scalar_generators(M2)[1]
+    e1 = [[q(a) + b for a, b in zip(ra, rb)] for ra, rb in zip(eps[0], eps[1])]
     assert e1 == [[Scalar(4 if r == c else 0) for c in range(M2.dim)] for r in range(M2.dim)]
     # multiset equals the support for every constructed module
     for spec_text in ["{0,1};{-1,0}", "{2};{1,2};{0}"]:
@@ -633,7 +657,7 @@ def _nullspace_intertwiners(ms_from, ms_to):
     m1, m2 = build_standard_module(ms_from), build_standard_module(ms_to)
     d1, d2 = m1.dim, m2.dim
     rows = []
-    for A, B in zip(m1.gen_s + m1.gen_eps, m2.gen_s + m2.gen_eps):
+    for A, B in zip(sum(scalar_generators(m1), []), sum(scalar_generators(m2), [])):
         for i in range(d2):
             for j in range(d1):
                 row = [Q(0)] * (d1 * d2)
@@ -671,10 +695,11 @@ def _ref_intertwiners(m1, m2):
     d2 = m2.dim
     eye = identity(d2)
     rows = []
-    for i, g in enumerate(m2.gen_s):
+    gen_s, gen_eps = scalar_generators(m2)
+    for i, g in enumerate(gen_s):
         if m1.s_sign[i, 0] == -1:  # s_i lies inside a block of the source
             rows.extend([x + e for x, e in zip(gr, er)] for gr, er in zip(g, eye))
-    for c, g in zip(m1.chi, m2.gen_eps):
+    for c, g in zip(m1.chi, gen_eps):
         rows.extend([x - c * e for x, e in zip(gr, er)] for gr, er in zip(g, eye))
 
     # e_b = s_i e_b2 with b2 < b for some i, so column b is s_i of column b2
@@ -702,7 +727,7 @@ def _ref_irreducible_quotient(m2, T):
     image = [[T[r][c] for c in pivots] for r in range(m2.dim)]
     quotient_dim = len(pivots)
     # one reduction for all 2k-1 right-hand sides g*image, side by side
-    gens = m2.gen_s + m2.gen_eps
+    gens = sum(scalar_generators(m2), [])
     products = [mat_mul(g, image) for g in gens]
     x = solve_columns(image, [sum(rows, []) for rows in zip(*products)])
     gen_q = [
@@ -733,7 +758,7 @@ def test_intertwiner_matches_nullspace_oracle():
         M = build_standard_module(ms)
         d, mats = intertwiner_space(ms, ms)
         assert d == 1
-        for g in M.gen_s + M.gen_eps:
+        for g in sum(scalar_generators(M), []):
             assert mat_mul(mats[0], g) == mat_mul(g, mats[0])
 
 
@@ -760,7 +785,7 @@ def test_quotient_matches_scalar_reference():
                 irreducible_quotient(ms)
             continue
         q = irreducible_quotient(ms)
-        assert (q.dim, q.gen_s, q.gen_eps) == _ref_irreducible_quotient(m2, mats[0]), text
+        assert (q.dim, *scalar_generators(q)) == _ref_irreducible_quotient(m2, mats[0]), text
 
 
 def test_conflicting_young_orbit_is_forced_to_zero():
@@ -863,11 +888,11 @@ def test_quotient_failure_exits_raise(monkeypatch):
 
 
 def test_verify_relations_takes_modules_only():
-    M = build_standard_module(parse_segments("{1};{0}"))
+    gen_s, gen_eps = scalar_generators(build_standard_module(parse_segments("{1};{0}")))
     with pytest.raises(TypeError):
-        verify_relations(M.gen_s, M.gen_eps)
+        verify_relations(gen_s, gen_eps)
     with pytest.raises(TypeError, match="takes a module, not list"):
-        verify_relations(M.gen_s)
+        verify_relations(gen_s)
 
 
 def test_intertwiner_rejects_mismatched_multisets():
@@ -881,10 +906,10 @@ def test_quotients():
     assert irreducible_quotient(parse_segments("{3};{1}")).dim == 2
     q = irreducible_quotient(parse_segments("{1+1i};{0+1i}"))
     assert q.dim == 1
-    assert verify_relations(_explicit_module(q.gen_s, q.gen_eps))
+    assert verify_relations(_explicit_module(*scalar_generators(q)))
     q = irreducible_quotient(parse_segments("{3};{2};{1};{0}"))
     assert q.dim == 1
-    assert verify_relations(_explicit_module(q.gen_s, q.gen_eps))
+    assert verify_relations(_explicit_module(*scalar_generators(q)))
     with pytest.raises(ValueError):
         irreducible_quotient(parse_segments("{0};{2}"))
 
@@ -917,8 +942,8 @@ def test_speh_quotient_and_complement():
     speh = parse_segments("{0,1};{-1,0}")
     q = irreducible_quotient(speh)
     assert q.dim == 2
-    assert len(q.gen_eps) == 4
-    assert verify_relations(_explicit_module(q.gen_s, q.gen_eps))
+    assert len(scalar_generators(q)[1]) == 4
+    assert verify_relations(_explicit_module(*scalar_generators(q)))
     # the kernel matches the induced module of the nested pair
     nested = build_standard_module(parse_segments("{-1,0,1};{0}"))
     assert build_standard_module(speh).dim == q.dim + nested.dim

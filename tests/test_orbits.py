@@ -132,6 +132,26 @@ def test_orbit_class_constant_on_members():
     assert orbit_class(sigma, BlockStructure((1, 3))) != cls
 
 
+@pytest.mark.parametrize(
+    "sizes, key",
+    [
+        # P + Q = 10 on a block of 2 positions
+        ((2,), (((5, 5),), ())),
+        # a cross pair out of order, and one naming a block past the last
+        ((1, 1), (((0, 0), (0, 0)), ((1, 0),))),
+        ((1, 1), (((0, 0), (0, 0)), ((0, 5),))),
+        # one (P, Q) per block: a missing block, a triple and a negative count
+        ((1, 1), (((1, 0),), ())),
+        ((1,), (((1, 0, 0),), ())),
+        ((2,), (((3, -1),), ())),
+    ],
+)
+def test_orbit_class_rejects_a_key_that_does_not_fit(sizes, key):
+    blocks = BlockStructure(sizes)
+    with pytest.raises(ValueError, match="does not fit the blocks"):
+        orbits.OrbitClass(blocks, key)
+
+
 def test_initial_diagram_parities():
     d = initial_diagram((2, 1, 1, 0))
     assert d.values == (2, 1, 0)

@@ -18,7 +18,7 @@ from glhecke.scalars import (
     scalar_str,
     scalar_to_json,
 )
-from linalg_oracle import Q
+from linalg_oracle import Q, scalar_generators
 
 rationals = st.fractions(max_denominator=50)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -172,7 +172,10 @@ def test_hot_paths_do_no_scalar_arithmetic(monkeypatch):
         M = heckemod.build_standard_module(ms)
         assert heckemod.verify_relations(M)
         assert heckemod.central_character_of_module(M) == ms.support()
-        assert len(M.gen_s) == M.k - 1 and len(M.gen_eps) == M.k
+        gen_s, gen_eps = scalar_generators(M)
+        assert len(gen_s) == M.k - 1 and len(gen_eps) == M.k
+        if all(c.is_real for c in M.chi):
+            assert len(heckemod.module_to_json(M)["eps"]) == M.k
     assert [heckemod.irreducible_quotient(ms).dim for ms in quotients] == [2, 2, 1]
 
     params = realparams.enumerate_real_params(lam, 0)
