@@ -184,17 +184,17 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
 # [[a, -b], [b, a]], an injective ring homomorphism.  Arrays are int64 when
 # a conservative bound fits and Python-int object arrays otherwise.
 #
-# A StandardModule is checked on its compact form with O(k) operator
-# applications and gathers, plus one comparison per pair of eps_j.  The S_k
-# relations compose the signed tables as signed permutations (the table of
-# s_a s_b is t_a[t_b] with signs sg_b * sg_a[t_b]); no dense s_i is built.
-# Once s_i * s_i = 1 has passed, each s_i is an involution, so s_i @ X is the
-# signed row gather sg[:, None] * X[t] and X @ s_i the column gather
-# X[:, t] * sg, each taken once over all k dense eps_j laid side by side.
-# eps_j @ X is a diagonal scaling plus the sparse N_j layers, O(nnz * width),
-# and each eps_a is applied once to all its operands side by side: every
-# other eps_b for the commutation, every E[d - 1] for the central character.
-# Quotients take dense products of their integer matrices.
+# A StandardModule is checked on its compact form.  The S_k relations compose
+# the signed tables as signed permutations (s_a s_b has table t_a[t_b] and
+# signs sg_b * sg_a[t_b]).  Every other relation is one sparse identity: terms
+# (key, source, coefficient), a key being a relation and an entry, that sum to
+# zero per key.  s_i re-indexes the rows or columns of eps = D + N, and a row
+# join of all entries gives eps_a eps_b - eps_b eps_a.  A source is a D_j[b, b]
+# or the scale, so terms are linear in chi and a non-real chi is checked at its
+# real and imaginary parts.  The terms depend only on the tables: after
+# Gustavson (ACM TOMS 4, 1978) they are sorted once per block composition, and
+# a module gathers, multiplies and sums.  The central character applies each
+# eps_a to its dense operands side by side; quotients take dense products.
 #
 # The central character is checked on eps_j - c for an integer c near chi:
 #     e_d(eps - c) = sum_{m <= d} C(k - m, d - m) (-c)^(d - m) e_m(eps)
@@ -202,13 +202,9 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
 # integer transform, so the shifted identities hold exactly when the
 # unshifted ones do; the small shifted entries keep large weights in int64.
 #
-# Side-by-side operands share one call only up to _BLOCK_ENTRIES entries
-# (always at least one operand), because past that the cost per entry jumps.
-# On a 2-vCPU Xeon, applying one eps_j of a dim-120 module to a stacked
-# 120 x 600 int64 operand took 2.1 ms against 0.66 ms for five 120 x 120
-# calls, and two operands per call (28 800 entries) already cost twice as
-# much per operand as one (14 400).  At dim 60, five operands in one call
-# (18 000 entries) took 0.023 ms each against 0.048 ms one at a time.
+# Side-by-side operands share one call only up to _BLOCK_ENTRIES entries,
+# because past that the cost per entry jumps: on a 2-vCPU Xeon two dim-120
+# operands per call (28 800 entries) cost twice as much per operand as one.
 
 _BLOCK_ENTRIES = 20 << 10
 
@@ -298,19 +294,6 @@ def _apply_eps(diagonal: np.ndarray, layers, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks(count: int, size: int) -> list[slice]:
-    """range(count) in runs of at most _BLOCK_ENTRIES // size (and at least
-    one) side-by-side operands of ``size`` entries, last run first."""
-    step = max(1, _BLOCK_ENTRIES // size)
-    return [slice(m, min(m + step, count)) for m in reversed(range(0, count, step))]
-
-
-def _apply_side(op, X: np.ndarray) -> np.ndarray:
-    """The ``(diagonal, layers)`` operator ``op`` applied at once to every
-    operand X[:, m] of a side-by-side slab X, as a slab."""
-    return _apply_eps(*op, X.reshape(len(X), -1)).reshape(X.shape)
-
-
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The rows of s_a * s_b from the rows of s_a and of s_b, each a signed
     table ``(target + 1) * sign``: s e_c = sign(s[c]) e_{|s[c]| - 1}."""
@@ -322,27 +305,19 @@ def _relations_hold(s, eps, ident) -> bool:
     the generators; ``ident`` is the image of s_i * s_i and of the
     commutator's right-hand side 1."""
     k = len(eps)
-    for i in range(k - 1):
-        if not np.array_equal(s[i] @ s[i], ident):
-            return False
-    for i in range(k - 2):
-        if not np.array_equal(s[i] @ s[i + 1] @ s[i], s[i + 1] @ s[i] @ s[i + 1]):
-            return False
-    for i in range(k - 1):
-        for j in range(i + 2, k - 1):
-            if not np.array_equal(s[i] @ s[j], s[j] @ s[i]):
-                return False
-    for a in range(k):
-        for b in range(a + 1, k):
-            if not np.array_equal(eps[a] @ eps[b], eps[b] @ eps[a]):
-                return False
-    for i in range(k - 1):
-        for j in range(k):
-            jj = i + 1 if j == i else (i if j == i + 1 else j)
-            c = (j == i) - (j == i + 1)
-            if not np.array_equal(s[i] @ eps[j] - eps[jj] @ s[i], c * ident):
-                return False
-    return True
+    pairs = itertools.chain(
+        ((s[i] @ s[i], ident) for i in range(k - 1)),
+        ((s[i] @ s[i + 1] @ s[i], s[i + 1] @ s[i] @ s[i + 1]) for i in range(k - 2)),
+        ((s[i] @ s[j], s[j] @ s[i]) for i in range(k - 1) for j in range(i + 2, k - 1)),
+        ((eps[a] @ eps[b], eps[b] @ eps[a]) for a in range(k) for b in range(a + 1, k)),
+        # s_i eps_j - eps_{s_i(j)} s_i = c with c = <alpha_i, e_j>, s_i(j) = j + c
+        (
+            (s[i] @ eps[j] - eps[j + c] @ s[i], c * ident)
+            for i, j in itertools.product(range(k - 1), range(k))
+            for c in [(j == i) - (j == i + 1)]
+        ),
+    )
+    return all(np.array_equal(x, y) for x, y in pairs)
 
 
 def verify_relations(module) -> bool:
@@ -361,22 +336,6 @@ def verify_relations(module) -> bool:
     # products of two scaled factors
     ident = module.scale**2 * np.eye(len(module.eps[0]), dtype=module.eps[0].dtype)
     return _relations_hold(module.s, module.eps, ident)
-
-
-def _dense_eps(eps_ops) -> np.ndarray:
-    """The dense eps_j of :func:`_compact_operators` side by side: the
-    (n, k, n) stack whose [:, j] is eps_j."""
-    diagonals = np.stack([d for d, _ in eps_ops], axis=1)
-    n, k = diagonals.shape
-    E = np.zeros((n, k, n), dtype=diagonals.dtype)
-    E[np.arange(n), :, np.arange(n)] = diagonals
-    # unbuffered, since two layers may hold the same entry
-    layers = [(j, *layer) for j, (_, ls) in enumerate(eps_ops) for layer in ls]
-    if layers:
-        j, rows, cols, vals = zip(*layers)
-        j = np.repeat(j, [len(r) for r in rows])
-        np.add.at(E, (np.concatenate(rows), j, np.concatenate(cols)), np.concatenate(vals))
-    return E
 
 
 def _sk_relations_hold(target: np.ndarray, sign: np.ndarray) -> bool:
@@ -402,53 +361,90 @@ def _sk_relations_hold(target: np.ndarray, sign: np.ndarray) -> bool:
 
 
 def _verify_compact(M: StandardModule) -> bool:
-    """Every defining relation of ``M``, checked on its compact form."""
+    """Every defining relation of ``M`` on its compact form: the S_k relations
+    on the tables, then each key of the relation plan sums to zero.  The
+    memoised plan serves only the very tables ``_composition`` shares."""
     if M.k == 1:
         return True
-    if not _sk_relations_hold(M.s_target, M.s_sign):
+    _, target, sign, _, nilpotent = _composition(M.blocks)
+    shared = M.s_target is target and M.s_sign is sign and M.nilpotent is nilpotent
+    plan = _shared_plan(M.blocks) if shared else _relation_plan(M.s_target, M.s_sign, M.nilpotent)
+    if plan is None:
         return False
-    s_ops, eps_ops, scale, _ = _compact_operators(M, 0, max_chain=3)
-    E = _dense_eps(eps_ops)
-    return _mixed_relations_hold(E, s_ops, scale) and _eps_commute(E, eps_ops)
+    gather, coef, starts, weight = plan
+    # the scale is the last source; no sum exceeds weight * the largest one
+    re, im, scale, gaussian = _scaled(M.chi)
+    parts = [re + [scale], im + [0]] if gaussian else [re + [scale]]
+    bound = max(abs(x) for part in parts for x in part) * weight
+    chi = np.array(parts, dtype=np.int64 if bound < _INT64_LIMIT else object)
+    src = np.concatenate([chi[:, M.pos].reshape(len(chi), -1), chi[:, -1:]], axis=1)
+    return not np.add.reduceat(src[:, gather] * coef, starts, axis=1).any()
 
 
-def _mixed_relations_hold(E: np.ndarray, s_ops, scale: int) -> bool:
-    """s_i eps_j - eps_{s_i(j)} s_i = <alpha_i, e_j> for the side-by-side
-    dense eps_j ``E`` at ``scale`` and involutive signed tables ``s_ops``:
-    s_i @ X is then the signed row gather sign[:, None] * X[target]."""
-    n, k, _ = E.shape
-    diagonal = np.arange(n)
-    for i, (target, sign) in enumerate(s_ops):
-        swap = np.arange(k)
-        swap[i : i + 2] = i + 1, i
-        for part in _blocks(k, n * n):
-            # eps_{s_i(j)} s_i, plus <alpha_i, e_j> on the diagonal
-            right = E[:, swap[part, None], target] * sign
-            for j, c in ((i, scale), (i + 1, -scale)):
-                if part.start <= j < part.stop:
-                    right[diagonal, j - part.start, diagonal] += c
-            if not np.array_equal(sign[:, None, None] * E[target, part], right):
-                return False
-    return True
+@functools.lru_cache(maxsize=64)
+def _shared_plan(blocks: tuple[int, ...]):
+    _, target, sign, _, nilpotent = _composition(blocks)
+    return _relation_plan(target, sign, nilpotent)
 
 
-def _eps_commute(E: np.ndarray, eps_ops) -> bool:
-    """eps_a eps_b = eps_b eps_a for the side-by-side dense eps_j ``E``:
-    eps_a is applied once to all eps_b, block by block (skipping a block of
-    eps_a alone); eps_a eps_b for b > a is kept until eps_b eps_a is known."""
-    n, k, _ = E.shape
-    kept = {}
-    for a, op in enumerate(eps_ops):
-        for part in _blocks(k, n * n):
-            if part == slice(a, a + 1):
-                continue
-            products = _apply_side(op, E[:, part]).swapaxes(0, 1)
-            for b, product in zip(range(part.start, part.stop), products):
-                if b > a:
-                    kept[a, b] = product
-                elif b < a and not np.array_equal(product, kept.pop((b, a))):
-                    return False
-    return True
+def _relation_plan(target: np.ndarray, sign: np.ndarray, nilpotent: tuple):
+    """None if the tables of the s_i fail the S_k relations.  Else the terms
+    of the eps relations for them and the N_j layers, merged per key and
+    source, zeros dropped, in key order: the source of each (D_j[b, b] at
+    j * n + b, the scale at k * n) and its coefficient; where each key
+    starts; the largest sum of |coefficients| of a key."""
+    if not _sk_relations_hold(target, sign):
+        return None
+    k, n = len(nilpotent), target.shape[1]
+    const, b = k * n, np.arange(n)
+    # the entries (j, row, column, coefficient) of every eps_j, D_j first
+    layers = [(np.repeat(np.arange(k), n), np.tile(b, k), np.tile(b, k), np.ones(k * n, int))]
+    layers += [(np.full(len(r), j), r, c, v) for j, ls in enumerate(nilpotent) for r, c, v in ls]
+    j_e, r_e, c_e, v_e = map(np.concatenate, zip(*layers))
+    s_e = np.minimum(np.arange(len(j_e)), const)  # their sources
+    # a coefficient is an entry or the product of two, up to sign
+    dtype = np.int8 if abs(v_e).max() <= 11 else object
+    v_e, terms = v_e.astype(dtype), []
+
+    def add(slot, row, col, src, coef):
+        # (key * (k * n + 1) + source, coefficient) fits int64 up to k = 8
+        merged = ((slot * n + row) * n + col) * (const + 1) + src
+        terms.append((merged.ravel(), np.broadcast_to(coef, merged.shape).astype(dtype).ravel()))
+
+    # s_i eps_j - eps_{s_i(j)} s_i - <alpha_i, e_j> at slot i * k + j: s_i
+    # moves an entry (r, c) to (target[r], c) times sign[r], and on the right
+    # to (r, target[c]) times sign[target[c]] = sign[c]
+    i, j = np.arange(k - 1)[:, None], np.arange(k)
+    c = (j == i) * 1 - (j == i + 1)  # <alpha_i, e_j>, and s_i(j) = j + c
+    add(i * k + j_e, target[:, r_e], c_e, s_e, sign[:, r_e] * v_e)
+    add(i * k + (j + c)[:, j_e], r_e, target[:, c_e], s_e, -sign[:, c_e] * v_e)
+    add((i * k + j)[:, :, None], b, b, const, -c[:, :, None])
+    # eps_a eps_b - eps_b eps_a at slot k * k + a * k + b for a < b: every
+    # entry (r, m) times each entry of row m; a product has the source of its
+    # D factor, and D_a D_b meets D_b D_a at the same source, so they cancel
+    order = np.argsort(r_e)
+    first = np.searchsorted(r_e[order], c_e)
+    count = np.searchsorted(r_e[order], c_e, side="right") - first
+    left = np.repeat(np.arange(len(r_e)), count)
+    right = order[np.arange(len(left)) + np.repeat(first + count - np.cumsum(count), count)]
+    keep = j_e[left] != j_e[right]  # eps_a commutes with itself
+    left, right = left[keep], right[keep]
+    ja, jb = j_e[left], j_e[right]
+    slot, src = k * (k + np.minimum(ja, jb)) + np.maximum(ja, jb), np.minimum(s_e[left], s_e[right])
+    add(slot, r_e[left], c_e[right], src, np.sign(jb - ja) * v_e[left] * v_e[right])
+
+    merged, coef = map(np.concatenate, zip(*terms))
+    terms.clear()
+    order = np.argsort(merged)
+    merged, coef = merged[order], coef[order]
+    first = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+    merged, coef = merged[first], np.add.reduceat(coef, first, dtype=np.result_type(coef, int))
+    key, src = np.divmod(merged[coef != 0], const + 1)
+    coef = coef[coef != 0]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    weight = int(np.add.reduceat(abs(coef), starts).max(initial=0))
+    coef = coef.astype(np.int8) if weight < 128 else coef
+    return src.astype(np.int32), coef, starts.astype(np.int32), weight
 
 
 def central_character_of_module(M: StandardModule) -> tuple[Scalar, ...]:
@@ -473,15 +469,19 @@ def central_character_of_module(M: StandardModule) -> tuple[Scalar, ...]:
 
     # E[:, d] sums the ordered products eps_{t_1} ... eps_{t_d},
     # t_1 < ... < t_d, over the factors seen so far; prepending eps_t keeps
-    # the order.  eps_t multiplies every E[:, d - 1] at once, last block
+    # the order.  eps_t multiplies every E[:, d - 1] side by side, in runs
+    # of at most _BLOCK_ENTRIES entries (and at least one operand), last run
     # first, so that each is read before it is updated
     like = eps_ops[0][0]
     n = len(like)
+    step = max(1, _BLOCK_ENTRIES // (n * n))
     E = np.zeros((n, k + 1, n), dtype=like.dtype)
     E[:, 0] = _scalar_identity(1, 0, like, gaussian)
     for t in reversed(range(k)):
-        for part in _blocks(k - t, n * n):
-            E[:, part.start + 1 : part.stop + 1] += _apply_side(eps_ops[t], E[:, part])
+        for m in reversed(range(0, k - t, step)):
+            run = slice(m, min(m + step, k - t))
+            X = E[:, run].reshape(n, -1)
+            E[:, run.start + 1 : run.stop + 1] += _apply_eps(*eps_ops[t], X).reshape(n, -1, n)
     for d in range(1, k + 1):
         if not np.array_equal(E[:, d], _scalar_identity(*e_chi[d], like, gaussian)):
             raise ValueError(f"elementary symmetric polynomial {d} is not the expected scalar")

@@ -240,9 +240,10 @@ def _with_entry(M, j, r, c, delta):
 
 
 def _ref_verify_compact(M):
-    """The per-pair route the batched check replaced: every relation as one
-    product per generator pair, on dense s_i and eps_j built from the
-    compact operators, after a check that each table is a permutation."""
+    """The dense per-pair route, oracle of the sparse relation check: every
+    relation as one product per generator pair, on dense s_i and eps_j built
+    from the compact operators, after a check that each table is a
+    permutation."""
     s_ops, eps_ops, scale, _ = _compact_operators(M, 0, max_chain=3)
     one = np.eye(len(eps_ops[0][0]), dtype=eps_ops[0][0].dtype)
     if any(not np.array_equal(np.sort(t), np.arange(len(one))) for t, _ in s_ops):
@@ -305,7 +306,7 @@ def _ref_central_character(M):
 
 
 def _rejected(M) -> bool:
-    """Whether the batched check and the per-pair reference both reject M."""
+    """Whether the sparse check and the per-pair reference both reject M."""
     return not verify_relations(M) and not _ref_verify_compact(M)
 
 
@@ -406,14 +407,15 @@ def test_compact_module_matches_scalar_reference():
             assert obj[name] == [[scalar_str(x) for row in m for x in row] for m in mats], ms
 
 
-def test_batched_checks_match_per_pair_reference():
+def test_sparse_relations_and_batched_center_match_per_pair_reference():
     cases = [
         ms
         for k in range(1, 5)
         for lam in lambda_window(k, 5)
         for ms in enumerate_multisegments(lam)
     ]
-    # operands over several blocks, 2x2 blocks, and object arrays
+    # central-character operands over several blocks, a non-real weight,
+    # and object arrays
     wide = parse_segments("{4};{3};{2};{1};{0}")
     gaussian = parse_segments("{1+1i};{0};{2}")
     huge = Multisegment((Segment(Scalar(1 << 40), 2), Segment(Scalar(0), 1)))
@@ -426,6 +428,79 @@ def test_batched_checks_match_per_pair_reference():
     assert M.dim**2 * 2 > _BLOCK_ENTRIES
     assert _compact_operators(build_standard_module(gaussian), 0, 3)[3]
     assert _compact_operators(build_standard_module(huge), 0, 3)[1][0][0].dtype == object
+
+
+def _conjugated(M, delta=None, perm=None):
+    """A copy of M whose s_i tables alone are conjugated by the diagonal
+    +-1 matrix ``delta`` or by the basis permutation ``perm``: the S_k
+    relations still hold, and the eps_j no longer fit."""
+    if delta is not None:
+        return dataclasses.replace(M, s_sign=delta[M.s_target] * M.s_sign * delta)
+    target = np.empty_like(M.s_target)
+    target[:, perm] = perm[M.s_target]
+    return dataclasses.replace(M, s_target=target)
+
+
+def test_relation_plan_memo_serves_only_the_shared_tables():
+    heckemod._shared_plan.cache_clear()
+    M = build_standard_module(parse_segments("{3};{2};{1};{0}"))
+    assert verify_relations(M) and heckemod._shared_plan.cache_info().currsize == 1
+    # same blocks, one table doctored: each copy gets a fresh plan of its own,
+    # which is not stored, and is rejected by the eps relations alone
+    delta, perm = np.ones(M.dim, dtype=int), np.arange(M.dim)
+    delta[0], perm[[0, M.dim - 1]] = -1, (M.dim - 1, 0)
+    for bad in (_with_entry(M, 1, 0, 3, 1), _conjugated(M, delta), _conjugated(M, perm=perm)):
+        assert bad.blocks == M.blocks and _sk_relations_hold(bad.s_target, bad.s_sign)
+        assert _rejected(bad)
+    assert heckemod._shared_plan.cache_info().currsize == 1
+    # a module built before the composition memo is cleared holds tables that
+    # are no longer the shared ones
+    heckemod._composition.cache_clear()
+    N = build_standard_module(M.ms)
+    assert N.s_target is not M.s_target
+    assert verify_relations(M) and verify_relations(N)
+
+
+def _moved_entry(M, j):
+    """A copy of M whose first N_j entry (r, c) has moved to (r, c + 1)."""
+    r, c, v = (int(x[0]) for x in M.nilpotent[j][0])
+    return _with_entry(_with_entry(M, j, r, c, -v), j, r, (c + 1) % M.dim, v)
+
+
+def test_sparse_relations_have_teeth_at_k6():
+    M = build_standard_module(parse_segments("{5};{4};{3};{2};{1};{0}"))
+    assert M.dim == 720 and verify_relations(M)
+    assert not verify_relations(_moved_entry(M, M.k - 1))
+    assert not verify_relations(_with_diagonal(M, 2, M.dim // 2, 1))
+    # 1^6 fixes no basis vector: flip the sign of a fixed one of a k = 6
+    # module with a block of two, and one conjugated sign, which keeps the
+    # S_k relations
+    M = build_standard_module(parse_segments("{5};{4};{3};{2};{0,1}"))
+    assert verify_relations(M)
+    b = np.flatnonzero(M.s_target[0] == np.arange(M.dim))[0]
+    delta = np.ones(M.dim, dtype=int)
+    delta[b] = -1
+    assert not verify_relations(_with_table(M, 0, sign=M.s_sign[0] * delta))
+    bad = _conjugated(M, 1 - 2 * (np.arange(M.dim) == 1))
+    assert _sk_relations_hold(bad.s_target, bad.s_sign) and not verify_relations(bad)
+
+
+def test_sparse_relations_have_teeth_on_object_and_gaussian_weights(monkeypatch):
+    # object arrays: a 2**70 start is past int64, and an N entry past int8
+    # makes the coefficients Python ints
+    for start in (1 << 70, 1 << 40):
+        M = build_standard_module(Multisegment((Segment(Scalar(start), 2), Segment(Scalar(0), 1))))
+        assert verify_relations(M)
+        assert _rejected(_with_entry(M, 0, 0, 1, 1)) and _rejected(_with_entry(M, 0, 0, 1, 1 << 40))
+    # the 2**40 module fits int64 under the relation bound; forced onto
+    # object arrays it keeps its teeth too
+    monkeypatch.setattr(heckemod, "_INT64_LIMIT", 0)
+    assert verify_relations(M) and _rejected(_with_entry(M, 0, 0, 1, 1))
+    monkeypatch.undo()
+    # a moved imaginary part is seen by the imaginary row alone
+    M = build_standard_module(parse_segments("{1+1i};{0};{2}"))
+    assert verify_relations(M)
+    assert _rejected(_with_diagonal(M, 0, 1, Q(0, 1)))
 
 
 def test_sk_relations_on_signed_tables():
@@ -508,8 +583,8 @@ def test_relations_detect_perturbation():
         sign = M.s_sign[M.k - 2].copy()
         sign[b] *= -1
         assert _rejected(_with_table(M, M.k - 2, sign=sign)), b
-    # an entry of eps_{k-1} of a module whose side-by-side operands span
-    # several blocks, so the last block is checked too
+    # an entry of eps_{k-1} of a dim-120 module (whose central-character
+    # operands span several blocks) near each corner of the upper triangle
     M = build_standard_module(parse_segments("{4};{3};{2};{1};{0}"))
     assert M.dim**2 * 2 > _BLOCK_ENTRIES and verify_relations(M)
     for r, c in ((0, 0), (0, M.dim - 1), (M.dim - 2, M.dim - 1)):
@@ -571,8 +646,8 @@ def test_complex_module_exact_path():
     assert not verify_relations(_explicit_module(gen_s, gen_eps))
     assert _rejected(_with_diagonal(M, 0, 0, i))
     assert _rejected(_with_entry(M, 1, 0, 1, 1))
-    # tables checked before the 2x2 blocks double them: a 3-cycle, a flipped
-    # sign of s_{k-2}, and an entry of eps_{k-1}
+    # the tables and N of a non-real module: a 3-cycle, a flipped sign of
+    # s_{k-2}, and an entry of eps_{k-1}
     M = build_standard_module(parse_segments("{1+1i};{0};{2}"))
     assert M.dim >= 3 and verify_relations(M)
     assert _rejected(_with_table(M, 0, target=[1, 2, 0, *range(3, M.dim)]))
