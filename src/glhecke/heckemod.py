@@ -193,20 +193,14 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
 # or the scale, so terms are linear in chi and a non-real chi is checked at its
 # real and imaginary parts.  The terms depend only on the tables: after
 # Gustavson (ACM TOMS 4, 1978) they are sorted once per block composition, and
-# a module gathers, multiplies and sums.  The central character applies each
-# eps_a to its dense operands side by side; quotients take dense products.
+# a module gathers, multiplies and sums.  Quotients take dense products.
 #
-# The central character is checked on eps_j - c for an integer c near chi:
-#     e_d(eps - c) = sum_{m <= d} C(k - m, d - m) (-c)^(d - m) e_m(eps)
-# for ordered subset products, and the same for chi, is a unitriangular
-# integer transform, so the shifted identities hold exactly when the
-# unshifted ones do; the small shifted entries keep large weights in int64.
-#
-# Side-by-side operands share one call only up to _BLOCK_ENTRIES entries,
-# because past that the cost per entry jumps: on a 2-vCPU Xeon two dim-120
-# operands per call (28 800 entries) cost twice as much per operand as one.
-
-_BLOCK_ENTRIES = 20 << 10
+# The central character is certified, not multiplied out.  Write f' for a
+# polynomial f in the eps_j with eps_i and eps_{i+1} swapped: once the
+# relations hold, s_i f - f' s_i = (f - f') / (eps_i - eps_{i+1}), as both
+# sides are twisted derivations that agree on the eps_j.  So a symmetric f
+# commutes with every generator: it acts on a weight vector e_0 by f at its
+# weight, and so on all of M when e_0 generates M (DECISIONS.md).
 
 
 def _int_dtype(bound: int, n: int, gaussian: bool, max_chain: int):
@@ -226,29 +220,17 @@ def _scaled(xs) -> tuple[list[int], list[int], int, bool]:
     return re, im, scale, any(im)
 
 
-def _scalar_identity(re: int, im: int, like: np.ndarray, gaussian: bool):
-    """(re + i*im) * I in the integer form of ``like`` (same length and
-    dtype); ``im`` is 0 unless ``gaussian``."""
-    n = np.arange(len(like))
-    out = np.zeros((len(n), len(n)), dtype=like.dtype)
-    out[n, n] = re
-    if gaussian:
-        out[n, n ^ 1] = np.tile(np.array([-im, im], dtype=like.dtype), len(n) // 2)
-    return out
-
-
 def _double(x: np.ndarray) -> np.ndarray:
     """2x[0], 2x[0] + 1, 2x[1], ...: the coordinates of the 2x2 blocks."""
     return (2 * x[:, None] + np.arange(2)).ravel()
 
 
-def _compact_operators(M: StandardModule, shift: int, max_chain: int):
+def _compact_operators(M: StandardModule, max_chain: int):
     """Integer operators of the s_i, as ``(targets, signs)``, and of
-    scale * (eps_j - shift), as ``(diagonal, layers)``, in the dtype
+    scale * eps_j, as ``(diagonal, layers)``, in the dtype
     :func:`_int_dtype` picks for their entries; the scale; whether 2x2
     blocks embed them."""
     re, im, scale, gaussian = _scaled(M.chi)
-    re = [x - shift * scale for x in re]
     vals = [v for layers in M.nilpotent for _, _, v in layers]
     nil = int(abs(np.concatenate(vals)).max()) if vals else 0
     bound = max(scale * nil, *map(abs, re), *map(abs, im))
@@ -448,45 +430,21 @@ def _relation_plan(target: np.ndarray, sign: np.ndarray, nilpotent: tuple):
 
 
 def central_character_of_module(M: StandardModule) -> tuple[Scalar, ...]:
-    """Verify every elementary symmetric polynomial in the eps matrices is
-    the expected scalar and return the weight as a sorted multiset.
+    """The weight of e_0 as a sorted multiset: every symmetric polynomial f
+    in the eps_j acts on M by f at it.
 
-    Raises ValueError if some symmetric polynomial fails to act by the
-    correct scalar (which would indicate a construction bug).
+    Raises ValueError unless the defining relations hold, e_0 is a weight
+    vector (no N_j layer has a nonzero entry in column 0) and e_0 generates
+    M (every e_b with b >= 1 is +-s_i e_b' for some b' < b).
     """
-    k = M.k
-    re, im, scale, _ = _scaled(M.chi)
-    shift = (min(re) + max(re)) // (2 * scale)
-    _, eps_ops, _, gaussian = _compact_operators(M, shift, max_chain=k)
-    # elementary symmetric values of scale * (chi - shift), as Gaussian
-    # integer pairs
-    e_chi = [(1, 0)] + [(0, 0)] * k
-    for t, (a, b) in enumerate(zip(re, im)):
-        a -= shift * scale
-        for d in range(t + 1, 0, -1):
-            (x, y), (u, v) = e_chi[d], e_chi[d - 1]
-            e_chi[d] = (x + u * a - v * b, y + u * b + v * a)
-
-    # E[:, d] sums the ordered products eps_{t_1} ... eps_{t_d},
-    # t_1 < ... < t_d, over the factors seen so far; prepending eps_t keeps
-    # the order.  eps_t multiplies every E[:, d - 1] side by side, in runs
-    # of at most _BLOCK_ENTRIES entries (and at least one operand), last run
-    # first, so that each is read before it is updated
-    like = eps_ops[0][0]
-    n = len(like)
-    step = max(1, _BLOCK_ENTRIES // (n * n))
-    E = np.zeros((n, k + 1, n), dtype=like.dtype)
-    E[:, 0] = _scalar_identity(1, 0, like, gaussian)
-    for t in reversed(range(k)):
-        for m in reversed(range(0, k - t, step)):
-            run = slice(m, min(m + step, k - t))
-            X = E[:, run].reshape(n, -1)
-            E[:, run.start + 1 : run.stop + 1] += _apply_eps(*eps_ops[t], X).reshape(n, -1, n)
-    for d in range(1, k + 1):
-        if not np.array_equal(E[:, d], _scalar_identity(*e_chi[d], like, gaussian)):
-            raise ValueError(f"elementary symmetric polynomial {d} is not the expected scalar")
-
-    return tuple(sorted(M.chi, key=scalar_sort_key, reverse=True))
+    if not verify_relations(M):
+        raise ValueError("the module fails the defining relations")
+    if any(v[c == 0].any() for layers in M.nilpotent for _, c, v in layers):
+        raise ValueError("e_0 is not a weight vector")
+    if not (M.s_target[:, 1:] < np.arange(1, M.dim)).any(axis=0).all():
+        raise ValueError("e_0 does not generate the module")
+    weight = (M.chi[p] for p in M.pos[:, 0].tolist())
+    return tuple(sorted(weight, key=scalar_sort_key, reverse=True))
 
 
 def reversed_ordering(ms: Multisegment) -> Multisegment:
@@ -622,8 +580,8 @@ def _solve_intertwiners(ms_from: Multisegment, ms_to: Multisegment):
     """The :func:`_compact_operators` of the source and target modules, each
     built once, and :func:`_intertwiners` between them."""
     m1 = build_standard_module(ms_from)
-    ops1 = _compact_operators(m1, 0, 3)
-    ops2 = _compact_operators(build_standard_module(ms_to), 0, 3)
+    ops1 = _compact_operators(m1, 3)
+    ops2 = _compact_operators(build_standard_module(ms_to), 3)
     return ops1, ops2, _intertwiners(m1, ops1, ops2)
 
 
@@ -718,7 +676,7 @@ def module_to_json(M: StandardModule) -> dict:
     strings, formatted from the dense integer operators of its compact form.
     Raises ValueError for a non-real weight before building any matrix."""
     param = multisegment_to_json(M.ms)
-    s_ops, eps_ops, scale, _ = _compact_operators(M, 0, 1)
+    s_ops, eps_ops, scale, _ = _compact_operators(M, 1)
 
     def mat(a, den):
         fmt = str if den == 1 else lambda x: rat_str(Fraction(x, den)) if x else "0"

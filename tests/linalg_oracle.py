@@ -192,7 +192,7 @@ def scalar_generators(module):
             [_scalar_matrix(a, module.scale, module.gaussian) for a in gens]
             for gens in (module.s, module.eps)
         )
-    s_ops, eps_ops, scale, gaussian = _compact_operators(module, 0, 1)
+    s_ops, eps_ops, scale, gaussian = _compact_operators(module, 1)
     eye = np.eye(len(eps_ops[0][0]), dtype=eps_ops[0][0].dtype)
     return (
         [_scalar_matrix(eye[:, t] * sg, 1, gaussian) for t, sg in s_ops],

@@ -24,7 +24,6 @@ from glhecke import heckemod
 from glhecke.heckemod import (
     QuotientModule,
     StandardModule,
-    _BLOCK_ENTRIES,
     _apply_eps,
     _apply_s,
     _column_basis,
@@ -36,7 +35,6 @@ from glhecke.heckemod import (
     _quotient_action,
     _scalar_matrix,
     _scaled,
-    _scalar_identity,
     _sk_relations_hold,
     build_standard_module,
     central_character_of_module,
@@ -244,7 +242,7 @@ def _ref_verify_compact(M):
     relation as one product per generator pair, on dense s_i and eps_j built
     from the compact operators, after a check that each table is a
     permutation."""
-    s_ops, eps_ops, scale, _ = _compact_operators(M, 0, max_chain=3)
+    s_ops, eps_ops, scale, _ = _compact_operators(M, max_chain=3)
     one = np.eye(len(eps_ops[0][0]), dtype=eps_ops[0][0].dtype)
     if any(not np.array_equal(np.sort(t), np.arange(len(one))) for t, _ in s_ops):
         return False
@@ -280,17 +278,28 @@ def _ref_verify_compact(M):
     return all(np.array_equal(x, y) for x, y in identities)
 
 
+def _scalar_identity(re, im, like, gaussian):
+    """(re + i*im) * I in the integer form of ``like`` (same length and
+    dtype); ``im`` is 0 unless ``gaussian``."""
+    n = np.arange(len(like))
+    out = np.zeros((len(n), len(n)), dtype=like.dtype)
+    out[n, n] = re
+    if gaussian:
+        out[n, n ^ 1] = np.tile(np.array([-im, im], dtype=like.dtype), len(n) // 2)
+    return out
+
+
 def _ref_central_character(M):
-    """The per-product route the batched check replaced: E[d] gains
+    """The dense route the certificate replaced: E[d] sums the ordered
+    products eps_{t_1} ... eps_{t_d}, t_1 < ... < t_d, and gains
     eps_t @ E[d - 1] one d at a time; raises ValueError at the smallest d
     whose e_d is not the expected scalar."""
     k = M.k
-    re, im, scale, _ = _scaled(M.chi)
-    shift = (min(re) + max(re)) // (2 * scale)
-    _, eps_ops, _, gaussian = _compact_operators(M, shift, max_chain=k)
+    re, im, _, _ = _scaled(M.chi)
+    _, eps_ops, _, gaussian = _compact_operators(M, max_chain=k)
+    # elementary symmetric values of scale * chi, as Gaussian integer pairs
     e_chi = [(1, 0)] + [(0, 0)] * k
     for t, (a, b) in enumerate(zip(re, im)):
-        a -= shift * scale
         for d in range(t + 1, 0, -1):
             (x, y), (u, v) = e_chi[d], e_chi[d - 1]
             e_chi[d] = (x + u * a - v * b, y + u * b + v * a)
@@ -393,7 +402,7 @@ def test_compact_module_matches_scalar_reference():
     ]
     # past int64 at scale 2, so module_to_json formats an object array
     huge = Multisegment((Segment(Scalar(1 << 70), 2), Segment(Scalar(Fraction(-1, 2)), 1)))
-    assert _compact_operators(build_standard_module(huge), 0, 1)[1][0][0].dtype == object
+    assert _compact_operators(build_standard_module(huge), 1)[1][0][0].dtype == object
     for ms in cases + [huge]:
         M = build_standard_module(ms)
         ref = _ref_build_standard_module(ms)
@@ -414,20 +423,25 @@ def test_sparse_relations_and_batched_center_match_per_pair_reference():
         for lam in lambda_window(k, 5)
         for ms in enumerate_multisegments(lam)
     ]
-    # central-character operands over several blocks, a non-real weight,
-    # and object arrays
-    wide = parse_segments("{4};{3};{2};{1};{0}")
-    gaussian = parse_segments("{1+1i};{0};{2}")
+    # one module per block composition of k = 5, {4};{3};{2};{1};{0} among
+    # them, non-real weights and object arrays
+    k5 = [
+        Multisegment(tuple(Segment(Scalar(len(blocks) - 1 - i), L) for i, L in enumerate(blocks)))
+        for r in range(5)
+        for cuts in itertools.combinations(range(1, 5), r)
+        for blocks in [tuple(b - a for a, b in zip((0, *cuts), (*cuts, 5)))]
+    ]
+    gaussian = [parse_segments("{1+1i};{0};{2}"), parse_segments("{1+1i};{0,1};{2};{-1}")]
     huge = Multisegment((Segment(Scalar(1 << 40), 2), Segment(Scalar(0), 1)))
-    for ms in cases + [wide, gaussian, huge]:
+    for ms in cases + k5 + gaussian + [huge]:
         M = build_standard_module(ms)
         assert verify_relations(M) == _ref_verify_compact(M), ms
         assert central_character_of_module(M) == _ref_central_character(M), ms
     assert len(cases) == 239
-    M = build_standard_module(wide)
-    assert M.dim**2 * 2 > _BLOCK_ENTRIES
-    assert _compact_operators(build_standard_module(gaussian), 0, 3)[3]
-    assert _compact_operators(build_standard_module(huge), 0, 3)[1][0][0].dtype == object
+    assert {ms.k for ms in k5} == {5}
+    assert len({tuple(s.length for s in ms.segments) for ms in k5}) == 16
+    assert all(_compact_operators(build_standard_module(ms), 3)[3] for ms in gaussian)
+    assert _compact_operators(build_standard_module(huge), 3)[1][0][0].dtype == object
 
 
 def _conjugated(M, delta=None, perm=None):
@@ -583,10 +597,10 @@ def test_relations_detect_perturbation():
         sign = M.s_sign[M.k - 2].copy()
         sign[b] *= -1
         assert _rejected(_with_table(M, M.k - 2, sign=sign)), b
-    # an entry of eps_{k-1} of a dim-120 module (whose central-character
-    # operands span several blocks) near each corner of the upper triangle
+    # an entry of eps_{k-1} of a dim-120 module near each corner of the
+    # upper triangle
     M = build_standard_module(parse_segments("{4};{3};{2};{1};{0}"))
-    assert M.dim**2 * 2 > _BLOCK_ENTRIES and verify_relations(M)
+    assert M.dim == 120 and verify_relations(M)
     for r, c in ((0, 0), (0, M.dim - 1), (M.dim - 2, M.dim - 1)):
         assert _rejected(_with_entry(M, M.k - 1, r, c, 1)), (r, c)
 
@@ -664,24 +678,68 @@ def test_complex_module_exact_path():
 
 
 def test_shifted_central_character_catches_corrupted_e_d():
-    # the check runs on eps_j - c with c near chi, which keeps entries near
-    # 2**40 in int64
+    # a start of 2**40 puts the dense oracle on object arrays
     big = 1 << 40
     M = build_standard_module(Multisegment((Segment(Scalar(big), 2), Segment(Scalar(big), 1))))
-    assert _compact_operators(M, big, 3)[1][0][0].dtype == np.int64
-    assert _compact_operators(M, 0, 3)[1][0][0].dtype == object
+    assert _compact_operators(M, 3)[1][0][0].dtype == object
     assert central_character_of_module(M) == (Scalar(big + 1), Scalar(big), Scalar(big))
     texts = ("{1001};{1000}", "{1};{0}", "{1000,1001,1002}", "{1+1i};{0}", str(M.ms))
-    # the last one's E[:, d] span several blocks
     for text in texts + ("{4};{3};{2};{1};{0}",):
         M = build_standard_module(parse_segments(text))
         central_character_of_module(M)
         # move eps_0[0, 0] up and eps_{k-1}[0, 0] down by one: e_1 is
-        # unchanged and e_2 is not
+        # unchanged and e_2 is not, and the relations fail
         bad = _with_entry(_with_entry(M, 0, 0, 0, 1), M.k - 1, 0, 0, -1)
-        for route in (central_character_of_module, _ref_central_character):
-            with pytest.raises(ValueError, match="polynomial 2 is not"):
-                route(bad)
+        with pytest.raises(ValueError, match="polynomial 2 is not"):
+            _ref_central_character(bad)
+        with pytest.raises(ValueError, match="fails the defining relations"):
+            central_character_of_module(bad)
+
+
+def _direct_sum(M, N):
+    """M (+) N for modules of the same k: the tables of N after those of M,
+    its basis indices offset by M.dim and its pos by M.k, the weights
+    concatenated."""
+    return dataclasses.replace(
+        M,
+        dim=M.dim + N.dim,
+        chi=M.chi + N.chi,
+        s_target=np.concatenate([M.s_target, N.s_target + M.dim], axis=1),
+        s_sign=np.concatenate([M.s_sign, N.s_sign], axis=1),
+        pos=np.concatenate([M.pos, N.pos + M.k], axis=1),
+        nilpotent=tuple(
+            a + tuple((r + M.dim, c + M.dim, v) for r, c, v in b)
+            for a, b in zip(M.nilpotent, N.nilpotent)
+        ),
+    )
+
+
+def test_central_character_certificate_has_teeth():
+    # {1};{0} (+) {2};{0} satisfies the relations, and e_1 = eps_0 + eps_1
+    # acts by 1 on the first summand and by 2 on the second: e_0 generates
+    # only the first
+    M, N = (build_standard_module(parse_segments(t)) for t in ("{1};{0}", "{2};{0}"))
+    both = _direct_sum(M, N)
+    assert verify_relations(both) and _ref_verify_compact(both)
+    e1 = [[q(a) + b for a, b in zip(*rows)] for rows in zip(*scalar_generators(both)[1])]
+    assert e1 != [[e1[0][0] if r == c else Scalar(0) for c in range(4)] for r in range(4)]
+    with pytest.raises(ValueError, match="does not generate"):
+        central_character_of_module(both)
+    # a moved eps_0[0, 0]: e_0 is still a weight vector and generates, and
+    # the relations fail
+    with pytest.raises(ValueError, match="fails the defining relations"):
+        central_character_of_module(_with_diagonal(M, 0, 0, 1))
+    # {0};{0} with eps_0 = s_0 and eps_1 = 0: the relations hold and e_0
+    # generates, but eps_0 e_0 = e_1, and e_1 = s_0 is not scalar
+    Z = build_standard_module(parse_segments("{0};{0}"))
+    bad = _with_entry(_with_entry(Z, 0, 1, 0, 1), 1, 0, 1, 1)
+    assert verify_relations(bad) and _ref_verify_compact(bad)
+    zero, one = Scalar(0), Scalar(1)
+    assert scalar_generators(bad)[1] == [[[zero, one], [one, zero]], [[zero, zero]] * 2]
+    with pytest.raises(ValueError, match="not a weight vector"):
+        central_character_of_module(bad)
+    with pytest.raises(ValueError, match="polynomial 1 is not"):
+        _ref_central_character(bad)
 
 
 def test_central_character_of_module():
@@ -878,7 +936,7 @@ def test_conflicting_young_orbit_is_forced_to_zero():
             sign = m1.s_sign.copy()
             sign[0, b] = -sign[0, b]
             bad = dataclasses.replace(target, s_sign=sign)
-            mats = _intertwiners(m1, _compact_operators(m1, 0, 3), _compact_operators(bad, 0, 3))
+            mats = _intertwiners(m1, _compact_operators(m1, 3), _compact_operators(bad, 3))
             _, ref = _ref_intertwiners(m1, bad)
             assert [_scalar_matrix(T, den, False) for T, den in mats] == ref
             kept += len(ref)
@@ -918,7 +976,7 @@ def test_large_quotients(text, std_dim, quotient_dim):
 def test_quotient_invariance_check_fails_loudly():
     ms = parse_segments("{0,1};{-1,0}")
     m1, m2 = build_standard_module(ms), build_standard_module(reversed_ordering(ms))
-    ops1, ops2 = _compact_operators(m1, 0, 3), _compact_operators(m2, 0, 3)
+    ops1, ops2 = _compact_operators(m1, 3), _compact_operators(m2, 3)
     [(T, _)] = _intertwiners(m1, ops1, ops2)
     piv, C, den = _column_basis(T)
     image = T[:, piv]

@@ -52,8 +52,8 @@ def test_flipped_sign_table_fails_relations():
 
 
 def _wrong_center(monkeypatch):
-    # raises on a corrupted e_2 for {1};{0}, returns the weight in the wrong
-    # order for {2};{0}
+    # raises on moved eps_0[0, 0] and eps_1[0, 0] for {1};{0}, which fail
+    # the relations; returns the weight in the wrong order for {2};{0}
     center = heckemod.central_character_of_module
 
     def wrong(M):
@@ -113,7 +113,7 @@ CASES = {
             {
                 "tau": "{1};{0}",
                 "check": "center",
-                "error": "elementary symmetric polynomial 2 is not the expected scalar",
+                "error": "the module fails the defining relations",
             },
             {"tau": "{2};{0}", "check": "center-multiset"},
         ],
