@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: enumerate, gamma, dim, oracle, module, quotient, psi, verify.
-Each ``cmd_*`` returns its output text and exit code, and :func:`main`
-writes the text once, to stdout or atomically to ``--out``.  All output is
-deterministic (fixed orderings, sorted JSON keys).  ``verify`` exits
-nonzero iff a check failed or the sweep checked nothing, and refuses a
-bound flag its suite does not read (``sweeps.SUITES`` names the bounds of
-each suite).
+Each ``cmd_*`` returns its output, text or a JSON payload, and its exit
+code, and :func:`main` writes the output once, to stdout or atomically to
+``--out``; a payload is built in full before its indented JSON is encoded
+and written chunk by chunk.  All output is deterministic (fixed orderings,
+sorted JSON keys).  ``verify`` exits nonzero iff a check failed or the
+sweep checked nothing, and refuses a bound flag its suite does not read
+(``sweeps.SUITES`` names the bounds of each suite).
 
 The boundary: a ``ValueError`` or ``RuntimeError`` raised by a command or
 by the library it calls is a refusal of the input, and :func:`main` turns
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -40,25 +42,33 @@ def _parse_lambda(text: str) -> tuple[int, ...]:
     return multisegments._validate_integral_lambda(entries)
 
 
-def _emit(text: str, out: "str | None") -> None:
+def _chunks(output):
+    """Text as it is; a JSON payload, already built, as its JSON with sorted
+    keys, an indent of 2 and a final newline, in runs of 4096 encoder
+    chunks, so that neither the whole text nor a write per chunk is made."""
+    if isinstance(output, str):
+        yield output
+        return
+    encoded = itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(output), "\n")
+    while run := "".join(itertools.islice(encoded, 4096)):
+        yield run
+
+
+def _emit(output, out: "str | None") -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_chunks(output))
         return
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".glhecke-")
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(_chunks(output))
         os.replace(tmp, out)
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}")
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -121,7 +131,7 @@ def _check_n(args, lam) -> None:
         raise ValueError(f"--n {args.n} does not match the {len(lam)} lambda entries")
 
 
-def cmd_enumerate(args) -> tuple[str, int]:
+def cmd_enumerate(args) -> tuple[object, int]:
     lam = _parse_lambda(args.lam)
     _check_n(args, lam)
     # per class: its JSON object, name, size and character, under these keys
@@ -142,19 +152,17 @@ def cmd_enumerate(args) -> tuple[str, int]:
             for ms in m.enumerate_multisegments(lam)
         ]
     if args.format == "json":
-        return _json_text(
-            [
-                {keys[0]: obj, keys[2]: size, keys[3]: [scalar_str(c) for c in chars]}
-                for obj, _, size, chars in rows
-            ]
-        ), 0
+        return [
+            {keys[0]: obj, keys[2]: size, keys[3]: [scalar_str(c) for c in chars]}
+            for obj, _, size, chars in rows
+        ], 0
     table = [[n, str(size), ",".join(map(scalar_str, chars))] for _, n, size, chars in rows]
     if args.format == "csv":
         return _csv_text(list(keys[1:]), table), 0
     return "\n".join("  ".join(r) for r in table) + "\n", 0
 
 
-def cmd_gamma(args) -> tuple[str, int]:
+def cmd_gamma(args) -> tuple[object, int]:
     param = _load_real_param(args)
     image = levelmap.gamma(param, args.k)
     payload = {"k": args.k, "level": param.level}
@@ -165,24 +173,24 @@ def cmd_gamma(args) -> tuple[str, int]:
         payload["central_character"] = [
             scalar_str(c) for c in multisegments.central_character(image)
         ]
-    return _json_text(payload), 0
+    return payload, 0
 
 
-def cmd_dim(args) -> tuple[str, int]:
+def cmd_dim(args) -> tuple[object, int]:
     param = _load_real_param(args)
     d = levelmap.dimension_std(param, args.k)
     if args.format == "text":
         return f"{d}\n", 0
-    return _json_text({"k": args.k, "level": param.level, "dim": d}), 0
+    return {"k": args.k, "level": param.level, "dim": d}, 0
 
 
-def cmd_oracle(args) -> tuple[str, int]:
+def cmd_oracle(args) -> tuple[object, int]:
     if args.factors or args.param or args.param_file:
         if args.s is not None or args.m is not None:
             raise ValueError("oracle reads a parameter or --s and --m, not both")
         param = _load_real_param(args)
         mult = branching.hom_multiplicity(param, args.k)
-        return _json_text({"k": args.k, "level": param.level, "multiplicity": mult}), 0
+        return {"k": args.k, "level": param.level, "multiplicity": mult}, 0
     if args.s is None or args.m is None:
         raise ValueError("oracle needs either a parameter or --s and --m")
     for flag, value in (("--s", args.s), ("--m", args.m), ("--k", args.k)):
@@ -195,7 +203,7 @@ def cmd_oracle(args) -> tuple[str, int]:
     return _csv_text(["tuple", "multiplicity"], rows), 0
 
 
-def cmd_module(args) -> tuple[str, int]:
+def cmd_module(args) -> tuple[object, int]:
     ms = _load_multisegment(args)
     module = heckemod.build_standard_module(ms)
     payload = heckemod.module_to_json(module)
@@ -203,17 +211,17 @@ def cmd_module(args) -> tuple[str, int]:
     if args.quotient:
         dominant = multisegments.dominant_representative(ms)
         payload["quotient_dim"] = heckemod.irreducible_quotient(dominant).dim
-    return _json_text(payload), 0
+    return payload, 0
 
 
-def cmd_quotient(args) -> tuple[str, int]:
+def cmd_quotient(args) -> tuple[object, int]:
     ms = multisegments.dominant_representative(_load_multisegment(args))
     q = heckemod.irreducible_quotient(ms)
     std_dim = heckemod.build_standard_module(ms).dim
-    return _json_text({"std_dim": std_dim, "quotient_dim": q.dim}), 0
+    return {"std_dim": std_dim, "quotient_dim": q.dim}, 0
 
 
-def cmd_psi(args) -> tuple[str, int]:
+def cmd_psi(args) -> tuple[object, int]:
     lam = _parse_lambda(args.lam)
     _check_n(args, lam)
     diagram = orbits.build_diagram(_load_multisegment(args), lam)
@@ -228,18 +236,16 @@ def cmd_psi(args) -> tuple[str, int]:
             + orbits.render_involution(cls.canonical)
             + "\n"
         ), 0
-    return _json_text(
-        {
-            "lambda": list(lam),
-            "blocks": list(diagram.blocks().sizes),
-            "flattening": orbits.involution_to_json(sigma),
-            "canonical": orbits.involution_to_json(cls.canonical),
-            "class_size": cls.size,
-        }
-    ), 0
+    return {
+        "lambda": list(lam),
+        "blocks": list(diagram.blocks().sizes),
+        "flattening": orbits.involution_to_json(sigma),
+        "canonical": orbits.involution_to_json(cls.canonical),
+        "class_size": cls.size,
+    }, 0
 
 
-def cmd_verify(args) -> tuple[str, int]:
+def cmd_verify(args) -> tuple[object, int]:
     _, bounds, text = sweeps.SUITES[args.suite]
     given = {"--max-n": args.max_n, "--max-k": args.max_k, "--lambda": args.lam}
     for flag, value in given.items():
@@ -253,7 +259,7 @@ def cmd_verify(args) -> tuple[str, int]:
     report = sweeps.run_suite(args.suite, max_n, max_k, lam)
     if report["checked"] == 0:
         raise ValueError(f"--suite {args.suite} checked 0 objects; it reads {text}")
-    return _json_text(report), 0 if report["ok"] else 1
+    return report, 0 if report["ok"] else 1
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -316,8 +322,8 @@ def main(argv: "list[str] | None" = None) -> int:
         p.add_argument("--out")  # last, where each command's --help lists it
     args = parser.parse_args(argv)
     try:
-        text, code = args.func(args)
-        _emit(text, args.out)
+        output, code = args.func(args)
+        _emit(output, args.out)
     except (ValueError, RuntimeError) as exc:
         raise SystemExit(f"error: {exc}")
     return code

@@ -189,11 +189,13 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
 # signs sg_b * sg_a[t_b]).  Every other relation is one sparse identity: terms
 # (key, source, coefficient), a key being a relation and an entry, that sum to
 # zero per key.  s_i re-indexes the rows or columns of eps = D + N, and a row
-# join of all entries gives eps_a eps_b - eps_b eps_a.  A source is a D_j[b, b]
-# or the scale, so terms are linear in chi and a non-real chi is checked at its
-# real and imaginary parts.  The terms depend only on the tables: after
-# Gustavson (ACM TOMS 4, 1978) they are sorted once per block composition, and
-# a module gathers, multiplies and sums.  Quotients take dense products.
+# join of all entries gives eps_a eps_b - eps_b eps_a where e_0 does not carry
+# it (see _relation_plan).  A source is a D_j[b, b] or the scale, so terms are
+# linear in chi and a non-real chi is checked at its real and imaginary parts.
+# The terms depend only on the tables: after Gustavson (ACM TOMS 4, 1978)
+# they are sorted once per block composition, and a module gathers,
+# multiplies and sums.  A quotient is certified from its target's relations
+# and its invariance identity (below).
 #
 # The central character is certified, not multiplied out.  Write f' for a
 # polynomial f in the eps_j with eps_i and eps_{i+1} swapped: once the
@@ -282,44 +284,6 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sign(b) * a[np.arange(len(b))[:, None], abs(b) - 1]
 
 
-def _relations_hold(s, eps, ident) -> bool:
-    """Every defining relation on the dense integer images ``s``/``eps`` of
-    the generators; ``ident`` is the image of s_i * s_i and of the
-    commutator's right-hand side 1."""
-    k = len(eps)
-    pairs = itertools.chain(
-        ((s[i] @ s[i], ident) for i in range(k - 1)),
-        ((s[i] @ s[i + 1] @ s[i], s[i + 1] @ s[i] @ s[i + 1]) for i in range(k - 2)),
-        ((s[i] @ s[j], s[j] @ s[i]) for i in range(k - 1) for j in range(i + 2, k - 1)),
-        ((eps[a] @ eps[b], eps[b] @ eps[a]) for a in range(k) for b in range(a + 1, k)),
-        # s_i eps_j - eps_{s_i(j)} s_i = c with c = <alpha_i, e_j>, s_i(j) = j + c
-        (
-            (s[i] @ eps[j] - eps[j + c] @ s[i], c * ident)
-            for i, j in itertools.product(range(k - 1), range(k))
-            for c in [(j == i) - (j == i + 1)]
-        ),
-    )
-    return all(np.array_equal(x, y) for x, y in pairs)
-
-
-def verify_relations(module) -> bool:
-    """Exact check of all defining relations as matrix identities.
-
-    A :class:`StandardModule` is checked on its compact form and a
-    :class:`QuotientModule` on its integer matrices; any other argument
-    raises TypeError.
-    """
-    if isinstance(module, StandardModule):
-        return _verify_compact(module)
-    if not isinstance(module, QuotientModule):
-        raise TypeError(f"verify_relations takes a module, not {type(module).__name__}")
-    # each matrix is scale times its generator, in a dtype that holds scale**2
-    # and products of three; s_i * s_i and the commutator relation are
-    # products of two scaled factors
-    ident = module.scale**2 * np.eye(len(module.eps[0]), dtype=module.eps[0].dtype)
-    return _relations_hold(module.s, module.eps, ident)
-
-
 def _sk_relations_hold(target: np.ndarray, sign: np.ndarray) -> bool:
     """s_i * s_i = 1, the braid relations and far commutation on the signed
     tables ``(target[i], sign[i])`` of the s_i, composed as signed
@@ -342,10 +306,14 @@ def _sk_relations_hold(target: np.ndarray, sign: np.ndarray) -> bool:
     return True
 
 
-def _verify_compact(M: StandardModule) -> bool:
-    """Every defining relation of ``M`` on its compact form: the S_k relations
-    on the tables, then each key of the relation plan sums to zero.  The
-    memoised plan serves only the very tables ``_composition`` shares."""
+def verify_relations(M: StandardModule) -> bool:
+    """Exact check of every defining relation of a :class:`StandardModule`
+    on its compact form: the S_k relations on the tables, then each key of
+    the relation plan sums to zero.  The memoised plan serves only the very
+    tables ``_composition`` shares.  Any other argument, a
+    :class:`QuotientModule` too, raises TypeError."""
+    if not isinstance(M, StandardModule):
+        raise TypeError(f"verify_relations takes a StandardModule, not {type(M).__name__}")
     if M.k == 1:
         return True
     _, target, sign, _, nilpotent = _composition(M.blocks)
@@ -363,6 +331,18 @@ def _verify_compact(M: StandardModule) -> bool:
     return not np.add.reduceat(src[:, gather] * coef, starts, axis=1).any()
 
 
+def _weight_vector(nilpotent: tuple) -> bool:
+    """Whether e_0 is a weight vector: no N_j layer has a nonzero entry in
+    column 0."""
+    return not any(v[c == 0].any() for layers in nilpotent for _, c, v in layers)
+
+
+def _generates(target: np.ndarray) -> bool:
+    """Whether e_0 generates under involutions s_i: every e_b with b >= 1 is
+    +-s_i e_b' for some b' < b."""
+    return bool((target[:, 1:] < np.arange(1, target.shape[1])).any(axis=0).all())
+
+
 @functools.lru_cache(maxsize=64)
 def _shared_plan(blocks: tuple[int, ...]):
     _, target, sign, _, nilpotent = _composition(blocks)
@@ -378,11 +358,14 @@ def _relation_plan(target: np.ndarray, sign: np.ndarray, nilpotent: tuple):
     if not _sk_relations_hold(target, sign):
         return None
     k, n = len(nilpotent), target.shape[1]
-    const, b = k * n, np.arange(n)
+    const = k * n
     # the entries (j, row, column, coefficient) of every eps_j, D_j first
-    layers = [(np.repeat(np.arange(k), n), np.tile(b, k), np.tile(b, k), np.ones(k * n, int))]
-    layers += [(np.full(len(r), j), r, c, v) for j, ls in enumerate(nilpotent) for r, c, v in ls]
-    j_e, r_e, c_e, v_e = map(np.concatenate, zip(*layers))
+    flat = [(j, *layer) for j, ls in enumerate(nilpotent) for layer in ls]
+    diagonal = np.arange(const) % n
+    j_e = np.repeat([*range(k), *(j for j, *_ in flat)], [n] * k + [len(r) for _, r, *_ in flat])
+    r_e = np.concatenate([diagonal, *(r for _, r, _, _ in flat)])
+    c_e = np.concatenate([diagonal, *(c for _, _, c, _ in flat)])
+    v_e = np.concatenate([np.ones(const, int), *(v for *_, v in flat)])
     s_e = np.minimum(np.arange(len(j_e)), const)  # their sources
     # a coefficient is an entry or the product of two, up to sign
     dtype = np.int8 if abs(v_e).max() <= 11 else object
@@ -391,29 +374,33 @@ def _relation_plan(target: np.ndarray, sign: np.ndarray, nilpotent: tuple):
     def add(slot, row, col, src, coef):
         # (key * (k * n + 1) + source, coefficient) fits int64 up to k = 8
         merged = ((slot * n + row) * n + col) * (const + 1) + src
-        terms.append((merged.ravel(), np.broadcast_to(coef, merged.shape).astype(dtype).ravel()))
+        terms.append((merged.ravel(), coef.astype(dtype).ravel()))
 
     # s_i eps_j - eps_{s_i(j)} s_i - <alpha_i, e_j> at slot i * k + j: s_i
     # moves an entry (r, c) to (target[r], c) times sign[r], and on the right
     # to (r, target[c]) times sign[target[c]] = sign[c]
-    i, j = np.arange(k - 1)[:, None], np.arange(k)
+    i, j, b = np.arange(k - 1)[:, None], np.arange(k), np.arange(n)
     c = (j == i) * 1 - (j == i + 1)  # <alpha_i, e_j>, and s_i(j) = j + c
     add(i * k + j_e, target[:, r_e], c_e, s_e, sign[:, r_e] * v_e)
     add(i * k + (j + c)[:, j_e], r_e, target[:, c_e], s_e, -sign[:, c_e] * v_e)
-    add((i * k + j)[:, :, None], b, b, const, -c[:, :, None])
-    # eps_a eps_b - eps_b eps_a at slot k * k + a * k + b for a < b: every
-    # entry (r, m) times each entry of row m; a product has the source of its
-    # D factor, and D_a D_b meets D_b D_a at the same source, so they cancel
-    order = np.argsort(r_e)
-    first = np.searchsorted(r_e[order], c_e)
-    count = np.searchsorted(r_e[order], c_e, side="right") - first
-    left = np.repeat(np.arange(len(r_e)), count)
-    right = order[np.arange(len(left)) + np.repeat(first + count - np.cumsum(count), count)]
-    keep = j_e[left] != j_e[right]  # eps_a commutes with itself
-    left, right = left[keep], right[keep]
-    ja, jb = j_e[left], j_e[right]
-    slot, src = k * (k + np.minimum(ja, jb)) + np.maximum(ja, jb), np.minimum(s_e[left], s_e[right])
-    add(slot, r_e[left], c_e[right], src, np.sign(jb - ja) * v_e[left] * v_e[right])
+    add((i * k + j)[:, :, None], b, b, const, (-c).repeat(n))
+    # eps_a eps_b - eps_b eps_a at slot k * k + a * k + b for a < b vanishes
+    # once the relations above hold if e_0 is a weight vector that generates
+    # (DECISIONS.md).  Else a row join: every entry (r, m) times each entry of
+    # row m; a product has the source of its D factor, and D_a D_b meets
+    # D_b D_a at the same source, so they cancel
+    if not (_weight_vector(nilpotent) and _generates(target)):
+        order = np.argsort(r_e)
+        first = np.searchsorted(r_e[order], c_e)
+        count = np.searchsorted(r_e[order], c_e, side="right") - first
+        left = np.repeat(np.arange(len(r_e)), count)
+        right = order[np.arange(len(left)) + np.repeat(first + count - np.cumsum(count), count)]
+        keep = j_e[left] != j_e[right]  # eps_a commutes with itself
+        left, right = left[keep], right[keep]
+        ja, jb = j_e[left], j_e[right]
+        slot = k * (k + np.minimum(ja, jb)) + np.maximum(ja, jb)
+        src = np.minimum(s_e[left], s_e[right])
+        add(slot, r_e[left], c_e[right], src, np.sign(jb - ja) * v_e[left] * v_e[right])
 
     merged, coef = map(np.concatenate, zip(*terms))
     terms.clear()
@@ -439,9 +426,9 @@ def central_character_of_module(M: StandardModule) -> tuple[Scalar, ...]:
     """
     if not verify_relations(M):
         raise ValueError("the module fails the defining relations")
-    if any(v[c == 0].any() for layers in M.nilpotent for _, c, v in layers):
+    if not _weight_vector(M.nilpotent):
         raise ValueError("e_0 is not a weight vector")
-    if not (M.s_target[:, 1:] < np.arange(1, M.dim)).any(axis=0).all():
+    if not _generates(M.s_target):
         raise ValueError("e_0 does not generate the module")
     weight = (M.chi[p] for p in M.pos[:, 0].tolist())
     return tuple(sorted(weight, key=scalar_sort_key, reverse=True))
@@ -471,7 +458,7 @@ def intertwiner_space(
     """
     if sorted(map(str, ms_from.segments)) != sorted(map(str, ms_to.segments)):
         raise ValueError("intertwiner endpoints must share the same segment multiset")
-    ops1, _, mats = _solve_intertwiners(ms_from, ms_to)
+    _, ops1, _, mats = _solve_intertwiners(ms_from, ms_to)
     return len(mats), [_scalar_matrix(T, den, ops1[3]) for T, den in mats]
 
 
@@ -485,9 +472,11 @@ def intertwiner_space(
 # gives its greedy pivot columns piv and C with T = T[:, piv] C.  As T
 # intertwines, rho_to(g) T[:, piv] = T[:, piv] (C rho_from(g)[:, piv]), so the
 # quotient action X_g = C rho_from(g)[:, piv] is a right product with the
-# source's compact operators, checked exactly against the image and then by
-# the relation loops at one common scale.  Each module's operators are built
-# once, in a dtype for products of three, and serve both steps.
+# source's compact operators, checked exactly against the image.  The
+# echelon rows restricted to piv are diagonal and lie in T's row space, so
+# T[:, piv] has full column rank, and once the target satisfies a relation
+# R, image R(X) = R(rho_to) image = 0 gives R(X) = 0 (DECISIONS.md).  Each
+# module's operators are built once, in a dtype for products of three.
 
 
 def _eliminate(row: dict, pivot: dict, c: int) -> dict:
@@ -577,12 +566,12 @@ def _intertwiners(m1: StandardModule, ops1, ops2):
 
 
 def _solve_intertwiners(ms_from: Multisegment, ms_to: Multisegment):
-    """The :func:`_compact_operators` of the source and target modules, each
-    built once, and :func:`_intertwiners` between them."""
-    m1 = build_standard_module(ms_from)
-    ops1 = _compact_operators(m1, 3)
-    ops2 = _compact_operators(build_standard_module(ms_to), 3)
-    return ops1, ops2, _intertwiners(m1, ops1, ops2)
+    """The target module, the :func:`_compact_operators` of the source and
+    target modules, each built once, and :func:`_intertwiners` between
+    them."""
+    m1, m2 = build_standard_module(ms_from), build_standard_module(ms_to)
+    ops1, ops2 = _compact_operators(m1, 3), _compact_operators(m2, 3)
+    return m2, ops1, ops2, _intertwiners(m1, ops1, ops2)
 
 
 def _scalar_matrix(a: np.ndarray, den: int, gaussian: bool) -> list[list[Scalar]]:
@@ -597,7 +586,10 @@ def _scalar_matrix(a: np.ndarray, den: int, gaussian: bool) -> list[list[Scalar]
 def _column_basis(T: np.ndarray) -> tuple[list[int], np.ndarray, int]:
     """The greedy pivot columns piv of an integer matrix T, and C and den
     with T = T[:, piv] @ C / den: T's reduced echelon form."""
-    found = _echelon([dict(zip(np.flatnonzero(row).tolist(), row[row != 0].tolist())) for row in T])
+    rows: list[dict] = [{} for _ in range(len(T))]
+    for r, c, x in zip(*(a.tolist() for a in np.nonzero(T)), T[T != 0].tolist()):
+        rows[r][c] = x
+    found = _echelon(rows)
     den = math.lcm(*(r[c] for c, r in found))
     C = np.zeros((len(found), T.shape[1]), dtype=object)
     for n, (c, r) in enumerate(found):
@@ -624,10 +616,7 @@ def _quotient_action(ops1, ops2, image, C, den, piv):
     if not all(np.array_equal(den * L, image @ X) for L, X in zip(lefts, gens)):
         raise RuntimeError("the intertwiner's image is not invariant; cannot isolate the quotient")
     k = len(eps1)
-    gens = [scale * X for X in gens[: k - 1]] + gens[k - 1 :]
-    dtype = _int_dtype(max(den * scale, *(int(abs(X).max()) for X in gens)), len(piv), False, 3)
-    gens = tuple(X.astype(dtype) for X in gens)
-    return gens[: k - 1], gens[k - 1 :], den * scale
+    return tuple(scale * X for X in gens[: k - 1]), tuple(gens[k - 1 :]), den * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -651,11 +640,14 @@ def irreducible_quotient(ms: Multisegment) -> QuotientModule:
 
     The intertwiner space must be one-dimensional; anything else raises,
     surfacing the failed assumption instead of hiding it, and so do a
-    non-invariant image and quotient matrices that fail the relations.
+    target that fails the defining relations and a non-invariant image.
+    These two checks certify the quotient's relations (DECISIONS.md).
     """
     if not is_dominant_ms(ms):
         raise ValueError("irreducible_quotient requires a dominant ordering")
-    ops1, ops2, mats = _solve_intertwiners(ms, reversed_ordering(ms))
+    target, ops1, ops2, mats = _solve_intertwiners(ms, reversed_ordering(ms))
+    if not verify_relations(target):
+        raise RuntimeError("the reversed ordering's module fails the defining relations")
     if len(mats) != 1:
         raise RuntimeError(
             f"intertwiner space has dimension {len(mats)}, expected 1; "
@@ -665,10 +657,7 @@ def irreducible_quotient(ms: Multisegment) -> QuotientModule:
     piv, C, den = _column_basis(T)
     s, eps, scale = _quotient_action(ops1, ops2, T[:, piv], C, den, piv)
     gaussian = ops1[3]
-    q = QuotientModule(ms, len(piv) // (2 if gaussian else 1), s, eps, scale, gaussian)
-    if not verify_relations(q):
-        raise RuntimeError("quotient matrices fail the defining relations")
-    return q
+    return QuotientModule(ms, len(piv) // (2 if gaussian else 1), s, eps, scale, gaussian)
 
 
 def module_to_json(M: StandardModule) -> dict:

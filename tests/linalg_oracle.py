@@ -10,13 +10,24 @@ returning Q entries.  The Scalar intertwiner and quotient oracles in
 integers, and :func:`scalar_generators` reads a module's integer operators
 back as Scalar matrices for them.  Everything is exact; no pivoting
 heuristics are required over an exact field.
+
+:func:`quotient_relations_hold` is the dense check of a quotient's integer
+matrices, which the library certifies instead (DECISIONS.md).
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from glhecke.heckemod import StandardModule, _apply_eps, _compact_operators, _scalar_matrix
+from glhecke.heckemod import (
+    StandardModule,
+    _apply_eps,
+    _compact_operators,
+    _int_dtype,
+    _scalar_matrix,
+)
 from glhecke.scalars import Scalar
 
 __all__ = [
@@ -30,6 +41,7 @@ __all__ = [
     "nullspace",
     "solve_columns",
     "scalar_generators",
+    "quotient_relations_hold",
 ]
 
 Matrix = "list[list[Scalar]]"
@@ -198,3 +210,36 @@ def scalar_generators(module):
         [_scalar_matrix(eye[:, t] * sg, 1, gaussian) for t, sg in s_ops],
         [_scalar_matrix(_apply_eps(*op, eye), scale, gaussian) for op in eps_ops],
     )
+
+
+def _relations_hold(s, eps, ident) -> bool:
+    """Every defining relation on the dense integer images ``s``/``eps`` of
+    the generators; ``ident`` is the image of s_i * s_i and of the
+    commutator's right-hand side 1."""
+    k = len(eps)
+    pairs = itertools.chain(
+        ((s[i] @ s[i], ident) for i in range(k - 1)),
+        ((s[i] @ s[i + 1] @ s[i], s[i + 1] @ s[i] @ s[i + 1]) for i in range(k - 2)),
+        ((s[i] @ s[j], s[j] @ s[i]) for i in range(k - 1) for j in range(i + 2, k - 1)),
+        ((eps[a] @ eps[b], eps[b] @ eps[a]) for a in range(k) for b in range(a + 1, k)),
+        # s_i eps_j - eps_{s_i(j)} s_i = c with c = <alpha_i, e_j>, s_i(j) = j + c
+        (
+            (s[i] @ eps[j] - eps[j + c] @ s[i], c * ident)
+            for i, j in itertools.product(range(k - 1), range(k))
+            for c in [(j == i) - (j == i + 1)]
+        ),
+    )
+    return all(np.array_equal(x, y) for x, y in pairs)
+
+
+def quotient_relations_hold(module) -> bool:
+    """Every defining relation of a QuotientModule by dense products of its
+    integer matrices ``s``/``eps``, each its scale times a generator, cast
+    to a dtype that holds products of three."""
+    mats = module.s + module.eps
+    bound = max(module.scale, *(int(abs(a).max()) for a in mats))
+    dtype = _int_dtype(bound, len(mats[0]), False, 3)
+    s, eps = ([a.astype(dtype) for a in gens] for gens in (module.s, module.eps))
+    # s_i * s_i and the commutator relation are products of two scaled factors
+    ident = module.scale**2 * np.eye(len(eps[0]), dtype=dtype)
+    return _relations_hold(s, eps, ident)

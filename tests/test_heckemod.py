@@ -15,6 +15,7 @@ from linalg_oracle import (
     mat_mul,
     nullspace,
     q,
+    quotient_relations_hold,
     rref,
     scalar_generators,
     solve_columns,
@@ -207,8 +208,8 @@ def _embed(re, im):
 
 
 def _explicit_module(gen_s, gen_eps):
-    """Explicit Scalar generator matrices as a QuotientModule, which
-    verify_relations checks by dense products: integer images over their
+    """Explicit Scalar generator matrices as a QuotientModule, which the
+    dense oracle quotient_relations_hold checks: integer images over their
     common scale, each a+bi as [[a, -b], [b, a]] when some entry is
     non-real, in a dtype that holds products of three."""
     mats = gen_s + gen_eps
@@ -535,14 +536,19 @@ def test_sk_relations_on_signed_tables():
     assert _sk_relations_hold(M.s_target, M.s_sign)
 
 
+def _plus_all_ones(M):
+    """A copy of M with the all-ones matrix J added to every eps_j."""
+    n = np.arange(M.dim)
+    ones = tuple((n, (n + t) % M.dim, np.ones(M.dim, dtype=int)) for t in range(M.dim))
+    return dataclasses.replace(M, nilpotent=tuple(layers + ones for layers in M.nilpotent))
+
+
 def test_commutation_is_checked_on_its_own():
     # S_3 permutes the basis of {2};{1};{0} with sign +1, so the all-ones
     # matrix J commutes with every s_i: adding J to every eps_j keeps the
     # relations between s_i and eps_j but breaks eps_0 eps_1 = eps_1 eps_0
     M = build_standard_module(parse_segments("{2};{1};{0}"))
-    n = np.arange(M.dim)
-    ones = tuple((n, (n + t) % M.dim, np.ones(M.dim, dtype=int)) for t in range(M.dim))
-    bad = dataclasses.replace(M, nilpotent=tuple(layers + ones for layers in M.nilpotent))
+    bad = _plus_all_ones(M)
     s, eps = (
         [np.array([[int(x.re) for x in row] for row in m]) for m in gens]
         for gens in scalar_generators(bad)
@@ -552,6 +558,18 @@ def test_commutation_is_checked_on_its_own():
         assert (s[i] @ eps[j] - eps[jj] @ s[i] == ((j == i) - (j == i + 1)) * np.eye(M.dim)).all()
     assert (eps[0] @ eps[1] != eps[1] @ eps[0]).any()
     assert _rejected(bad)
+
+
+def test_commutation_follows_only_from_a_generating_weight_vector():
+    # the relation plan skips eps_a eps_b = eps_b eps_a when e_0 is a weight
+    # vector that generates; here e_0 is a weight vector of the genuine first
+    # summand, which satisfies every relation, and the second summand keeps
+    # every relation but that one, so e_0 does not generate and the join
+    # must run
+    M = build_standard_module(parse_segments("{2};{1};{0}"))
+    both = _direct_sum(M, _plus_all_ones(M))
+    assert heckemod._weight_vector(both.nilpotent) and not heckemod._generates(both.s_target)
+    assert verify_relations(M) and _rejected(both)
 
 
 def test_composition_data_is_shared_read_only():
@@ -573,7 +591,7 @@ def test_relations_detect_perturbation():
     assert verify_relations(M)
     gen_s, gen_eps = scalar_generators(M)
     gen_eps[0][0][0] = q(gen_eps[0][0][0]) + 1
-    assert not verify_relations(_explicit_module(gen_s, gen_eps))
+    assert not quotient_relations_hold(_explicit_module(gen_s, gen_eps))
     # the same perturbation of the compact form, and one of the N_j entry
     assert _rejected(_with_diagonal(M, 0, 0, 1))
     assert _rejected(_with_entry(M, 0, 0, 1, 1))
@@ -625,7 +643,7 @@ def test_relations_braid_and_far_commutation_exits():
     assert (p12 @ p13 != p13 @ p12).any()
     for s in ((swap, minus), (p12, p23, p13)):
         assert all((a @ a == np.eye(len(a))).all() for a in s)
-        assert not verify_relations(_integer_s_module(s))
+        assert not quotient_relations_hold(_integer_s_module(s))
 
 
 def test_relations_object_dtype_path():
@@ -637,7 +655,7 @@ def test_relations_object_dtype_path():
         explicit = _explicit_module(*scalar_generators(M))
         assert explicit.s[0].dtype == object and explicit.s[0].shape == (dim, dim)
         assert verify_relations(M)
-        assert verify_relations(explicit)
+        assert quotient_relations_hold(explicit)
         assert central_character_of_module(M) == (start + 1, start, Scalar(0))
 
 
@@ -649,7 +667,7 @@ def test_complex_module_exact_path():
     assert central_character_of_module(M) == (i, Scalar(0))
     gen_s, gen_eps = scalar_generators(M)
     gen_eps[0][1][1] = q(gen_eps[0][1][1]) + 1
-    assert not verify_relations(_explicit_module(gen_s, gen_eps))
+    assert not quotient_relations_hold(_explicit_module(gen_s, gen_eps))
     assert _rejected(_with_diagonal(M, 0, 1, 1))
     assert _rejected(_with_entry(M, 0, 0, 1, 1))
     # a perturbation of an imaginary part alone is caught too
@@ -657,7 +675,7 @@ def test_complex_module_exact_path():
     assert verify_relations(M)
     gen_s, gen_eps = scalar_generators(M)
     gen_eps[0][0][0] = q(gen_eps[0][0][0]) + i
-    assert not verify_relations(_explicit_module(gen_s, gen_eps))
+    assert not quotient_relations_hold(_explicit_module(gen_s, gen_eps))
     assert _rejected(_with_diagonal(M, 0, 0, i))
     assert _rejected(_with_entry(M, 1, 0, 1, 1))
     # the tables and N of a non-real module: a 3-cycle, a flipped sign of
@@ -673,7 +691,7 @@ def test_complex_module_exact_path():
     nu = Scalar(Fraction(1, 2), Fraction(1, 3))
     M = build_standard_module(parse_segments("{1/2+1/3i};{0}"))
     assert verify_relations(M)
-    assert verify_relations(_explicit_module(*scalar_generators(M)))
+    assert quotient_relations_hold(_explicit_module(*scalar_generators(M)))
     assert central_character_of_module(M) == (nu, Scalar(0))
 
 
@@ -919,6 +937,7 @@ def test_quotient_matches_scalar_reference():
             continue
         q = irreducible_quotient(ms)
         assert (q.dim, *scalar_generators(q)) == _ref_irreducible_quotient(m2, mats[0]), text
+        assert quotient_relations_hold(q), text
 
 
 def test_conflicting_young_orbit_is_forced_to_zero():
@@ -967,10 +986,11 @@ def test_echelon_matches_scalar_rref():
 )
 def test_large_quotients(text, std_dim, quotient_dim):
     ms = parse_segments(text)
-    # irreducible_quotient raises unless its invariance and relation checks pass
+    # irreducible_quotient raises unless the target's relations and the
+    # invariance identity hold, which certify the quotient's relations
     q = irreducible_quotient(ms)
     assert (build_standard_module(ms).dim, q.dim) == (std_dim, quotient_dim)
-    assert verify_relations(q)
+    assert quotient_relations_hold(q)
 
 
 def test_quotient_invariance_check_fails_loudly():
@@ -1008,15 +1028,60 @@ def test_quotient_failure_exits_raise(monkeypatch):
     solve = heckemod._solve_intertwiners
 
     def twice(*args):
-        ops1, ops2, mats = solve(*args)
-        return ops1, ops2, mats * 2
+        target, ops1, ops2, mats = solve(*args)
+        return target, ops1, ops2, mats * 2
 
     monkeypatch.setattr(heckemod, "_solve_intertwiners", twice)
     with pytest.raises(RuntimeError, match="dimension 2"):
         irreducible_quotient(ms)
     monkeypatch.setattr(heckemod, "_solve_intertwiners", solve)
     monkeypatch.setattr(heckemod, "verify_relations", lambda module: False)
-    with pytest.raises(RuntimeError, match="fail the defining relations"):
+    with pytest.raises(RuntimeError, match="reversed ordering's module fails the defining"):
+        irreducible_quotient(ms)
+
+
+def _doctored_target(monkeypatch, ms, doctor):
+    """Let build_standard_module hand out doctor(M) for the module M of the
+    reversed ordering of ms, and every other module as built."""
+    build, rev = heckemod.build_standard_module, reversed_ordering(ms)
+    monkeypatch.setattr(
+        heckemod, "build_standard_module", lambda m: doctor(build(m)) if m == rev else build(m)
+    )
+
+
+def test_quotient_certificate_has_teeth(monkeypatch):
+    # {0,1};{0} into {0};{0,1} with the sign of s_1 on e_0 flipped: the
+    # intertwiner space is still a line and its image invariant, and the
+    # quotient is the line where s_0 acts by -1 and s_1 by +1, which breaks
+    # the braid relation; only the target's relation check refuses it
+    ms = parse_segments("{0,1};{0}")
+    m1, m2 = build_standard_module(ms), build_standard_module(reversed_ordering(ms))
+    flip = np.ones(m2.dim, dtype=int)
+    flip[0] = -1
+    bad = _with_table(m2, 1, sign=m2.s_sign[1] * flip)
+    ops1, ops2 = _compact_operators(m1, 3), _compact_operators(bad, 3)
+    [(T, _)] = _intertwiners(m1, ops1, ops2)
+    piv, C, den = _column_basis(T)
+    s, eps, scale = _quotient_action(ops1, ops2, T[:, piv], C, den, piv)
+    assert [int(x[0, 0]) for x in s] == [-scale, scale]
+    assert not quotient_relations_hold(QuotientModule(ms, len(piv), s, eps, scale, False))
+    assert quotient_relations_hold(irreducible_quotient(ms))
+    _doctored_target(monkeypatch, ms, lambda M: _with_table(M, 1, sign=M.s_sign[1] * flip))
+    with pytest.raises(RuntimeError, match="reversed ordering's module fails the defining"):
+        irreducible_quotient(ms)
+    monkeypatch.undo()
+    # {1};{0} into {0};{1} with its one N_0 entry moved onto the diagonal:
+    # unchecked, the intertwiner and the image still give a quotient
+    ms = parse_segments("{1};{0}")
+    m1, m2 = build_standard_module(ms), build_standard_module(reversed_ordering(ms))
+    bad = _moved_entry(m2, 0)
+    assert not verify_relations(bad)
+    ops1, ops2 = _compact_operators(m1, 3), _compact_operators(bad, 3)
+    [(T, _)] = _intertwiners(m1, ops1, ops2)
+    piv, C, den = _column_basis(T)
+    _quotient_action(ops1, ops2, T[:, piv], C, den, piv)
+    _doctored_target(monkeypatch, ms, lambda M: _moved_entry(M, 0))
+    with pytest.raises(RuntimeError, match="reversed ordering's module fails the defining"):
         irreducible_quotient(ms)
 
 
@@ -1024,8 +1089,12 @@ def test_verify_relations_takes_modules_only():
     gen_s, gen_eps = scalar_generators(build_standard_module(parse_segments("{1};{0}")))
     with pytest.raises(TypeError):
         verify_relations(gen_s, gen_eps)
-    with pytest.raises(TypeError, match="takes a module, not list"):
+    with pytest.raises(TypeError, match="takes a StandardModule, not list"):
         verify_relations(gen_s)
+    # a quotient is certified where it is built, not checked afterwards
+    q = irreducible_quotient(parse_segments("{1};{0}"))
+    with pytest.raises(TypeError, match="takes a StandardModule, not QuotientModule"):
+        verify_relations(q)
 
 
 def test_intertwiner_rejects_mismatched_multisets():
@@ -1039,10 +1108,10 @@ def test_quotients():
     assert irreducible_quotient(parse_segments("{3};{1}")).dim == 2
     q = irreducible_quotient(parse_segments("{1+1i};{0+1i}"))
     assert q.dim == 1
-    assert verify_relations(_explicit_module(*scalar_generators(q)))
+    assert quotient_relations_hold(_explicit_module(*scalar_generators(q)))
     q = irreducible_quotient(parse_segments("{3};{2};{1};{0}"))
     assert q.dim == 1
-    assert verify_relations(_explicit_module(*scalar_generators(q)))
+    assert quotient_relations_hold(_explicit_module(*scalar_generators(q)))
     with pytest.raises(ValueError):
         irreducible_quotient(parse_segments("{0};{2}"))
 
@@ -1076,7 +1145,7 @@ def test_speh_quotient_and_complement():
     q = irreducible_quotient(speh)
     assert q.dim == 2
     assert len(scalar_generators(q)[1]) == 4
-    assert verify_relations(_explicit_module(*scalar_generators(q)))
+    assert quotient_relations_hold(_explicit_module(*scalar_generators(q)))
     # the kernel matches the induced module of the nested pair
     nested = build_standard_module(parse_segments("{-1,0,1};{0}"))
     assert build_standard_module(speh).dim == q.dim + nested.dim
