@@ -129,7 +129,7 @@ def _composition(blocks: tuple[int, ...]):
             for r, x in col.items():
                 layers.setdefault(seen[r], []).append((r, b, x))
                 seen[r] += 1
-        nilpotent.append(tuple(tuple(_frozen(a, -1) for a in zip(*t)) for t in layers.values()))
+        nilpotent.append(tuple(tuple(_frozen(list(zip(*t)), (3, -1))) for t in layers.values()))
     tables = (_frozen(target, (k - 1, dim)), _frozen(sign, (k - 1, dim)), _frozen(pos, (k, dim)))
     return dim, *tables, tuple(nilpotent)
 
@@ -185,8 +185,8 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
 # a conservative bound fits and Python-int object arrays otherwise.
 #
 # A StandardModule is checked on its compact form.  The S_k relations compose
-# the signed tables as signed permutations (s_a s_b has table t_a[t_b] and
-# signs sg_b * sg_a[t_b]).  Every other relation is one sparse identity: terms
+# the signed tables as permutations of the 2n points +-e_b, so s_a s_b has
+# table s_a[s_b].  Every other relation is one sparse identity: terms
 # (key, source, coefficient), a key being a relation and an entry, that sum to
 # zero per key.  s_i re-indexes the rows or columns of eps = D + N, and a row
 # join of all entries gives eps_a eps_b - eps_b eps_a where e_0 does not carry
@@ -278,30 +278,27 @@ def _apply_eps(diagonal: np.ndarray, layers, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The rows of s_a * s_b from the rows of s_a and of s_b, each a signed
-    table ``(target + 1) * sign``: s e_c = sign(s[c]) e_{|s[c]| - 1}."""
-    return np.sign(b) * a[np.arange(len(b))[:, None], abs(b) - 1]
-
-
 def _sk_relations_hold(target: np.ndarray, sign: np.ndarray) -> bool:
     """s_i * s_i = 1, the braid relations and far commutation on the signed
-    tables ``(target[i], sign[i])`` of the s_i, composed as signed
-    permutations; s_i * s_i = 1 makes each table an involution, hence a
+    tables ``(target[i], sign[i])`` of the s_i, each read as a permutation
+    s[i] of the 2n points +-e_c (e_c at c, -e_c at n + c), so that s_a * s_b
+    is s[a][s[b]]; s_i * s_i = 1 makes each table an involution, hence a
     permutation with s_i^-1 = s_i."""
     n = target.shape[1]
     if target.min() < 0 or target.max() >= n or (abs(sign) != 1).any():
         return False
-    s = (target + 1) * sign
-    if not (_compose(s, s) == np.arange(1, n + 1)).all():
+    flip = n * (sign < 0)
+    s = np.concatenate([target + flip, target + n - flip], axis=1)
+    rows = np.arange(len(s))[:, None]
+    if (s[rows, s] != np.arange(2 * n)).any():
         return False
     # s_i against s_{i + gap} for every i at once: braid at gap 1, else commute
     for gap in range(1, len(s)):
-        a, b = s[:-gap], s[gap:]
-        left, right = _compose(a, b), _compose(b, a)
+        a, b, r = s[:-gap], s[gap:], rows[:-gap]
+        left, right = a[r, b], b[r, a]
         if gap == 1:
-            left, right = _compose(left, a), _compose(right, b)
-        if not np.array_equal(left, right):
+            left, right = left[r, a], right[r, b]
+        if (left != right).any():
             return False
     return True
 
@@ -613,7 +610,7 @@ def _quotient_action(ops1, ops2, image, C, den, piv):
     # over den for s_i, over den * scale for eps_j
     gens = [C[:, t[piv]] * sg[piv] for t, sg in s1] + [C @ _apply_eps(*op, columns) for op in eps1]
     lefts = [_apply_s(*op, image) for op in s2] + [_apply_eps(*op, image) for op in eps2]
-    if not all(np.array_equal(den * L, image @ X) for L, X in zip(lefts, gens)):
+    if any((den * L != image @ X).any() for L, X in zip(lefts, gens)):
         raise RuntimeError("the intertwiner's image is not invariant; cannot isolate the quotient")
     k = len(eps1)
     return tuple(scale * X for X in gens[: k - 1]), tuple(gens[k - 1 :]), den * scale

@@ -56,6 +56,10 @@ class Segment:
             raise ValueError(f"segment length must be a positive integer, got {self.length!r}")
 
     def entries(self) -> tuple[Scalar, ...]:
+        return self._entries
+
+    @cached_property  # every ordering of a multiset shares its segments
+    def _entries(self) -> tuple[Scalar, ...]:
         return tuple(Scalar(self.start.re + j, self.start.im) for j in range(self.length))
 
     @cached_property
@@ -98,8 +102,10 @@ def _segment_key(s: Segment):
 
 def is_dominant_ms(ms: Multisegment) -> bool:
     """True iff Re(center) is weakly decreasing along the segment list."""
-    centers = [2 * s.start.re + s.length - 1 for s in ms.segments]  # doubled
-    return all(a >= b for a, b in zip(centers, centers[1:]))
+    # doubled centers (2p + (length - 1) q) / q, Re(start) = p / q, in integers
+    ratios = [(*s.start.re.as_integer_ratio(), s.length) for s in ms.segments]
+    centers = [(2 * p + (length - 1) * q, q) for p, q, length in ratios]
+    return all(a * d >= b * c for (a, c), (b, d) in zip(centers, centers[1:]))
 
 
 def dominant_representative(ms: Multisegment) -> Multisegment:
