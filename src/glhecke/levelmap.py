@@ -205,7 +205,7 @@ def verify_bijection_level_n(lam: Sequence[int]) -> BijectionReport:
     """Match the level-n classes at ``lam`` against the multisegment classes
     with support ``lam`` through the level map; failures are reported, not
     raised.  An image is the sorted segment keys of a class's nonzero-level
-    factor keys; each distinct factor and segment is built once per call."""
+    factor keys; the factors and segments come from memoised builders."""
     lam = tuple(lam)
     params = _cover(lam, _factor_pieces, len(lam), _level_bound, exact=True)
     classes = _cover(lam, _segment_pieces)

@@ -16,7 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .scalars import (
@@ -153,8 +153,14 @@ def _cover(lam: Sequence[int], pieces, need: int = 0, bound=None, exact=False) -
     once.  A branch stops as soon as ``bound(counts) < need``, or, when
     ``exact``, once its levels pass ``need``.  A state's completions depend
     only on the remaining counts and the level still needed (at least 0
-    unless ``exact``), so each state is solved once per call and its
-    completions are prefixed onto every branch that reaches it."""
+    unless ``exact``), so each state is solved once per walk and its
+    completions are prefixed onto every branch that reaches it.  The last
+    three walks are memoised; each call gets a fresh list (``DECISIONS.md``)."""
+    return list(_walk_cover(_validate_integral_lambda(lam), pieces, need, bound, exact))
+
+
+@lru_cache(maxsize=3)  # the distinct walks of one weight's level-map and orbit-map checks
+def _walk_cover(lam: tuple[int, ...], pieces, need: int, bound, exact: bool) -> tuple[tuple, ...]:
     memo: dict[tuple, list[tuple]] = {}
 
     def walk(counts: tuple, need: int) -> list[tuple]:
@@ -178,14 +184,12 @@ def _cover(lam: Sequence[int], pieces, need: int = 0, bound=None, exact=False) -
             found += [keys + tail for tail in walk(tuple((v, c) for v, c in rest.items() if c), left)]
         return found
 
-    classes = walk(tuple(sorted(Counter(_validate_integral_lambda(lam)).items(), reverse=True)), need)
+    classes = walk(tuple(sorted(Counter(lam).items(), reverse=True)), need)
     memo.clear()  # walk refers to itself, so the memo would wait for the cycle collector
-    return sorted(tuple(sorted(keys)) for keys in classes)
+    return tuple(sorted(tuple(sorted(keys)) for keys in classes))
 
 
-def _built(classes: list, build, wrap) -> list:
-    """``wrap`` of the built pieces of each key tuple in ``classes``;
-    ``build`` runs once per distinct key."""
+def _built(classes: list, build, wrap) -> list:  # a dict per call is a shade faster than the memo
     built = {key: build(key) for key in {key for keys in classes for key in keys}}.__getitem__
     return [wrap(tuple(map(built, keys))) for keys in classes]
 
@@ -195,6 +199,7 @@ def _segment_pieces(a: int, lower: list[int]) -> list[tuple]:
     return [((-(x + a), -(a - x + 1), -x), range(x, a), 0) for x in [a] + lower]
 
 
+@lru_cache(maxsize=256)  # every key of a weight with up to 20 distinct values (DECISIONS.md)
 def _segment_from_key(key: tuple) -> Segment:
     return Segment(Scalar(-key[2]), -key[1])
 
@@ -205,7 +210,7 @@ def enumerate_multisegments(lam: Sequence[int]) -> list[Multisegment]:
 
     Classes are ordered on integer keys, ``_segment_key`` with the center
     doubled: ``(-(2x+l-1), -l, -x)`` for the segment of length ``l`` starting
-    at ``x``.  Each distinct segment is built once per call.
+    at ``x``.  The walk and the segments are memoised (``DECISIONS.md``).
 
     >>> len(enumerate_multisegments((2, 1, 0)))
     4

@@ -39,7 +39,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .multisegments import (
@@ -352,7 +352,12 @@ def flatten_diagram(diagram: ColumnDiagram) -> SignedInvolution:
 
 def psi_g(ms: Multisegment, lam: Sequence[int]) -> OrbitClass:
     """Orbit class of the flattened diagram of ``ms`` at support ``lam``."""
-    diagram = build_diagram(ms, lam)
+    return _psi(ms, _validate_integral_lambda(lam))
+
+
+@lru_cache(maxsize=128)  # both orbit-map checks of one weight, up to 128 classes (DECISIONS.md)
+def _psi(ms: Multisegment, lam: tuple[int, ...]) -> OrbitClass:
+    diagram = _walk(lam, _segments_by_length(ms, lam))
     return OrbitClass(diagram.blocks(), _cell_key(diagram.columns))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 from .multisegments import Segment, _built, _cover
@@ -155,9 +155,7 @@ def is_dominant(param: RealParam) -> bool:
 
 def _factor_key(f: Factor):
     # fixed total order: slope desc, level desc, Im asc, triv before sgn
-    eps_rank = 0
-    if isinstance(f, GL1Factor) and f.eps == SGN:
-        eps_rank = 1
+    eps_rank = int(isinstance(f, GL1Factor) and f.eps == SGN)
     return (-_slope(f), -f.level, f.nu.im, eps_rank)
 
 
@@ -195,6 +193,7 @@ def _factor_pieces(a: int, lower: list[int]) -> list[tuple]:
     ]
 
 
+@lru_cache(maxsize=256)  # as multisegments._segment_from_key
 def _factor_from_key(key: tuple) -> Factor:
     if key[3] == 1:
         return GL1Factor(SGN if key[2] else TRIV, Scalar(-key[0] // 4))
@@ -209,8 +208,8 @@ def enumerate_real_params(lam: Sequence[int], min_level: int = 0) -> list[RealPa
     :func:`_factor_pieces`); sorting a class's keys gives the
     ``_factor_key`` order of :func:`canonical_class`, and the classes are
     sorted on their key tuples.  ``min_level`` prunes the search through
-    :func:`_level_bound` rather than filtering its output.  Each distinct
-    factor is built once per call.
+    :func:`_level_bound` rather than filtering its output.  The covering
+    walk and the factors are memoised (``DECISIONS.md``); the list is fresh.
     """
     classes = _cover(lam, _factor_pieces, min_level, _level_bound)
     return _built(classes, _factor_from_key, RealParam)

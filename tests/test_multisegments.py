@@ -23,7 +23,7 @@ from glhecke.multisegments import (
     segments_str,
     steinberg_param,
 )
-from glhecke.realparams import _factor_pieces, _level_bound
+from glhecke.realparams import _factor_pieces, _level_bound, enumerate_real_params
 from glhecke.scalars import Scalar, rat_str
 from glhecke.sweeps import lambda_window
 from linalg_oracle import q
@@ -248,6 +248,23 @@ def _ref_cover(lam, pieces, need=0, bound=None, exact=False):
 
     walk(Counter(lam), need)
     return sorted(out)
+
+
+def test_memoised_walks_hand_out_fresh_lists():
+    # the covering walk is memoised; a caller that edits the list it got must
+    # not change what the next call returns
+    lam = (3, 2, 1, 1, 0)
+    for enumerate_ in (
+        lambda: _cover(lam, _segment_pieces),
+        lambda: _cover(lam, _factor_pieces, len(lam), _level_bound, exact=True),
+        lambda: enumerate_multisegments(lam),
+        lambda: enumerate_real_params(lam),
+    ):
+        got = enumerate_()
+        kept = list(got)
+        got.reverse()
+        got.append(None)
+        assert enumerate_() == kept
 
 
 def test_memoised_cover_matches_reference_walk():

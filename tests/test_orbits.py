@@ -281,6 +281,22 @@ def test_injectivity_reports_a_collision(monkeypatch):
     assert [c["taus"] for c in report.collisions] == [["{1};{0}", "{0,1}"]]
 
 
+def test_a_patched_route_leaves_no_trace_in_the_memo(monkeypatch):
+    # psi is memoised below the names a tamper test patches, so once a patch
+    # is undone the verifiers see the honest map again
+    real = orbits.psi_g
+    with monkeypatch.context() as patch:
+        patch.setattr(orbits, "psi_g", lambda ms, lam: real(enumerate_multisegments(lam)[0], lam))
+        assert verify_injectivity((1, 0)).classes == 1
+    report = verify_injectivity((1, 0))
+    assert (report.classes, report.ok) == (2, True)
+    with monkeypatch.context() as patch:
+        # every class walked as if it had no segment: {0,1} loses its arc
+        patch.setattr(orbits, "_all_final_diagrams", lambda ms, lam: {orbits._walk(lam, ())})
+        assert not verify_psi_wellposed((1, 0)).ok
+    assert verify_psi_wellposed((1, 0)).ok
+
+
 def test_worked_example_wellposed():
     report = verify_psi_wellposed(WORKED_LAMBDA[:0] + (2, 1, 1, 0))
     assert report.ok
