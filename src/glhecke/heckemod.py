@@ -186,16 +186,16 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
 #
 # A StandardModule is checked on its compact form.  The S_k relations compose
 # the signed tables as permutations of the 2n points +-e_b, so s_a s_b has
-# table s_a[s_b].  Every other relation is one sparse identity: terms
-# (key, source, coefficient), a key being a relation and an entry, that sum to
-# zero per key.  s_i re-indexes the rows or columns of eps = D + N, and a row
-# join of all entries gives eps_a eps_b - eps_b eps_a where e_0 does not carry
-# it (see _relation_plan).  A source is a D_j[b, b] or the scale, so terms are
-# linear in chi and a non-real chi is checked at its real and imaginary parts.
-# The terms depend only on the tables: after Gustavson (ACM TOMS 4, 1978)
-# they are sorted once per block composition, and a module gathers,
-# multiplies and sums.  A quotient is certified from its target's relations
-# and its invariance identity (below).
+# table s_a[s_b].  Every other relation is a sum of terms per key, a key being
+# a relation and an entry: s_i re-indexes the rows or columns of eps = D + N,
+# and a row join of all entries gives eps_a eps_b - eps_b eps_a where e_0 does
+# not carry it (see _relation_plan).  D_j[b, b] is chi at pos[j, b] and N_j is
+# an integer matrix, so every sum is a linear form in the homogeneous weight
+# (scale, chi).  The forms depend only on the tables: per block composition
+# they are reduced once to an echelon basis, at most k + 1 forms, and a module
+# evaluates those at the real and at the imaginary part of its weight.  A
+# quotient is certified from its target's relations and its invariance
+# identity (below).
 #
 # The central character is certified, not multiplied out.  Write f' for a
 # polynomial f in the eps_j with eps_i and eps_{i+1} swapped: once the
@@ -285,7 +285,7 @@ def _sk_relations_hold(target: np.ndarray, sign: np.ndarray) -> bool:
     is s[a][s[b]]; s_i * s_i = 1 makes each table an involution, hence a
     permutation with s_i^-1 = s_i."""
     n = target.shape[1]
-    if target.min() < 0 or target.max() >= n or (abs(sign) != 1).any():
+    if ((target < 0) | (target >= n) | (abs(sign) != 1)).any():
         return False
     flip = n * (sign < 0)
     s = np.concatenate([target + flip, target + n - flip], axis=1)
@@ -305,72 +305,66 @@ def _sk_relations_hold(target: np.ndarray, sign: np.ndarray) -> bool:
 
 def verify_relations(M: StandardModule) -> bool:
     """Exact check of every defining relation of a :class:`StandardModule`
-    on its compact form: the S_k relations on the tables, then each key of
-    the relation plan sums to zero.  The memoised plan serves only the very
-    tables ``_composition`` shares.  Any other argument, a
+    on its compact form: the S_k relations on the tables, then every form
+    of the relation plan vanishes at the real and at the imaginary part of
+    the homogeneous weight, in Python ints.  The memoised plan serves only the
+    very tables ``_composition`` shares.  Any other argument, a
     :class:`QuotientModule` too, raises TypeError."""
+    return _checked(M)[0]
+
+
+def _checked(M: StandardModule) -> tuple[bool, bool, bool]:
+    """Whether every defining relation holds and, as the relation plan
+    records, whether e_0 is a weight vector and whether it generates."""
     if not isinstance(M, StandardModule):
         raise TypeError(f"verify_relations takes a StandardModule, not {type(M).__name__}")
-    if M.k == 1:
-        return True
-    _, target, sign, _, nilpotent = _composition(M.blocks)
-    shared = M.s_target is target and M.s_sign is sign and M.nilpotent is nilpotent
-    plan = _shared_plan(M.blocks) if shared else _relation_plan(M.s_target, M.s_sign, M.nilpotent)
+    tables = (M.s_target, M.s_sign, M.pos, M.nilpotent)
+    shared = all(a is b for a, b in zip(tables, _composition(M.blocks)[1:]))
+    plan = _shared_plan(M.blocks) if shared else _relation_plan(*tables)
     if plan is None:
-        return False
-    gather, coef, starts, weight = plan
-    # the scale is the last source; no sum exceeds weight * the largest one
-    re, im, scale, gaussian = _scaled(M.chi)
-    parts = [re + [scale], im + [0]] if gaussian else [re + [scale]]
-    bound = max(abs(x) for part in parts for x in part) * weight
-    chi = np.array(parts, dtype=np.int64 if bound < _INT64_LIMIT else object)
-    src = np.concatenate([chi[:, M.pos].reshape(len(chi), -1), chi[:, -1:]], axis=1)
-    return not np.add.reduceat(src[:, gather] * coef, starts, axis=1).any()
-
-
-def _weight_vector(nilpotent: tuple) -> bool:
-    """Whether e_0 is a weight vector: no N_j layer has a nonzero entry in
-    column 0."""
-    return not any(v[c == 0].any() for layers in nilpotent for _, c, v in layers)
-
-
-def _generates(target: np.ndarray) -> bool:
-    """Whether e_0 generates under involutions s_i: every e_b with b >= 1 is
-    +-s_i e_b' for some b' < b."""
-    return bool((target[:, 1:] < np.arange(1, target.shape[1])).any(axis=0).all())
+        return False, False, False
+    forms, *facts = plan
+    re, im, scale, _ = _scaled(M.chi)
+    parts = ([scale, *re], [0, *im])
+    return not any(sum(a * x[t] for t, a in f.items()) for x in parts for f in forms), *facts
 
 
 @functools.lru_cache(maxsize=64)
 def _shared_plan(blocks: tuple[int, ...]):
-    _, target, sign, _, nilpotent = _composition(blocks)
-    return _relation_plan(target, sign, nilpotent)
+    return _relation_plan(*_composition(blocks)[1:])
 
 
-def _relation_plan(target: np.ndarray, sign: np.ndarray, nilpotent: tuple):
-    """None if the tables of the s_i fail the S_k relations.  Else the terms
-    of the eps relations for them and the N_j layers, merged per key and
-    source, zeros dropped, in key order: the source of each (D_j[b, b] at
-    j * n + b, the scale at k * n) and its coefficient; where each key
-    starts; the largest sum of |coefficients| of a key."""
+def _relation_plan(target: np.ndarray, sign: np.ndarray, pos: np.ndarray, nilpotent: tuple):
+    """None if the tables of the s_i fail the S_k relations.  Else a reduced
+    basis of the linear forms, each ``{coordinate: coefficient}``, that the
+    eps relations for them, pos and the N_j layers put on the homogeneous
+    weight (scale, chi_0, chi_1, ...); whether e_0 is a weight vector (no
+    N_j layer has a nonzero entry in column 0); whether e_0 generates under
+    the involutions s_i (every e_b with b >= 1 is +-s_i e_b' for some
+    b' < b)."""
     if not _sk_relations_hold(target, sign):
         return None
     k, n = len(nilpotent), target.shape[1]
-    const = k * n
-    # the entries (j, row, column, coefficient) of every eps_j, D_j first
+    weight_vector = not any(v[c == 0].any() for layers in nilpotent for _, c, v in layers)
+    generates = bool((target[:, 1:] < np.arange(1, n)).any(axis=0).all())
+    # the entries (j, row, column, coefficient) of every eps_j, D_j first, and
+    # the coordinate each scales: pos[j, b] + 1 for D_j[b, b], 0 (the scale)
+    # for an N_j entry
     flat = [(j, *layer) for j, ls in enumerate(nilpotent) for layer in ls]
-    diagonal = np.arange(const) % n
+    diagonal = np.arange(k * n) % n
     j_e = np.repeat([*range(k), *(j for j, *_ in flat)], [n] * k + [len(r) for _, r, *_ in flat])
     r_e = np.concatenate([diagonal, *(r for _, r, _, _ in flat)])
     c_e = np.concatenate([diagonal, *(c for _, _, c, _ in flat)])
-    v_e = np.concatenate([np.ones(const, int), *(v for *_, v in flat)])
-    s_e = np.minimum(np.arange(len(j_e)), const)  # their sources
+    v_e = np.concatenate([np.ones(k * n, int), *(v for *_, v in flat)])
+    w_e = np.concatenate([pos.ravel() + 1, np.zeros(len(j_e) - k * n, int)])
+    width = int(pos.max()) + 2
     # a coefficient is an entry or the product of two, up to sign
     dtype = np.int8 if abs(v_e).max() <= 11 else object
     v_e, terms = v_e.astype(dtype), []
 
-    def add(slot, row, col, src, coef):
-        # (key * (k * n + 1) + source, coefficient) fits int64 up to k = 8
-        merged = ((slot * n + row) * n + col) * (const + 1) + src
+    def add(slot, row, col, w, coef):
+        # (key * width + coordinate, coefficient) fits int64 up to k = 10
+        merged = ((slot * n + row) * n + col) * width + w
         terms.append((merged.ravel(), coef.astype(dtype).ravel()))
 
     # s_i eps_j - eps_{s_i(j)} s_i - <alpha_i, e_j> at slot i * k + j: s_i
@@ -378,15 +372,15 @@ def _relation_plan(target: np.ndarray, sign: np.ndarray, nilpotent: tuple):
     # to (r, target[c]) times sign[target[c]] = sign[c]
     i, j, b = np.arange(k - 1)[:, None], np.arange(k), np.arange(n)
     c = (j == i) * 1 - (j == i + 1)  # <alpha_i, e_j>, and s_i(j) = j + c
-    add(i * k + j_e, target[:, r_e], c_e, s_e, sign[:, r_e] * v_e)
-    add(i * k + (j + c)[:, j_e], r_e, target[:, c_e], s_e, -sign[:, c_e] * v_e)
-    add((i * k + j)[:, :, None], b, b, const, (-c).repeat(n))
+    add(i * k + j_e, target[:, r_e], c_e, w_e, sign[:, r_e] * v_e)
+    add(i * k + (j + c)[:, j_e], r_e, target[:, c_e], w_e, -sign[:, c_e] * v_e)
+    add((i * k + j)[:, :, None], b, b, 0, (-c).repeat(n))
     # eps_a eps_b - eps_b eps_a at slot k * k + a * k + b for a < b vanishes
     # once the relations above hold if e_0 is a weight vector that generates
     # (DECISIONS.md).  Else a row join: every entry (r, m) times each entry of
-    # row m; a product has the source of its D factor, and D_a D_b meets
-    # D_b D_a at the same source, so they cancel
-    if not (_weight_vector(nilpotent) and _generates(target)):
+    # row m; a product scales the coordinate of its D factor, and D_a D_b
+    # meets D_b D_a at the same coordinate, so they cancel
+    if not (weight_vector and generates):
         order = np.argsort(r_e)
         first = np.searchsorted(r_e[order], c_e)
         count = np.searchsorted(r_e[order], c_e, side="right") - first
@@ -396,21 +390,24 @@ def _relation_plan(target: np.ndarray, sign: np.ndarray, nilpotent: tuple):
         left, right = left[keep], right[keep]
         ja, jb = j_e[left], j_e[right]
         slot = k * (k + np.minimum(ja, jb)) + np.maximum(ja, jb)
-        src = np.minimum(s_e[left], s_e[right])
-        add(slot, r_e[left], c_e[right], src, np.sign(jb - ja) * v_e[left] * v_e[right])
+        w = np.maximum(w_e[left], w_e[right])
+        add(slot, r_e[left], c_e[right], w, np.sign(jb - ja) * v_e[left] * v_e[right])
 
+    # the sum per key is a form in the weight: merge its terms per
+    # coordinate, keep each nonzero form once, and reduce them to a basis of
+    # their row space, which vanishes at a weight exactly when they all do
     merged, coef = map(np.concatenate, zip(*terms))
     terms.clear()
     order = np.argsort(merged)
     merged, coef = merged[order], coef[order]
-    first = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+    first = np.flatnonzero(merged != np.concatenate(([-1], merged[:-1])))
     merged, coef = merged[first], np.add.reduceat(coef, first, dtype=np.result_type(coef, int))
-    key, src = np.divmod(merged[coef != 0], const + 1)
-    coef = coef[coef != 0]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    weight = int(np.add.reduceat(abs(coef), starts).max(initial=0))
-    coef = coef.astype(np.int8) if weight < 128 else coef
-    return src.astype(np.int32), coef, starts.astype(np.int32), weight
+    key, coord = np.divmod(merged[coef != 0], width)
+    coord, coef = coord.tolist(), coef[coef != 0].tolist()
+    starts = np.flatnonzero(key != np.concatenate(([-1], key[:-1]))).tolist()
+    rows = {tuple(zip(coord[a:z], coef[a:z])) for a, z in zip(starts, starts[1:] + [len(coord)])}
+    forms = tuple(form for _, form in _echelon([dict(row) for row in rows]))
+    return forms, weight_vector, generates
 
 
 def central_character_of_module(M: StandardModule) -> tuple[Scalar, ...]:
@@ -418,14 +415,14 @@ def central_character_of_module(M: StandardModule) -> tuple[Scalar, ...]:
     in the eps_j acts on M by f at it.
 
     Raises ValueError unless the defining relations hold, e_0 is a weight
-    vector (no N_j layer has a nonzero entry in column 0) and e_0 generates
-    M (every e_b with b >= 1 is +-s_i e_b' for some b' < b).
+    vector and e_0 generates M, as the relation plan records.
     """
-    if not verify_relations(M):
+    holds, weight_vector, generates = _checked(M)
+    if not holds:
         raise ValueError("the module fails the defining relations")
-    if not _weight_vector(M.nilpotent):
+    if not weight_vector:
         raise ValueError("e_0 is not a weight vector")
-    if not _generates(M.s_target):
+    if not generates:
         raise ValueError("e_0 does not generate the module")
     weight = (M.chi[p] for p in M.pos[:, 0].tolist())
     return tuple(sorted(weight, key=scalar_sort_key, reverse=True))
@@ -509,8 +506,7 @@ def _intertwiners(m1: StandardModule, ops1, ops2):
     :func:`_compact_operators` of source and target: the basis as
     ``(T, den)`` pairs, T an integer array (in 2x2 blocks when the weight is
     non-real) and den > 0 its denominator."""
-    (s1, _, _, gaussian), (s2, eps2, _, _) = ops1, ops2
-    re, im, _, _ = _scaled(m1.chi)  # at the scale of eps2, since chi2 permutes chi1
+    (s1, eps1, _, gaussian), (s2, eps2, _, _) = ops1, ops2
     n = np.arange(len(eps2[0][0]))
     width = 2 if gaussian else 1
     rows = []
@@ -522,8 +518,10 @@ def _intertwiners(m1: StandardModule, ops1, ops2):
                 if t < b and sign[t] == sg:
                     continue  # t's row, times sg; a doctored sign keeps both
                 rows.append({t: 1, b: sg} if t != b else {b: 1 + sg})
-    for (diagonal, layers), a, b in zip(eps2, re, im):
-        # scale * (eps_j - chi_j), with chi_j = a + bi as [[a, -b], [b, a]]
+    for (diagonal, layers), (d1, l1) in zip(eps2, eps1):
+        # scale * (eps_j - chi_j), with chi_j = a + bi as [[a, -b], [b, a]]: as
+        # w_0 = 1, a and b are the entries (0, 0) and (1, 0) of the source's eps_j
+        a, b = int(d1[0]), int(l1[0][2][1]) if gaussian else 0
         entries = [(n, n, diagonal - a), *layers]
         if gaussian:
             entries.append((n, n ^ 1, np.tile([b, -b], m1.dim)))

@@ -464,7 +464,11 @@ def test_relation_plan_memo_serves_only_the_shared_tables():
     # which is not stored, and is rejected by the eps relations alone
     delta, perm = np.ones(M.dim, dtype=int), np.arange(M.dim)
     delta[0], perm[[0, M.dim - 1]] = -1, (M.dim - 1, 0)
-    for bad in (_with_entry(M, 1, 0, 3, 1), _conjugated(M, delta), _conjugated(M, perm=perm)):
+    # 1^4 has no forms, so a copy served the shared ones would pass; the
+    # _with_diagonal copy has a pos of its own and a longer chi
+    assert heckemod._shared_plan(M.blocks)[0] == ()
+    doctored = (_with_entry(M, 1, 0, 3, 1), _conjugated(M, delta), _conjugated(M, perm=perm))
+    for bad in doctored + (_with_diagonal(M, 1, 0, 1),):
         assert bad.blocks == M.blocks and _sk_relations_hold(bad.s_target, bad.s_sign)
         assert _rejected(bad)
     assert heckemod._shared_plan.cache_info().currsize == 1
@@ -474,6 +478,51 @@ def test_relation_plan_memo_serves_only_the_shared_tables():
     N = build_standard_module(M.ms)
     assert N.s_target is not M.s_target
     assert verify_relations(M) and verify_relations(N)
+
+
+def _same_span(a, b) -> bool:
+    """Whether two lists of forms ``{coordinate: coefficient}`` span the same
+    space: neither adds to the rank of the other."""
+    rank = [len(_echelon(rows)) for rows in (a, b, [*a, *b])]
+    return rank[0] == rank[1] == rank[2]
+
+
+def test_relation_forms_are_the_block_affinity_conditions():
+    # in the homogeneous weight (scale, chi_0, chi_1, ...), coordinates
+    # 0, 1, 2, ..., the plan of every composition with k <= 6 spans exactly
+    # chi_{t+1} - chi_t - scale for t, t + 1 in one block
+    comps = [
+        tuple(b - a for a, b in zip((0, *cuts), (*cuts, k)))
+        for k in range(1, 7)
+        for r in range(k)
+        for cuts in itertools.combinations(range(1, k), r)
+    ]
+    assert len(comps) == 63
+    for blocks in comps:
+        k = sum(blocks)
+        block_of = [bi for bi, L in enumerate(blocks) for _ in range(L)]
+        inner = [t for t in range(k - 1) if block_of[t] == block_of[t + 1]]
+        affine = [{t + 2: 1, t + 1: -1, 0: -1} for t in inner]
+        forms, weight_vector, generates = heckemod._shared_plan(blocks)
+        assert len(forms) <= k + 1 and weight_vector and generates, blocks
+        assert _same_span(forms, affine) and (forms == ()) == (blocks == (1,) * k), blocks
+        # teeth: a moved N_j entry, a conjugated sign that keeps the S_k
+        # relations, and chi_t, chi_{t+1} swapped in pos inside a block; at
+        # the starts 1, 10, 100, ... each copy is rejected as well
+        starts = (Scalar(10**i) for i in range(len(blocks)))
+        M = build_standard_module(Multisegment(tuple(map(Segment, starts, blocks))))
+        bad = []
+        if M.dim > 1:
+            j = next(j for j in range(k) if M.nilpotent[j])
+            bad += [_moved_entry(M, j), _conjugated(M, 1 - 2 * (np.arange(M.dim) == 1))]
+        if inner:
+            t = inner[0]
+            swap = np.where(M.pos == t, t + 1, np.where(M.pos == t + 1, t, M.pos))
+            bad.append(dataclasses.replace(M, pos=swap))
+        for B in bad:
+            plan = heckemod._relation_plan(B.s_target, B.s_sign, B.pos, B.nilpotent)
+            assert plan is None or not _same_span(plan[0], affine), blocks
+            assert not verify_relations(B), blocks
 
 
 def _moved_entry(M, j):
@@ -500,18 +549,15 @@ def test_sparse_relations_have_teeth_at_k6():
     assert _sk_relations_hold(bad.s_target, bad.s_sign) and not verify_relations(bad)
 
 
-def test_sparse_relations_have_teeth_on_object_and_gaussian_weights(monkeypatch):
-    # object arrays: a 2**70 start is past int64, and an N entry past int8
-    # makes the coefficients Python ints
+def test_sparse_relations_have_teeth_on_object_and_gaussian_weights():
+    # the forms are evaluated in Python ints: a 2**70 start is past int64,
+    # and an N entry past int8 makes the plan's coefficients Python ints
     for start in (1 << 70, 1 << 40):
         M = build_standard_module(Multisegment((Segment(Scalar(start), 2), Segment(Scalar(0), 1))))
         assert verify_relations(M)
         assert _rejected(_with_entry(M, 0, 0, 1, 1)) and _rejected(_with_entry(M, 0, 0, 1, 1 << 40))
-    # the 2**40 module fits int64 under the relation bound; forced onto
-    # object arrays it keeps its teeth too
-    monkeypatch.setattr(heckemod, "_INT64_LIMIT", 0)
-    assert verify_relations(M) and _rejected(_with_entry(M, 0, 0, 1, 1))
-    monkeypatch.undo()
+        # a weight coordinate moved by one, which a float would lose at 2**70
+        assert _rejected(_with_diagonal(M, 0, 1, 1))
     # a moved imaginary part is seen by the imaginary row alone
     M = build_standard_module(parse_segments("{1+1i};{0};{2}"))
     assert verify_relations(M)
@@ -568,8 +614,14 @@ def test_commutation_follows_only_from_a_generating_weight_vector():
     # must run
     M = build_standard_module(parse_segments("{2};{1};{0}"))
     both = _direct_sum(M, _plus_all_ones(M))
-    assert heckemod._weight_vector(both.nilpotent) and not heckemod._generates(both.s_target)
+    plan = heckemod._relation_plan(both.s_target, both.s_sign, both.pos, both.nilpotent)
+    assert plan[1:] == (True, False)
     assert verify_relations(M) and _rejected(both)
+    # the join reads a product D_a N_b at the weight coordinate of D_a: the
+    # N_j of {1,2};{0} do not commute, so the commutators of G (+) G, which
+    # holds every relation, cancel only through the weight
+    G = build_standard_module(parse_segments("{1,2};{0}"))
+    assert verify_relations(_direct_sum(G, G)) and _ref_verify_compact(_direct_sum(G, G))
 
 
 def test_composition_data_is_shared_read_only():
