@@ -194,8 +194,9 @@ def build_standard_module(ms: Multisegment) -> StandardModule:
 # (scale, chi).  The forms depend only on the tables: per block composition
 # they are reduced once to an echelon basis, at most k + 1 forms, and a module
 # evaluates those at the real and at the imaginary part of its weight.  A
-# quotient is certified from its target's relations and its invariance
-# identity (below).
+# one-dimensional module (one segment) is a character, planned from its signs
+# and scalars alone.  A quotient is certified from its target's relations and
+# its invariance identity (below).
 #
 # The central character is certified, not multiplied out.  Write f' for a
 # polynomial f in the eps_j with eps_i and eps_{i+1} swapped: once the
@@ -342,11 +343,26 @@ def _relation_plan(target: np.ndarray, sign: np.ndarray, pos: np.ndarray, nilpot
     N_j layer has a nonzero entry in column 0); whether e_0 generates under
     the involutions s_i (every e_b with b >= 1 is +-s_i e_b' for some
     b' < b)."""
-    if not _sk_relations_hold(target, sign):
-        return None
     k, n = len(nilpotent), target.shape[1]
     weight_vector = not any(v[c == 0].any() for layers in nilpotent for _, c, v in layers)
+    if n == 1:
+        # a character, generated by e_0: s_i acts by sign_i and eps_j by chi
+        # at pos[j, 0] plus the scale times its N_j entries.  The S_k
+        # relations hold when the signs are all 1 or all -1 (braid: sign_i =
+        # sign_{i+1}), the eps_j commute, and what is left is sign_i (eps_i -
+        # eps_{i+1}) = scale
+        signs = sign.ravel().tolist()
+        if target.any() or set(signs) not in (set(), {1}, {-1}):
+            return None
+        nil = [sum(int(v.sum()) for *_, v in layers) for layers in nilpotent]
+        eps, rows = list(zip((pos.ravel() + 1).tolist(), nil)), []
+        for sg, (p, a), (q, b) in zip(signs, eps, eps[1:]):
+            row = {p: sg, q: -sg} if p != q else {}
+            rows.append({t: x for t, x in {**row, 0: sg * (a - b) - 1}.items() if x})
+        return tuple(form for _, form in _echelon(rows)), weight_vector, True
     generates = bool((target[:, 1:] < np.arange(1, n)).any(axis=0).all())
+    if not _sk_relations_hold(target, sign):
+        return None
     # the entries (j, row, column, coefficient) of every eps_j, D_j first, and
     # the coordinate each scales: pos[j, b] + 1 for D_j[b, b], 0 (the scale)
     # for an N_j entry

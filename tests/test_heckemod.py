@@ -525,6 +525,27 @@ def test_relation_forms_are_the_block_affinity_conditions():
             assert not verify_relations(B), blocks
 
 
+def test_one_dimensional_modules_are_checked_as_characters():
+    # one segment gives a character: the plan reads each s_i as a sign and
+    # each eps_j as a scalar.  Teeth, each rejected by both routes: an N
+    # entry, a moved weight coordinate, every sign flipped (the S_k relations
+    # still hold) and the last sign flipped at a weight that meets every form
+    # of the new signs (only the braid relation sign_i = sign_{i+1} fails)
+    for k in range(1, 7):
+        M = build_standard_module(Multisegment((Segment(Scalar(Fraction(1, 3)), k),)))
+        assert M.dim == 1 and verify_relations(M) and _ref_verify_compact(M)
+        if k == 1:
+            continue
+        flipped = dataclasses.replace(M, s_sign=-M.s_sign)
+        assert _sk_relations_hold(flipped.s_target, flipped.s_sign)
+        bad = [_with_entry(M, k - 1, 0, 0, 1), _with_diagonal(M, 0, 0, 1), flipped]
+        if k > 2:
+            braid = _with_table(M, k - 2, sign=-M.s_sign[k - 2])
+            bad.append(dataclasses.replace(braid, chi=M.chi[:-1] + (M.chi[-3],)))
+            assert not _sk_relations_hold(braid.s_target, braid.s_sign)
+        assert all(_rejected(B) for B in bad), k
+
+
 def _moved_entry(M, j):
     """A copy of M whose first N_j entry (r, c) has moved to (r, c + 1)."""
     r, c, v = (int(x[0]) for x in M.nilpotent[j][0])
