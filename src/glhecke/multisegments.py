@@ -13,7 +13,6 @@ entries of each segment in increasing order.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -54,6 +53,7 @@ class Segment:
             raise TypeError(f"segment start must be a Scalar, got {self.start!r}")
         if not isinstance(self.length, int) or isinstance(self.length, bool) or self.length < 1:
             raise ValueError(f"segment length must be a positive integer, got {self.length!r}")
+        object.__setattr__(self, "_hash", hash((self.start, self.length)))  # as generated, once
 
     def entries(self) -> tuple[Scalar, ...]:
         return self._entries
@@ -66,7 +66,20 @@ class Segment:
     def _start_grid(self) -> tuple[int, int, int]:  # see levelmap.eigenvalue_identity
         return _grid(self.start)
 
+    @cached_property
+    def _ends(self) -> tuple[int, int]:  # see orbits._segments_by_length
+        if not self.start.is_integer:
+            raise ValueError("the orbit map needs an integral multisegment")
+        return self.start.re.numerator, self.start.re.numerator + self.length - 1
+
+    def __hash__(self):  # the shared segments key the psi memo
+        return self._hash
+
     def __str__(self):
+        return self._str
+
+    @cached_property  # the shared segments of every class print once
+    def _str(self) -> str:
         (p, q), im = self.start.re.as_integer_ratio(), self.start.im
         tail = "" if im == 0 else f"{'+' if im > 0 else '-'}{rat_str(abs(im))}i"
         den = "" if q == 1 else f"/{q}"  # (p + j*q)/q is reduced, as p/q is
@@ -77,8 +90,8 @@ class Segment:
 class Multisegment:
     segments: tuple[Segment, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
+    def __init__(self, segments):  # kept by @dataclass; a tuple is stored as given
+        object.__setattr__(self, "segments", segments if type(segments) is tuple else tuple(segments))
 
     @property
     def k(self) -> int:
@@ -132,10 +145,10 @@ def steinberg_param(k: int) -> Multisegment:
 
 def _validate_integral_lambda(lam: Sequence[int]) -> tuple[int, ...]:
     lam = tuple(lam)
-    for x in lam:
+    for x in lam if set(map(type, lam)) - {int} else ():  # one by one only if some entry is not an int
         if not isinstance(x, int) or isinstance(x, bool):
             raise ValueError(f"lambda must consist of integers, got {x!r}")
-    if any(a < b for a, b in zip(lam, lam[1:])):
+    if list(lam) != sorted(lam, reverse=True):
         raise ValueError("lambda must be weakly decreasing")
     return lam
 
@@ -151,47 +164,69 @@ def _cover(lam: Sequence[int], pieces, need: int = 0, bound=None, exact=False) -
     copy of.  Every copy of the current maximum is covered at once by a
     weakly increasing choice of pieces, so each multiset comes out exactly
     once.  A branch stops as soon as ``bound(counts) < need``, or, when
-    ``exact``, once its levels pass ``need``.  A state's completions depend
-    only on the remaining counts and the level still needed (at least 0
-    unless ``exact``), so each state is solved once per walk and its
-    completions are prefixed onto every branch that reaches it.  The last
-    three walks are memoised; each call gets a fresh list (``DECISIONS.md``)."""
-    return list(_walk_cover(_validate_integral_lambda(lam), pieces, need, bound, exact))
+    ``exact``, once its levels pass ``need``.  A state, the counts of the
+    distinct values from the current maximum down and the level still needed
+    (at least 0 unless ``exact``), fixes its completions, so each state is
+    solved once per walk and its completions are prefixed onto every branch
+    that reaches it; a piece's used values are offsets into the counts.  The
+    last three walks are memoised; each call gets a fresh list
+    (``DECISIONS.md``)."""
+    keys, classes = _walk_cover(_validate_integral_lambda(lam), pieces, need, bound, exact)
+    return [tuple(map(keys.__getitem__, c)) for c in classes]
 
 
 @lru_cache(maxsize=3)  # the distinct walks of one weight's level-map and orbit-map checks
-def _walk_cover(lam: tuple[int, ...], pieces, need: int, bound, exact: bool) -> tuple[tuple, ...]:
-    memo: dict[tuple, list[tuple]] = {}
+def _walk_cover(lam: tuple[int, ...], pieces, need: int, bound, exact: bool) -> tuple[tuple, tuple]:
+    # the sorted distinct keys of the pieces taken; each class sorts the indices of its keys
+    values = sorted(set(lam), reverse=True)
+    offset, memo, ids = {v: i for i, v in enumerate(values)}.get, {}, {}
 
     def walk(counts: tuple, need: int) -> list[tuple]:
-        if not exact:
-            need = max(need, 0)
-        if (counts, need) in memo:
-            return memo[counts, need]
         found = memo[counts, need] = [()] if not counts and need == 0 else []
-        if not counts or need < 0 or (need > 0 and bound is not None and bound(dict(counts)) < need):
+        top = len(values) - len(counts)
+        if not counts or need < 0 or need > 0 and bound is not None and bound(
+            {values[top + j]: c for j, c in enumerate(counts) if c}
+        ) < need:
             return found
-        (a, mult), lower = counts[0], dict(counts[1:])
-        for combo in itertools.combinations_with_replacement(pieces(a, list(lower)), mult):
-            rest, left = dict(lower), need
-            for _, used, level in combo:
+        keys, steps = [], []  # the pieces that fit the counts one at a time
+        lower = [v for v, c in zip(values[top + 1 :], counts[1:]) if c]
+        for key, used, level in pieces(values[top], lower):
+            used = [offset(v, -1) - top for v in used]
+            if all(0 < j and counts[j] >= used.count(j) for j in used):
+                keys.append(ids.setdefault(key, len(ids)))
+                steps.append((used, level))
+        choices = (itertools.combinations_with_replacement(x, counts[0]) for x in (keys, steps))
+        for chosen, combo in zip(*choices):
+            rest, left, first = list(counts), need, 1
+            for used, level in combo:
                 left -= level
-                for v in used:
-                    rest[v] = rest.get(v, 0) - 1
-            if any(c < 0 for c in rest.values()):
+                for j in used:
+                    rest[j] -= 1
+            if counts[0] > 1 and min(rest) < 0:  # the choice took more copies than are left
                 continue
-            keys = tuple(key for key, _, _ in combo)
-            found += [keys + tail for tail in walk(tuple((v, c) for v, c in rest.items() if c), left)]
+            while first < len(rest) and not rest[first]:
+                first += 1
+            state = tuple(rest[first:]), left if exact or left > 0 else 0
+            tails = memo[state] if state in memo else walk(*state)
+            if tails:
+                found += [chosen + tail for tail in tails]
         return found
 
-    classes = walk(tuple(sorted(Counter(lam).items(), reverse=True)), need)
+    classes = walk(tuple(map(lam.count, values)), need if exact or need > 0 else 0)
     memo.clear()  # walk refers to itself, so the memo would wait for the cycle collector
-    return tuple(sorted(tuple(sorted(keys)) for keys in classes))
+    keys = sorted(ids)  # an index orders classes as its key does
+    rank = list(map({key: r for r, key in enumerate(keys)}.__getitem__, ids)).__getitem__
+    return tuple(keys), tuple(sorted(tuple(sorted(map(rank, c))) for c in classes))
 
 
 def _built(classes: list, build, wrap) -> list:  # a dict per call is a shade faster than the memo
     built = {key: build(key) for key in {key for keys in classes for key in keys}}.__getitem__
     return [wrap(tuple(map(built, keys))) for keys in classes]
+
+
+def _walked(walk: tuple, build, wrap) -> list:  # _built for a _walk_cover result, by index
+    built = list(map(build, walk[0])).__getitem__
+    return [wrap(tuple(map(built, c))) for c in walk[1]]
 
 
 def _segment_pieces(a: int, lower: list[int]) -> list[tuple]:
@@ -215,27 +250,23 @@ def enumerate_multisegments(lam: Sequence[int]) -> list[Multisegment]:
     >>> len(enumerate_multisegments((2, 1, 0)))
     4
     """
-    return _built(_cover(lam, _segment_pieces), _segment_from_key, Multisegment)
+    walk = _walk_cover(_validate_integral_lambda(lam), _segment_pieces, 0, None, False)
+    return _walked(walk, _segment_from_key, Multisegment)
 
 
 # -- serialization ------------------------------------------------------------
 
 
 def multisegment_to_json(ms: Multisegment) -> dict:
-    segs = []
-    for s in ms.segments:
-        if not s.start.is_real:
-            raise ValueError("JSON segment encoding covers real starts only")
-        segs.append({"start": rat_str(s.start.re), "len": s.length})
-    return {"segments": segs}
+    if not all(s.start.is_real for s in ms.segments):
+        raise ValueError("JSON segment encoding covers real starts only")
+    return {"segments": [{"start": rat_str(s.start.re), "len": s.length} for s in ms.segments]}
 
 
 def multisegment_from_json(obj: dict) -> Multisegment:
     return Multisegment(
-        tuple(
-            Segment(Scalar(parse_rat(_json_field(so, "start", str))), _json_field(so, "len", int))
-            for so in _json_field(obj, "segments", list)
-        )
+        Segment(Scalar(parse_rat(_json_field(so, "start", str))), _json_field(so, "len", int))
+        for so in _json_field(obj, "segments", list)
     )
 
 
@@ -253,8 +284,7 @@ def parse_segments(text: str) -> Multisegment:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
-    segments = []
-    pos = 0
+    segments, pos = [], 0
     while pos < len(text):
         ch = text[pos]
         if ch in ";, \t":

@@ -99,15 +99,11 @@ class SignedInvolution:
                 raise ValueError("fixed-point signs must be '+' or '-'")
 
     def arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            sorted((i, j) for i, j in enumerate(self.pairing) if i < j)
-        )
+        return tuple((i, j) for i, j in enumerate(self.pairing) if i < j)
 
     def signature(self) -> tuple[int, int]:
         n_arcs = len(self.arcs())
-        plus = sum(1 for s in self.signs if s == "+")
-        minus = sum(1 for s in self.signs if s == "-")
-        return (n_arcs + plus, n_arcs + minus)
+        return (n_arcs + self.signs.count("+"), n_arcs + self.signs.count("-"))
 
     def __str__(self):
         return render_involution(self)
@@ -117,7 +113,6 @@ def make_involution(n: int, arcs: Iterable[tuple[int, int]], signs: dict[int, st
     """Build from 0-based arcs and a fixed-point sign map (exactly one sign
     per fixed point)."""
     pairing = list(range(n))
-    sign_list: list[Optional[str]] = [None] * n
     for i, j in arcs:
         if i == j or not (0 <= i < n and 0 <= j < n) or pairing[i] != i or pairing[j] != j:
             raise ValueError("arcs must join two distinct positions below n, each in one arc")
@@ -125,9 +120,7 @@ def make_involution(n: int, arcs: Iterable[tuple[int, int]], signs: dict[int, st
     fixed = {i for i in range(n) if pairing[i] == i}
     if set(signs) != fixed:
         raise ValueError(f"signs must be given for the fixed points {sorted(fixed)}")
-    for i in fixed:
-        sign_list[i] = signs[i]
-    return SignedInvolution(n, tuple(pairing), tuple(sign_list))
+    return SignedInvolution(n, tuple(pairing), tuple(map(signs.get, range(n))))
 
 
 @dataclass(frozen=True)
@@ -277,13 +270,8 @@ def initial_diagram(lam: Sequence[int]) -> ColumnDiagram:
 def _segments_by_length(ms: Multisegment, lam: tuple[int, ...]) -> list[tuple[int, int]]:
     """(min, max) integer endpoints of the length >= 2 segments, longest
     first (ties keep the dominant-order position), after checking that ``ms``
-    is integral with support ``lam``."""
-    ends = []
-    for s in ms.segments:
-        if not s.start.is_integer:
-            raise ValueError("the orbit map needs an integral multisegment")
-        lo = int(s.start.re)
-        ends.append((lo, lo + s.length - 1))
+    is integral with support ``lam``; each shared segment reads them once."""
+    ends = [s._ends for s in ms.segments]
     support = sorted((v for lo, hi in ends for v in range(lo, hi + 1)), reverse=True)
     if support != list(lam):
         raise ValueError(f"support {support} does not match lambda {list(lam)}")
@@ -468,39 +456,21 @@ def render_involution(sigma: SignedInvolution) -> str:
     >>> render_involution(make_involution(4, [(0, 3)], {1: '+', 2: '-'}))
     '1 + - 1'
     """
-    label: dict[int, int] = {}
-    out = []
-    for i in range(sigma.n):
-        j = sigma.pairing[i]
-        if j == i:
-            out.append(sigma.signs[i])
-        else:
-            a = min(i, j)
-            if a not in label:
-                label[a] = len(label) + 1
-            out.append(str(label[a]))
-    return " ".join(out)
+    label: dict[int, int] = {}  # by left end, numbered in order of appearance
+    return " ".join(
+        sign or str(label.setdefault(min(i, j), len(label) + 1))
+        for i, (j, sign) in enumerate(zip(sigma.pairing, sigma.signs))
+    )
 
 
 def render_diagram(diagram: ColumnDiagram) -> str:
     """Fixed-width column picture: headers are the support values, cells show
     the sign or the arc label."""
-    width = max(
-        [len(str(v)) for v in diagram.values]
-        + [len(str(arc)) for col in diagram.columns for (_, arc) in col if arc]
-        + [1]
-    )
-    rows = max(len(col) for col in diagram.columns)
+    shown = [[str(arc or "+-"[sign < 0]) for sign, arc in col] for col in diagram.columns]
+    width = max([len(str(v)) for v in diagram.values] + [len(cell) for col in shown for cell in col])
     lines = ["  ".join(str(v).rjust(width) for v in diagram.values)]
-    for r in range(rows):
-        cells = []
-        for col in diagram.columns:
-            if r < len(col):
-                sign, arc = col[r]
-                cells.append((str(arc) if arc else ("+" if sign > 0 else "-")).rjust(width))
-            else:
-                cells.append(" " * width)
-        lines.append("  ".join(cells).rstrip())
+    for r in range(max(map(len, shown))):
+        lines.append("  ".join((col[r] if r < len(col) else "").rjust(width) for col in shown).rstrip())
     return "\n".join(lines)
 
 
@@ -509,8 +479,6 @@ def involution_to_json(sigma: SignedInvolution) -> dict:
     return {
         "n": sigma.n,
         "arcs": [[i + 1, j + 1] for i, j in sigma.arcs()],
-        "signs": {
-            str(i + 1): sigma.signs[i] for i in range(sigma.n) if sigma.signs[i] is not None
-        },
+        "signs": {str(i + 1): sign for i, sign in enumerate(sigma.signs) if sign is not None},
     }
 

@@ -12,12 +12,13 @@ measure the lowest compact-group type of the induced module.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
-from .multisegments import Segment, _built, _cover
+from .multisegments import Segment, _cover, _validate_integral_lambda, _walk_cover, _walked
 from .scalars import (
     Scalar,
     _grid,
@@ -114,6 +115,7 @@ class GL2Factor:
 
 
 Factor = Union[GL1Factor, GL2Factor]
+_LEVEL = operator.attrgetter("level")
 
 
 def _slope(f: Factor) -> Fraction:
@@ -129,9 +131,9 @@ class RealParam:
     factors: tuple[Factor, ...]
     level: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "level", sum([f.level for f in self.factors]))
+    def __init__(self, factors):  # kept by @dataclass; a tuple is stored as given
+        object.__setattr__(self, "factors", factors if type(factors) is tuple else tuple(factors))
+        object.__setattr__(self, "level", sum(map(_LEVEL, self.factors)))
 
     @property
     def n(self) -> int:
@@ -211,8 +213,8 @@ def enumerate_real_params(lam: Sequence[int], min_level: int = 0) -> list[RealPa
     :func:`_level_bound` rather than filtering its output.  The covering
     walk and the factors are memoised (``DECISIONS.md``); the list is fresh.
     """
-    classes = _cover(lam, _factor_pieces, min_level, _level_bound)
-    return _built(classes, _factor_from_key, RealParam)
+    walk = _walk_cover(_validate_integral_lambda(lam), _factor_pieces, min_level, _level_bound, False)
+    return _walked(walk, _factor_from_key, RealParam)
 
 
 # -- serialization ------------------------------------------------------------

@@ -275,6 +275,8 @@ def test_memoised_cover_matches_reference_walk():
     # is minus the factor's level.
     lams = [lam for n in range(1, 7) for lam in lambda_window(n, n)]
     lams += [(6, 0), (5, 5, 0), (7, 3, 3, 0), (4, 4, 4, 1, 1), tuple(range(8, -1, -1))]
+    # gapped n = 7 weights: a piece can ask for a value the weight lacks
+    lams += [(6, 6, 3, 1, 1, 0, 0), (5, 5, 2, 2, 0, 0, 0), (7, 4, 4, 1, 0, 0, -2)]
     for lam in lams:
         assert _cover(lam, _segment_pieces) == _ref_cover(lam, _segment_pieces), lam
         graded = [(-sum(key[1] for key in keys), keys) for keys in _ref_cover(lam, _factor_pieces)]

@@ -1,11 +1,22 @@
 import itertools
 import json
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from glhecke import orbits
-from glhecke.multisegments import enumerate_multisegments, parse_segments, segments_str
+from glhecke.multisegments import (
+    Multisegment,
+    Segment,
+    _segment_from_key,
+    enumerate_multisegments,
+    multisegment_from_json,
+    multisegment_to_json,
+    parse_segments,
+    segments_str,
+)
 from glhecke.orbits import (
     BlockStructure,
     ColumnDiagram,
@@ -25,6 +36,7 @@ from glhecke.orbits import (
     verify_injectivity,
     verify_psi_wellposed,
 )
+from glhecke.scalars import Scalar
 from glhecke.sweeps import lambda_window
 
 WORKED_LAMBDA = (4, 4, 3, 3, 3, 3, 2, 2, 2, 1, 1, 0)
@@ -295,6 +307,41 @@ def test_a_patched_route_leaves_no_trace_in_the_memo(monkeypatch):
         patch.setattr(orbits, "_all_final_diagrams", lambda ms, lam: {orbits._walk(lam, ())})
         assert not verify_psi_wellposed((1, 0)).ok
     assert verify_psi_wellposed((1, 0)).ok
+
+
+@dataclass(frozen=True)
+class _GeneratedHashSegment:
+    """The fields of ``Segment`` under the hash ``@dataclass`` generates."""
+
+    start: Scalar
+    length: int
+
+
+def test_segment_hash_agrees_with_equality_and_keys_one_psi_entry():
+    # the same multisegment parsed, built from its integer keys and read back
+    # from JSON: equal, hashing equal, and one psi memo entry for all three
+    lam = (2, 1, 1, 0)
+    parsed = parse_segments("{1,2};{0,1}")
+    keyed = Multisegment((_segment_from_key((-3, -2, -1)), _segment_from_key((-1, -2, 0))))
+    loaded = multisegment_from_json(json.loads(json.dumps(multisegment_to_json(parsed))))
+    assert parsed == keyed == loaded and keyed.segments[0] is _segment_from_key((-3, -2, -1))
+    assert hash(parsed) == hash(keyed) == hash(loaded)
+    for ms in (keyed, loaded):
+        assert all(a == b and hash(a) == hash(b) for a, b in zip(parsed.segments, ms.segments))
+    # the hash is the generated one, for integral, half-integral and Gaussian starts
+    for start in (Scalar(3), Scalar(-2), Scalar(Fraction(1, 2)), Scalar(Fraction(-1, 2), Fraction(3, 4))):
+        for length in (1, 4):
+            assert hash(Segment(start, length)) == hash(_GeneratedHashSegment(start, length))
+    orbits._psi.cache_clear()
+    target = psi_g(parsed, lam)
+    assert psi_g(keyed, lam) == psi_g(loaded, list(lam)) == target
+    info = orbits._psi.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    # psi_g still checks lambda before the memo is asked
+    for bad in [(2, 1, 1, True), (2, 1, 1, 0.0), (0, 1, 1, 2)]:
+        with pytest.raises(ValueError):
+            psi_g(parsed, bad)
+    assert orbits._psi.cache_info().currsize == 1
 
 
 def test_worked_example_wellposed():

@@ -23,6 +23,7 @@ from glhecke.realparams import (
     real_param_from_json,
     real_param_to_json,
 )
+from glhecke.multisegments import Multisegment, Segment, parse_segments
 from glhecke.scalars import Scalar
 from glhecke.sweeps import lambda_window
 
@@ -290,6 +291,39 @@ def test_min_level_prunes_the_search(monkeypatch):
     unpruned = realparams._cover(rho, counted, 6, None)
     assert unpruned == realparams._cover(rho, pieces, 6, realparams._level_bound)
     assert 0 < pruned < len(calls)
+
+
+def test_constructors_store_tuples_and_keep_their_checks():
+    # a tuple is stored as given; any other iterable is stored as its tuple,
+    # equal to and hashing like the tuple-built object
+    p = parse_factors("gl2(3,1/2);gl1(triv,0);gl1(sgn,-1)")
+    assert RealParam(p.factors).factors is p.factors
+    for built in (RealParam(list(p.factors)), RealParam(f for f in p.factors)):
+        assert type(built.factors) is tuple
+        assert built == p and hash(built) == hash(p) and built.level == p.level == 4
+    ms = parse_segments("{1,2};{0}")
+    assert Multisegment(ms.segments).segments is ms.segments
+    for built in (Multisegment(list(ms.segments)), Multisegment(iter(ms.segments))):
+        assert type(built.segments) is tuple and built == ms and hash(built) == hash(ms)
+    with pytest.raises(TypeError):
+        RealParam(p.factors, level=4)
+    for bad in (
+        lambda: GL1Factor("bogus", Scalar(0)),
+        lambda: GL2Factor(1, Scalar(0)),
+        lambda: GL2Factor(Fraction(5, 2), Scalar(0)),
+        lambda: Segment(Scalar(0), 0),
+        lambda: Segment(Scalar(0), True),
+        lambda: Segment(Scalar(0), 2.0),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+    for bad in (
+        lambda: GL1Factor("triv", 0),
+        lambda: GL2Factor(2, Fraction(1, 2)),
+        lambda: Segment(1, 2),
+    ):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_level_is_the_sum_of_factor_levels():
